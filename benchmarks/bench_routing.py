@@ -1,18 +1,13 @@
-"""Multi-backend routing benchmarks: policy tradeoffs and router overhead.
+"""Multi-backend routing benchmarks: policy tradeoffs and failover cost.
 
-Three questions the federation layer has to answer with numbers:
+Two questions the federation layer has to answer with numbers:
 
 * what do the routing policies actually trade?
   (``bench_routing_policy_sweep`` — makespan vs dollar cost of the same
   steady workload on the ``trio`` fleet under each policy);
 * what does failover cost when a backend goes dark mid-run?
-  (``bench_routing_failover`` — ``trio`` vs ``outage-trio``);
-* does routing through a one-backend fleet cost anything?
-  (``bench_router_solo_overhead`` — the bit-identity claim, plus the
-  wall-clock ratio against direct posting).
+  (``bench_routing_failover`` — ``trio`` vs ``outage-trio``).
 """
-
-import time
 
 from repro.core.latency import mturk_car_latency
 from repro.crowd.multibackend import backend_preset_by_name
@@ -26,7 +21,7 @@ from repro.service import (
 SEED = 0
 
 
-def _run(backends=None, routing="latency", workload="steady"):
+def _run(backends, routing="latency", workload="steady"):
     specs = generate_workload(workload_by_name(workload), seed=SEED)
     scheduler = MaxScheduler(
         specs,
@@ -35,10 +30,7 @@ def _run(backends=None, routing="latency", workload="steady"):
         config=ServiceConfig(routing=routing),
         backends=backends,
     )
-    start = time.perf_counter()
-    report = scheduler.run()
-    elapsed = time.perf_counter() - start
-    return report, scheduler, elapsed
+    return scheduler.run(), scheduler
 
 
 def bench_routing_policy_sweep(benchmark):
@@ -47,7 +39,7 @@ def bench_routing_policy_sweep(benchmark):
     def sweep():
         rows = []
         for policy in ("latency", "least-loaded", "weighted-price"):
-            report, scheduler, _ = _run(
+            report, scheduler = _run(
                 backends=backend_preset_by_name("trio"), routing=policy
             )
             cost = sum(row["cost"] for row in scheduler.router.summary())
@@ -70,8 +62,8 @@ def bench_routing_failover(benchmark):
     """Failover cost: the same workload with one backend going dark."""
 
     def compare():
-        clean, _, _ = _run(backends=backend_preset_by_name("trio"))
-        stormy, scheduler, _ = _run(
+        clean, _ = _run(backends=backend_preset_by_name("trio"))
+        stormy, scheduler = _run(
             backends=backend_preset_by_name("outage-trio")
         )
         outages = sum(row["outages"] for row in scheduler.router.summary())
@@ -88,27 +80,3 @@ def bench_routing_failover(benchmark):
     # The point of failover: the fleet finishes the whole workload anyway.
     assert len(stormy.completed) == len(clean.completed)
 
-
-def bench_router_solo_overhead(benchmark):
-    """A one-backend fleet must match direct posting bit for bit."""
-
-    def compare():
-        # Min-of-reps: the workload is deterministic, so scheduler noise
-        # is strictly additive and min estimates the true cost.
-        direct_times, routed_times = [], []
-        for _ in range(3):
-            _, _, dt_direct = _run()
-            _, _, dt_routed = _run(backends=backend_preset_by_name("solo"))
-            direct_times.append(dt_direct)
-            routed_times.append(dt_routed)
-        return min(direct_times), min(routed_times)
-
-    direct, routed = benchmark.pedantic(compare, rounds=1, iterations=1)
-    report_direct, _, _ = _run()
-    report_routed, _, _ = _run(backends=backend_preset_by_name("solo"))
-    ratio = routed / direct
-    print()
-    print("-- solo-fleet router overhead / steady --")
-    print(f"direct: {direct:.3f} s   routed: {routed:.3f} s   "
-          f"ratio: {ratio:.3f}")
-    assert report_routed == report_direct

@@ -34,8 +34,7 @@ def run(backends=None, routing="latency"):
         backends=backends,
     )
     report = scheduler.run()
-    rows = scheduler.router.summary() if scheduler.router is not None else []
-    return report, rows
+    return report, scheduler.router.summary()
 
 
 def describe(tag, report, rows):
@@ -50,9 +49,9 @@ def describe(tag, report, rows):
 
 
 def main():
-    print("single platform (no router):")
+    print("single platform (a one-backend fleet):")
     report, rows = run()
-    describe("direct", report, rows)
+    describe("single platform", report, rows)
 
     print("\nthree-backend fleet ('trio' preset), per routing policy:")
     for policy in ("latency", "least-loaded", "weighted-price"):

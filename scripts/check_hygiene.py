@@ -1,15 +1,17 @@
 #!/usr/bin/env python
-"""Repo-hygiene gate: fail CI on tracked bytecode and orphaned packages.
+"""Repo-hygiene gate: fail CI on tracked build output and orphaned packages.
 
 Checks, in order:
 
 1. no tracked ``__pycache__`` directories or ``*.pyc``/``*.pyo`` files
    (``git ls-files`` is the source of truth — untracked local bytecode is
    fine, committing it is not);
-2. no orphaned package directories under ``src/``: a directory that
+2. no tracked ``*.egg-info`` build metadata (``pip install -e`` writes it;
+   it is gitignored, but a forced add still slips it in);
+3. no orphaned package directories under ``src/``: a directory that
    contains only bytecode (or nothing at all) is a leftover from a
    deleted module and silently shadows imports;
-3. every directory under ``src/`` holding ``.py`` files is a real
+4. every directory under ``src/`` holding ``.py`` files is a real
    package (has ``__init__.py``), so nothing is invisible to tooling
    that walks packages.
 
@@ -27,20 +29,33 @@ SRC_ROOT = REPO_ROOT / "src"
 BYTECODE_SUFFIXES = {".pyc", ".pyo"}
 
 
-def tracked_bytecode() -> list[str]:
-    """Tracked paths that are bytecode or live inside a __pycache__."""
-    listing = subprocess.run(
+def tracked_files() -> list[str]:
+    """Every path git tracks."""
+    return subprocess.run(
         ["git", "ls-files"],
         cwd=REPO_ROOT,
         capture_output=True,
         text=True,
         check=True,
     ).stdout.splitlines()
+
+
+def tracked_bytecode() -> list[str]:
+    """Tracked paths that are bytecode or live inside a __pycache__."""
     return [
         path
-        for path in listing
+        for path in tracked_files()
         if "__pycache__" in Path(path).parts
         or Path(path).suffix in BYTECODE_SUFFIXES
+    ]
+
+
+def tracked_egg_info() -> list[str]:
+    """Tracked paths inside a ``*.egg-info`` metadata directory."""
+    return [
+        path
+        for path in tracked_files()
+        if any(part.endswith(".egg-info") for part in Path(path).parts)
     ]
 
 
@@ -86,6 +101,8 @@ def main() -> int:
     problems = []
     for path in tracked_bytecode():
         problems.append(f"tracked bytecode: {path}")
+    for path in tracked_egg_info():
+        problems.append(f"tracked build metadata (git rm --cached): {path}")
     for path in orphaned_directories():
         problems.append(
             f"orphaned directory (bytecode only — delete it): {path}"

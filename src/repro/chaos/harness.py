@@ -27,8 +27,12 @@ import numpy as np
 
 from repro.core.latency import LatencyFunction, mturk_car_latency
 from repro.crowd.breaker import CircuitBreakerConfig
-from repro.crowd.faults import RetryPolicy, fault_profile_by_name
-from repro.crowd.multibackend import BackendSpec, backend_preset_by_name
+from repro.crowd.faults import FaultProfile, RetryPolicy, fault_profile_by_name
+from repro.crowd.multibackend import (
+    BackendSpec,
+    backend_preset_by_name,
+    resolve_fleet,
+)
 from repro.errors import InvalidParameterError
 from repro.service.journal import SchedulerJournal, recover_scheduler
 from repro.service.report import ServiceReport
@@ -52,8 +56,9 @@ class ChaosScenario:
         snapshot_interval: journal snapshot cadence in ticks.
         backends: federate the run across this fleet of
             :class:`~repro.crowd.multibackend.BackendSpec` s instead of one
-            shared platform (mutually exclusive with ``faults``/``breaker``;
-            per-backend fault profiles and breakers live in the specs).
+            shared platform (mutually exclusive with ``faults``/``breaker``,
+            which are sugar for the solo fleet's one spec; per-backend
+            fault profiles and breakers live in the specs).
     """
 
     workload: str = "smoke"
@@ -68,16 +73,24 @@ class ChaosScenario:
     backends: Optional[Tuple[BackendSpec, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.backends is not None and self.faults is not None:
-            raise InvalidParameterError(
-                "faults and backends are mutually exclusive; attach fault "
-                "profiles to individual BackendSpecs instead"
-            )
-        if self.backends is not None and self.breaker is not None:
-            raise InvalidParameterError(
-                "breaker and backends are mutually exclusive; attach "
-                "breakers to individual BackendSpecs instead"
-            )
+        resolve_fleet(
+            self.backends,
+            latency=self.planning_latency(),
+            fault_profile=self.fault_profile(),
+            breaker_config=self.breaker,
+        )
+
+    def planning_latency(self) -> LatencyFunction:
+        """The planning latency model (the paper's MTurk fit by default)."""
+        return self.latency if self.latency is not None else mturk_car_latency()
+
+    def fault_profile(self) -> Optional[FaultProfile]:
+        """The named fault profile resolved, or ``None``."""
+        return (
+            fault_profile_by_name(self.faults)
+            if self.faults is not None
+            else None
+        )
 
 
 @dataclass(frozen=True)
@@ -165,19 +178,12 @@ def build_scheduler(
         seed=scenario.seed,
         n_queries=scenario.n_queries,
     )
-    latency = (
-        scenario.latency if scenario.latency is not None else mturk_car_latency()
-    )
     return MaxScheduler(
         specs,
-        latency,
+        scenario.planning_latency(),
         seed=scenario.seed,
         config=scenario.config,
-        fault_profile=(
-            fault_profile_by_name(scenario.faults)
-            if scenario.faults is not None
-            else None
-        ),
+        fault_profile=scenario.fault_profile(),
         retry_policy=scenario.retry_policy,
         breaker_config=scenario.breaker,
         journal=journal,

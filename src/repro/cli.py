@@ -972,24 +972,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(report.render(per_query=args.per_query))
         return 0
 
-    latency = _latency_from_args(args)
-    backends = None
-    if args.backends is not None:
-        from repro.crowd.multibackend import resolve_backends
+    from repro.crowd.multibackend import resolve_backends, resolve_fleet
 
-        if args.faults is not None:
-            raise InvalidParameterError(
-                "--faults and --backends are mutually exclusive; attach "
-                "per-backend fault profiles to the backend specs"
-            )
-        if args.breaker:
-            raise InvalidParameterError(
-                "--breaker and --backends are mutually exclusive; attach "
-                "per-backend breakers to the backend specs"
-            )
-        backends = resolve_backends(args.backends)
+    latency = _latency_from_args(args)
     fault_profile = (
         fault_profile_by_name(args.faults) if args.faults is not None else None
+    )
+    # Checked here, before --journal truncates its file.
+    fleet = resolve_fleet(
+        resolve_backends(args.backends) if args.backends is not None else None,
+        latency=latency,
+        fault_profile=fault_profile,
+        breaker_config=_breaker_config(args),
     )
     attempts = args.retry
     if attempts is not None and attempts < 1:
@@ -1010,7 +1004,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.hedge or args.hedge_after is not None:
         from repro.crowd.multibackend import HedgeConfig
 
-        if backends is None:
+        if args.backends is None:
             raise InvalidParameterError(
                 "--hedge requires a multi-backend fleet; pass --backends"
             )
@@ -1052,11 +1046,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         latency,
         seed=args.seed,
         config=config,
-        fault_profile=fault_profile,
         retry_policy=retry_policy,
-        breaker_config=_breaker_config(args),
         journal=journal,
-        backends=backends,
+        backends=fleet,
     )
     report = scheduler.run(on_tick=on_tick)
     if journal is not None:
@@ -1071,16 +1063,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"workload {args.workload} ({len(specs)} queries), "
         f"policy {args.scheduling}, faults={profile_name}, {retries}"
     )
-    if backends is not None:
+    if args.backends is not None:
         print(
-            f"backends: {args.backends} ({len(backends)} backend(s)), "
+            f"backends: {args.backends} ({len(fleet)} backend(s)), "
             f"routing {args.routing}"
         )
     if args.journal is not None:
         print(f"journal: {args.journal} (snapshot every "
               f"{args.snapshot_interval} tick(s))")
     print(report.render(per_query=args.per_query))
-    if scheduler.router is not None:
+    if args.backends is not None:
         print("fleet:")
         for row in scheduler.router.summary():
             print(

@@ -6,6 +6,8 @@ profile and circuit breaker), build the live fleet with
 :func:`build_backends`, and let the :class:`CapacityAwareRouter` split
 every scheduler round across the backends — minimizing predicted round
 latency under per-backend load limits, with breaker-driven failover.
+Every scheduler run has a fleet: :func:`resolve_fleet` turns a
+single-platform run into a one-backend fleet.
 
 See ``docs/backends.md`` for the spec-file format, routing policies,
 failover semantics and the determinism contract.
@@ -27,10 +29,12 @@ from repro.crowd.multibackend.router import (
     RouterAdmission,
 )
 from repro.crowd.multibackend.spec import (
+    SOLO_BACKEND_NAME,
     BackendSpec,
     backend_spec_from_dict,
     backend_spec_to_dict,
     load_backend_specs,
+    resolve_fleet,
     validate_fleet,
 )
 
@@ -44,6 +48,7 @@ __all__ = [
     "RouteDecision",
     "RoundOutcome",
     "RouterAdmission",
+    "SOLO_BACKEND_NAME",
     "available_backend_presets",
     "backend_preset_by_name",
     "backend_spec_from_dict",
@@ -51,5 +56,6 @@ __all__ = [
     "build_backends",
     "load_backend_specs",
     "resolve_backends",
+    "resolve_fleet",
     "validate_fleet",
 ]

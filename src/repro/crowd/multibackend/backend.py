@@ -7,12 +7,12 @@ wrapper, an optional circuit breaker, and its *own*
 :class:`~repro.crowd.rwl.ReliableWorkerLayer` — so repetition, majority
 voting and retry backoff all draw from per-backend RNG streams.
 
-RNG stream contract (the single-backend zero-cost guarantee):
+RNG stream contract:
 
-* a fleet of **one** backend uses the legacy scheduler streams
-  ``(seed, 1)`` / ``(seed, 2)`` / ``(seed, 3)`` for platform / RWL /
-  faults, so routing through a one-backend fleet is bit-identical to
-  posting directly to the platform;
+* a fleet of **one** backend — every single-platform scheduler run — uses
+  the scheduler streams ``(seed, 1)`` / ``(seed, 2)`` / ``(seed, 3)`` for
+  platform / RWL / faults (the streams the single-platform service
+  goldens pin);
 * a fleet of **N > 1** derives backend *i*'s streams as ``(seed, 1, i)``
   / ``(seed, 2, i)`` / ``(seed, 3, i)`` — independent per backend, so one
   backend's faults never perturb another's answers, and the journal can

@@ -1,7 +1,8 @@
 """Capacity-aware routing of shared rounds across a federated fleet.
 
-The scheduler packs one shared round per tick; with a fleet configured the
-round is *split* across backends instead of posted to one platform.  The
+The scheduler packs one shared round per tick and hands it to the router,
+which *splits* it across the fleet's backends.  Every run has a fleet: a
+single-platform run is a one-backend ("solo") fleet.  The
 split is an assignment problem in the spirit of quoracle's load/latency
 search: place each query's question block on the backend that minimizes
 the predicted round makespan, subject to per-backend capacity limits —
@@ -138,9 +139,9 @@ class RouterAdmission:
     ``defer`` is true only when every backend's breaker defers; then
     ``resume_at`` is the earliest cooldown expiry across the fleet.
     ``probe`` is true only for a *solo* fleet whose breaker is half-open
-    — the scheduler then packs a single probe query, exactly like the
-    router-less breaker path (part of the solo bit-identity contract);
-    multi-backend fleets probe per backend via sub-batch quotas instead.
+    — the scheduler then packs a single probe query, since one platform
+    has nothing to keep serving the rest of the round; multi-backend
+    fleets probe per backend via sub-batch quotas instead.
     """
 
     defer: bool
@@ -194,8 +195,8 @@ class RoundOutcome:
             backend that returned a batch).
         unposted: questions no backend had capacity for this round.
         total_outage: every posting backend suffered a whole-batch
-            outage (mirrors the single-platform ``PlatformOutageError``
-            path in the scheduler).
+            outage; the scheduler then charges every scheduled query a
+            round attempt.
         decision: the routing decision that produced this outcome.
         backend_latencies: per-backend round latency (posted backends
             only), keyed by name.
@@ -226,11 +227,12 @@ class CapacityAwareRouter:
         hedge: optional :class:`HedgeConfig` enabling tail-protection
             mirroring of predicted-slow sub-batches.
 
-    A single-backend fleet short-circuits: no backend spans, no route
-    journal records, everything posted to the lone backend — the
-    differential regression test pins this down as bit-identical to the
-    router-less scheduler.  Hedging likewise never fires on a solo fleet
-    (there is no "next-best backend" to mirror to).
+    A single-backend fleet — every single-platform run — short-circuits:
+    no backend spans, no route journal records, everything posted to the
+    lone backend, so its traces and journals carry only the scheduler's
+    own records (pinned by the service golden digests).  Hedging likewise
+    never fires on a solo fleet (there is no "next-best backend" to
+    mirror to).
     """
 
     def __init__(
@@ -308,11 +310,10 @@ class CapacityAwareRouter:
     def breaker_summary(self) -> str:
         """One-line fleet breaker state for the tick telemetry feed.
 
-        ``"none"`` when no backend carries a breaker (matching the
-        router-less scheduler's label), ``"closed"`` when all circuits
-        are closed, otherwise the non-closed backends spelled out.  A
-        solo fleet reports its breaker's bare state, exactly like the
-        router-less scheduler.
+        ``"none"`` when no backend carries a breaker, ``"closed"`` when
+        all circuits are closed, otherwise the non-closed backends
+        spelled out.  A solo fleet reports its breaker's bare state
+        (``"open"``, ...), as a single platform has no name to qualify.
         """
         if all(backend.breaker is None for backend in self.backends):
             return "none"
@@ -606,9 +607,9 @@ class CapacityAwareRouter:
         """Post one backend's sub-batch through its own RWL.
 
         In a multi-backend fleet the backend span becomes the ambient
-        scope, so RWL attempt spans nest under it; a solo fleet leaves
-        the scheduler's tick scope ambient — the trace stays identical
-        to the router-less run.
+        scope, so RWL attempt spans nest under it; a solo fleet emits no
+        backend span and leaves the scheduler's tick scope ambient, so
+        RWL spans nest directly under the tick.
         """
         if self.solo or span_id is None:
             return backend.rwl.ask(sub_batch, budget=budget)
@@ -772,8 +773,8 @@ class CapacityAwareRouter:
             else _UNBOUNDED
         )
         if decision is RoundDecision.PROBE and not self.solo:
-            # Solo fleets probe the router-less way: the scheduler packs
-            # a single query; the quota applies only to real fleets.
+            # A solo fleet's probe is the single query the scheduler
+            # packs; the quota applies only to real fleets.
             return min(capacity, PROBE_QUESTIONS)
         return capacity
 

@@ -82,6 +82,51 @@ class BackendSpec:
             )
 
 
+#: Name of the lone backend a single-platform run is given.
+SOLO_BACKEND_NAME = "platform"
+
+
+def resolve_fleet(
+    backends: Optional[Sequence[BackendSpec]],
+    *,
+    latency: LatencyFunction,
+    fault_profile: Optional[FaultProfile] = None,
+    breaker_config: Optional[CircuitBreakerConfig] = None,
+) -> List[BackendSpec]:
+    """The fleet a scheduler posts to: *backends*, or a one-spec fleet.
+
+    Without *backends* the run is single-platform, and *fault_profile*
+    and *breaker_config* are sugar for the fields of a lone
+    :data:`SOLO_BACKEND_NAME` spec planned with *latency*.  With a fleet
+    they must be ``None``: faults and breakers are per-backend fields of
+    the specs.
+
+    Raises:
+        InvalidParameterError: *backends* combined with *fault_profile*
+            or *breaker_config*.
+    """
+    if backends is None:
+        return [
+            BackendSpec(
+                name=SOLO_BACKEND_NAME,
+                latency=latency,
+                fault_profile=fault_profile,
+                breaker=breaker_config,
+            )
+        ]
+    if fault_profile is not None:
+        raise InvalidParameterError(
+            "a fault profile and backends are mutually exclusive; attach "
+            "per-backend fault profiles to the backend specs"
+        )
+    if breaker_config is not None:
+        raise InvalidParameterError(
+            "a breaker config and backends are mutually exclusive; attach "
+            "per-backend breakers to the backend specs"
+        )
+    return list(backends)
+
+
 def validate_fleet(specs: Sequence[BackendSpec]) -> None:
     """Reject empty fleets and duplicate backend names."""
     if not specs:

@@ -12,8 +12,13 @@ classic database shape:
   complete scheduler state is serialized into the log, building on the
   :mod:`repro.persistence` serializers: allocations, evidence graphs and
   per-session RNG bit-generator state, plus the scheduler's own queues,
-  plan-cache contents, platform counters, fault statistics and circuit
-  breaker.
+  plan-cache contents and, per backend of the fleet, the platform
+  counters, fault statistics and circuit breaker.
+
+Every run posts through a fleet — a single-platform run is a one-backend
+("solo") fleet — so the header records the fleet and a snapshot has one
+crowd-state shape: a list of per-backend states.  Journal version 2; the
+version-1 layout (with a separate single-platform branch) is rejected.
 
 Because the scheduler is deterministic given its seed, recovery is exact:
 :func:`recover_scheduler` rebuilds the scheduler from the journal header
@@ -45,14 +50,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.crowd.breaker import CircuitBreakerConfig
-from repro.crowd.faults import FaultProfile, FaultStats, FaultyPlatform, RetryPolicy
+from repro.crowd.faults import RetryPolicy
 from repro.crowd.multibackend import (
     HedgeConfig,
     backend_spec_from_dict,
     backend_spec_to_dict,
 )
-from repro.crowd.platform import PlatformStats, SimulatedPlatform
 from repro.errors import InvalidParameterError, JournalCorruptError
 from repro.obs.events import CheckpointWritten, RecoveryCompleted
 from repro.obs.metrics import get_registry
@@ -79,7 +82,7 @@ from repro.types import Answer
 logger = logging.getLogger(__name__)
 
 #: Bumped on incompatible journal layout changes.
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 
 def _json_default(value: Any) -> Any:
@@ -209,11 +212,6 @@ class SchedulerJournal:
             "specs": [_spec_to_dict(s) for s in scheduler._specs],
             "latency": latency_to_dict(scheduler.latency),
             "config": dataclasses.asdict(scheduler.config),
-            "fault_profile": (
-                dataclasses.asdict(scheduler._fault_profile)
-                if scheduler._fault_profile is not None
-                else None
-            ),
             "retry_policy": (
                 dataclasses.asdict(scheduler._retry_policy)
                 if scheduler._retry_policy is not None
@@ -221,16 +219,9 @@ class SchedulerJournal:
             ),
             "error_model": error_model_to_dict(scheduler._error_model),
             "worker_config": worker_config_to_dict(scheduler._worker_config),
-            "breaker_config": (
-                dataclasses.asdict(scheduler._breaker_config)
-                if scheduler._breaker_config is not None
-                else None
-            ),
-            "backends": (
-                [backend_spec_to_dict(s) for s in scheduler._backend_specs]
-                if scheduler._backend_specs is not None
-                else None
-            ),
+            "backends": [
+                backend_spec_to_dict(s) for s in scheduler._backend_specs
+            ],
         }
 
     def _write(
@@ -306,59 +297,10 @@ def snapshot_scheduler(scheduler: MaxScheduler) -> Dict[str, Any]:
     The immutable construction arguments (specs, latency, config, seed)
     live in the journal header; this captures what evolves: the clock and
     counters, the backlog/waiting/active/results queues, every session
-    (mid-round included), the RNG bit-generator states of the platform,
-    RWL and fault streams, platform/fault statistics, plan-cache contents
-    and the circuit breaker.
+    (mid-round included), plan-cache contents and each backend's state
+    (RNG bit-generator states of its platform, RWL and fault streams,
+    platform/fault statistics and circuit breaker).
     """
-    if scheduler._router is not None:
-        # Federated mode: the platform/RWL/fault/breaker state lives
-        # inside each Backend; the legacy top-level slots stay None so
-        # old readers fail loudly rather than restore half a fleet.
-        crowd_state: Dict[str, Any] = {
-            "rng": None,
-            "platform": None,
-            "fault": None,
-            "breaker": None,
-            "backends": [
-                backend.state_dict()
-                for backend in scheduler._router.backends
-            ],
-        }
-    else:
-        platform = scheduler.platform
-        faulty = platform if isinstance(platform, FaultyPlatform) else None
-        inner: SimulatedPlatform = (
-            faulty.inner if faulty is not None else platform
-        )
-        crowd_state = {
-            "rng": {
-                "platform": inner._rng.bit_generator.state,
-                "rwl": scheduler._rwl._rng.bit_generator.state,
-                "fault": (
-                    faulty._fault_rng.bit_generator.state
-                    if faulty is not None
-                    else None
-                ),
-            },
-            "platform": {
-                "next_worker_id": inner._next_worker_id,
-                "stats": dataclasses.asdict(inner.stats),
-            },
-            "fault": (
-                {
-                    "stats": faulty.fault_stats.as_dict(),
-                    "clock": float(faulty.clock),
-                }
-                if faulty is not None
-                else None
-            ),
-            "breaker": (
-                scheduler.breaker.state_dict()
-                if scheduler.breaker is not None
-                else None
-            ),
-            "backends": None,
-        }
     return {
         "now": float(scheduler._now),
         "ticks": scheduler._ticks,
@@ -383,10 +325,12 @@ def snapshot_scheduler(scheduler: MaxScheduler) -> Dict[str, Any]:
             ],
             "stats": dataclasses.asdict(scheduler.plan_cache.stats),
         },
+        "backends": [
+            backend.state_dict() for backend in scheduler._router.backends
+        ],
         "router": (
             scheduler._router.state_dict()
-            if scheduler._router is not None
-            and scheduler._router.hedge is not None
+            if scheduler._router.hedge is not None
             else None
         ),
         "brownout": (
@@ -404,7 +348,6 @@ def snapshot_scheduler(scheduler: MaxScheduler) -> Dict[str, Any]:
             if scheduler._flight is not None
             else None
         ),
-        **crowd_state,
     }
 
 
@@ -427,37 +370,16 @@ def restore_scheduler_state(
     scheduler._active = [_active_query_from_dict(d) for d in snapshot["active"]]
     scheduler._results = [_result_from_dict(d) for d in snapshot["results"]]
 
-    if scheduler._router is not None:
-        backends_payload = snapshot.get("backends")
-        fleet = scheduler._router.backends
-        if not isinstance(backends_payload, list) or len(
-            backends_payload
-        ) != len(fleet):
-            raise JournalCorruptError(
-                "snapshot backend states do not match the configured fleet"
-            )
-        for backend, backend_payload in zip(fleet, backends_payload):
-            backend.load_state_dict(backend_payload)
-    else:
-        platform = scheduler.platform
-        faulty = platform if isinstance(platform, FaultyPlatform) else None
-        inner: SimulatedPlatform = (
-            faulty.inner if faulty is not None else platform
+    backends_payload = snapshot.get("backends")
+    fleet = scheduler._router.backends
+    if not isinstance(backends_payload, list) or len(backends_payload) != len(
+        fleet
+    ):
+        raise JournalCorruptError(
+            "snapshot backend states do not match the configured fleet"
         )
-        rng_states = snapshot["rng"]
-        inner._rng = _generator_from_state(rng_states["platform"])
-        scheduler._rwl._rng = _generator_from_state(rng_states["rwl"])
-        if faulty is not None:
-            if rng_states["fault"] is None:
-                raise JournalCorruptError(
-                    "snapshot lacks the fault RNG state of a faulty platform"
-                )
-            faulty._fault_rng = _generator_from_state(rng_states["fault"])
-            fault = snapshot["fault"]
-            faulty.fault_stats = FaultStats(**fault["stats"])
-            faulty.clock = float(fault["clock"])
-        inner._next_worker_id = int(snapshot["platform"]["next_worker_id"])
-        inner.stats = PlatformStats(**snapshot["platform"]["stats"])
+    for backend, backend_payload in zip(fleet, backends_payload):
+        backend.load_state_dict(backend_payload)
 
     cache = snapshot["plan_cache"]
     scheduler.plan_cache.clear()
@@ -468,12 +390,8 @@ def restore_scheduler_state(
     # After the puts, so re-inserting does not perturb the counters.
     scheduler.plan_cache.stats = PlanCacheStats(**cache["stats"])
 
-    breaker_state = snapshot.get("breaker")
-    if scheduler.breaker is not None and breaker_state is not None:
-        scheduler.breaker.load_state_dict(breaker_state)
-
     router_state = snapshot.get("router")
-    if scheduler._router is not None and router_state is not None:
+    if router_state is not None:
         scheduler._router.load_state_dict(router_state)
     brownout_state = snapshot.get("brownout")
     if scheduler._brownout is not None and brownout_state is not None:
@@ -797,28 +715,13 @@ def scheduler_from_header(header: Dict[str, Any]) -> MaxScheduler:
         specs = [_spec_from_dict(d) for d in header["specs"]]
         latency = latency_from_dict(header["latency"])
         config = service_config_from_dict(header["config"])
-        fault_payload = header["fault_profile"]
-        fault_profile = (
-            FaultProfile(**fault_payload) if fault_payload is not None else None
-        )
         retry_payload = header["retry_policy"]
         retry_policy = (
             RetryPolicy(**retry_payload) if retry_payload is not None else None
         )
         error_model = error_model_from_dict(header["error_model"])
         worker_config = worker_config_from_dict(header["worker_config"])
-        breaker_payload = header["breaker_config"]
-        breaker_config = (
-            CircuitBreakerConfig(**breaker_payload)
-            if breaker_payload is not None
-            else None
-        )
-        backends_payload = header.get("backends")
-        backends = (
-            [backend_spec_from_dict(d) for d in backends_payload]
-            if backends_payload is not None
-            else None
-        )
+        backends = [backend_spec_from_dict(d) for d in header["backends"]]
         seed = header["seed"]
     except (KeyError, TypeError) as error:
         raise JournalCorruptError(
@@ -829,11 +732,9 @@ def scheduler_from_header(header: Dict[str, Any]) -> MaxScheduler:
         latency,
         seed=seed,
         config=config,
-        fault_profile=fault_profile,
         retry_policy=retry_policy,
         error_model=error_model,
         worker_config=worker_config,
-        breaker_config=breaker_config,
         backends=backends,
     )
 

@@ -9,8 +9,10 @@ shed/defer overload behaviour), plans each one with tDP through a shared
 :class:`~repro.engine.session.MaxSession` per query, and each *tick*
 coalesces the pending rounds of all runnable queries — in the order a
 :class:`~repro.service.policies.BatchingPolicy` dictates, under a shared
-in-flight question cap — into one shared platform round posted through the
-Reliable Worker Layer.
+in-flight question cap — into one shared round.  A
+:class:`~repro.crowd.multibackend.CapacityAwareRouter` posts that round
+through each backend's Reliable Worker Layer; a single-platform run is a
+one-backend ("solo") fleet, so every run takes the same path.
 
 Concurrent queries coexist on one platform by element-space slicing: query
 ``i``'s local elements ``0 .. n_i - 1`` map onto a disjoint range of the
@@ -48,13 +50,9 @@ import numpy as np
 from repro.core.allocation import Allocation
 from repro.core.latency import LatencyFunction
 from repro.core.registry import allocator_by_name
-from repro.crowd.breaker import (
-    CircuitBreaker,
-    CircuitBreakerConfig,
-    RoundDecision,
-)
+from repro.crowd.breaker import BreakerState, CircuitBreakerConfig
 from repro.crowd.error_models import ErrorModel
-from repro.crowd.faults import FaultProfile, FaultyPlatform, RetryPolicy
+from repro.crowd.faults import FaultProfile, RetryPolicy
 from repro.crowd.ground_truth import GroundTruth
 from repro.crowd.multibackend import (
     ROUTING_POLICIES,
@@ -62,12 +60,11 @@ from repro.crowd.multibackend import (
     CapacityAwareRouter,
     HedgeConfig,
     build_backends,
+    resolve_fleet,
 )
-from repro.crowd.platform import Platform, SimulatedPlatform
-from repro.crowd.rwl import ReliableWorkerLayer
 from repro.crowd.workers import WorkerPoolConfig
 from repro.engine.session import MaxSession, SessionStateError
-from repro.errors import InvalidParameterError, PlatformOutageError
+from repro.errors import InvalidParameterError
 from repro.graphs.answer_graph import AnswerGraph
 from repro.obs.attribution import component_metric, summarize_attribution
 from repro.obs.events import (
@@ -129,9 +126,9 @@ class ServiceConfig:
         plan_cache_capacity: LRU entries of the shared tDP plan cache.
         max_round_attempts: shared rounds a query's single allocation
             round may span (fault re-posts) before the query degrades.
-        routing: routing-policy name used when the scheduler is given a
-            multi-backend fleet (``latency``/``least-loaded``/
-            ``weighted-price``); ignored without ``backends``.
+        routing: routing-policy name the router splits each round by
+            (``latency``/``least-loaded``/``weighted-price``); a solo
+            fleet posts everything to its one backend regardless.
         default_deadline: enforced end-to-end latency budget (seconds)
             applied to every query whose spec carries no ``deadline`` of
             its own; ``None`` disables deadline enforcement for such
@@ -235,11 +232,14 @@ class MaxScheduler:
 
     Args:
         specs: the workload; arrival times need not be sorted.
-        latency: the latency model used for *planning* (tDP input); the
-            executed latency is whatever the shared platform measures.
+        latency: the latency model used for *planning* (tDP input), and
+            the solo backend's predicted ``L(q)`` without ``backends``;
+            the executed latency is whatever the crowd simulation measures.
         seed: master seed all randomness derives from.
         config: scheduler tunables (see :class:`ServiceConfig`).
-        fault_profile: optional fault injection on the shared platform.
+        fault_profile: optional fault injection on the single platform;
+            sugar for the ``fault_profile`` of the solo fleet's one
+            :class:`~repro.crowd.multibackend.BackendSpec`.
         retry_policy: optional RWL re-post policy for unanswered questions.
         error_model: optional worker error model for the shared platform.
         worker_config: optional worker-pool dynamics.
@@ -247,7 +247,8 @@ class MaxScheduler:
             created from ``config.plan_cache_capacity`` when omitted.
         breaker_config: enable the platform circuit breaker — rounds are
             deferred while the circuit is open instead of burning retry
-            attempts against a platform in a sustained outage.
+            attempts against a platform in a sustained outage.  Sugar for
+            the ``breaker`` of the solo fleet's one spec.
         journal: a :class:`~repro.service.journal.SchedulerJournal` to
             write-ahead-log every state change into (crash recovery via
             :func:`~repro.service.journal.recover_scheduler`).
@@ -258,8 +259,9 @@ class MaxScheduler:
             ``config.routing``.  Mutually exclusive with
             ``fault_profile``/``breaker_config`` (those become
             per-backend fields of the specs); ``retry_policy``,
-            ``error_model`` and ``worker_config`` stay fleet-shared.  A
-            single-spec fleet is bit-identical to no fleet at all.
+            ``error_model`` and ``worker_config`` stay fleet-shared.
+            Without ``backends`` the run is a solo fleet built by
+            :func:`~repro.crowd.multibackend.resolve_fleet`.
     """
 
     def __init__(
@@ -291,30 +293,20 @@ class MaxScheduler:
         # Kept verbatim for the journal header, so a recovered scheduler
         # can be constructed with the exact same arguments.
         self._specs: List[QuerySpec] = list(specs)
-        self._fault_profile = fault_profile
         self._retry_policy = retry_policy
         self._error_model = error_model
         self._worker_config = worker_config
-        self._breaker_config = breaker_config
-        self._backend_specs: Optional[List[BackendSpec]] = (
-            list(backends) if backends is not None else None
-        )
-        if self._backend_specs is not None:
-            if fault_profile is not None:
-                raise InvalidParameterError(
-                    "fault_profile and backends are mutually exclusive; "
-                    "attach per-backend fault profiles to the BackendSpecs"
-                )
-            if breaker_config is not None:
-                raise InvalidParameterError(
-                    "breaker_config and backends are mutually exclusive; "
-                    "attach per-backend breakers to the BackendSpecs"
-                )
-        elif self.config.hedge is not None:
+        if backends is None and self.config.hedge is not None:
             raise InvalidParameterError(
                 "hedged posting requires a multi-backend fleet; "
                 "pass backends= alongside config.hedge"
             )
+        self._backend_specs: List[BackendSpec] = resolve_fleet(
+            backends,
+            latency=latency,
+            fault_profile=fault_profile,
+            breaker_config=breaker_config,
+        )
         self.plan_cache = (
             plan_cache
             if plan_cache is not None
@@ -337,47 +329,18 @@ class MaxScheduler:
         self._total_elements = total
         # Independent seeded streams: truth, platform, RWL, faults, selectors.
         self.truth = GroundTruth.random(total, np.random.default_rng((seed, 0)))
-        self.platform: Optional[Platform] = None
-        self.breaker: Optional[CircuitBreaker] = None
-        self._rwl: Optional[ReliableWorkerLayer] = None
-        self._router: Optional[CapacityAwareRouter] = None
-        if self._backend_specs is not None:
-            fleet = build_backends(
-                self._backend_specs,
-                self.truth,
-                seed,
-                repetition=self.config.repetition,
-                retry_policy=retry_policy,
-                error_model=error_model,
-                worker_config=worker_config,
-            )
-            self._router = CapacityAwareRouter(
-                fleet, self.config.routing, hedge=self.config.hedge
-            )
-        else:
-            platform: Platform = SimulatedPlatform(
-                self.truth,
-                np.random.default_rng((seed, 1)),
-                error_model=error_model,
-                config=worker_config,
-            )
-            if fault_profile is not None:
-                platform = FaultyPlatform(
-                    platform, fault_profile, np.random.default_rng((seed, 3))
-                )
-            self.platform = platform
-            self.breaker = (
-                CircuitBreaker(breaker_config)
-                if breaker_config is not None
-                else None
-            )
-            self._rwl = ReliableWorkerLayer(
-                platform,
-                np.random.default_rng((seed, 2)),
-                repetition=self.config.repetition,
-                retry_policy=retry_policy,
-                breaker=self.breaker,
-            )
+        fleet = build_backends(
+            self._backend_specs,
+            self.truth,
+            seed,
+            repetition=self.config.repetition,
+            retry_policy=retry_policy,
+            error_model=error_model,
+            worker_config=worker_config,
+        )
+        self._router = CapacityAwareRouter(
+            fleet, self.config.routing, hedge=self.config.hedge
+        )
         self._brownout: Optional[BrownoutController] = (
             BrownoutController(self.config.brownout)
             if self.config.brownout is not None
@@ -448,8 +411,8 @@ class MaxScheduler:
         return self._journal
 
     @property
-    def router(self) -> Optional[CapacityAwareRouter]:
-        """The multi-backend router, if a fleet was configured."""
+    def router(self) -> CapacityAwareRouter:
+        """The router every shared round is posted through."""
         return self._router
 
     @property
@@ -502,9 +465,9 @@ class MaxScheduler:
         """Execute one scheduler iteration; ``False`` once drained.
 
         One step is either an idle clock jump to the next arrival, a
-        breaker-deferred tick, or a real tick (one shared platform
-        round).  The crash-injection harness drives this directly so
-        kills land exactly on tick boundaries; :meth:`run` is just
+        breaker-deferred tick, or a real tick (one shared round routed
+        to the fleet).  The crash-injection harness drives this directly
+        so kills land exactly on tick boundaries; :meth:`run` is just
         ``while self.step(): pass``.
         """
         if self.drained:
@@ -532,42 +495,21 @@ class MaxScheduler:
             # Deadline degradation can empty the active set while queries
             # still wait for a slot; keep stepping so they promote.
             return bool(self._waiting)
-        probe_only = False
-        if self.breaker is not None:
-            decision = self.breaker.before_round(self._now)
-            if decision is RoundDecision.DEFER:
-                self._defer_round(runnable)
-                self._ticks += 1
-                self._sample_tick(deferred=True)
-                if self._journal is not None:
-                    self._journal.maybe_snapshot(self)
-                return True
-            probe_only = decision is RoundDecision.PROBE
-        elif self._router is not None:
-            admission = self._router.before_round(self._now)
-            if admission.defer:
-                # Every backend's circuit is open: nothing to fail over
-                # to, so the whole round defers to the earliest cooldown.
-                self._defer_round(runnable, target=admission.resume_at)
-                self._ticks += 1
-                self._sample_tick(deferred=True)
-                if self._journal is not None:
-                    self._journal.maybe_snapshot(self)
-                return True
-            probe_only = admission.probe
-        self._run_tick(runnable, probe_only=probe_only)
+        admission = self._router.before_round(self._now)
+        if admission.defer:
+            # Every backend's circuit is open: nothing to fail over to,
+            # so the whole round defers to the earliest cooldown.
+            self._defer_round(runnable, target=admission.resume_at)
+        else:
+            self._run_tick(runnable, probe_only=admission.probe)
         self._ticks += 1
-        self._sample_tick(deferred=False)
+        self._sample_tick(deferred=admission.defer)
         if self._journal is not None:
             self._journal.maybe_snapshot(self)
         return True
 
-    def _defer_round(
-        self, runnable: List[ActiveQuery], target: Optional[float] = None
-    ) -> None:
-        """Skip the shared round while the circuit is open."""
-        if target is None:
-            target = self.breaker.defer_target(self._now)
+    def _defer_round(self, runnable: List[ActiveQuery], target: float) -> None:
+        """Skip the shared round while every circuit is open."""
         get_registry().counter("circuit.deferred_rounds").inc()
         self._journal_record(
             "deferred", tick=self._ticks, now=self._now, resume_at=target
@@ -719,15 +661,7 @@ class MaxScheduler:
             active=len(self._active),
             waiting=len(self._waiting),
             backlog=len(self._backlog),
-            breaker=(
-                self.breaker.state.value
-                if self.breaker is not None
-                else (
-                    self._router.breaker_summary()
-                    if self._router is not None
-                    else "none"
-                )
-            ),
+            breaker=self._router.breaker_summary(),
             cache_hit_rate=self.plan_cache.stats.hit_rate,
             round_latency=0.0 if deferred else self._last_round_latency,
             questions=0 if deferred else self._last_round_questions,
@@ -937,12 +871,9 @@ class MaxScheduler:
         repetition = (
             1 if self._brownout.reduce_repetition else self.config.repetition
         )
-        if self._rwl is not None:
-            self._rwl.repetition = repetition
-        if self._router is not None:
-            for backend in self._router.backends:
-                backend.rwl.repetition = repetition
-            self._router.hedging_suspended = self._brownout.hedging_disabled
+        for backend in self._router.backends:
+            backend.rwl.repetition = repetition
+        self._router.hedging_suspended = self._brownout.hedging_disabled
 
     # ------------------------------------------------------------------
     # SLO engine & flight recorder
@@ -962,14 +893,16 @@ class MaxScheduler:
             for spec in self._backlog
             if spec.arrival_time <= self._now
         )
-        hedge_waste = 0.0
-        if self._router is not None:
-            hedge_waste = float(self._router.hedge_summary()["waste"])
+        breaker_open = any(
+            backend.breaker is not None
+            and backend.breaker.state is BreakerState.OPEN
+            for backend in self._router.backends
+        )
         return {
             "queue_wait_p95": queue_wait_p95(waits),
-            "breaker_open": 1.0 if sample.breaker == "open" else 0.0,
+            "breaker_open": 1.0 if breaker_open else 0.0,
             "brownout_level": float(sample.brownout_level),
-            "hedge_waste": hedge_waste,
+            "hedge_waste": float(self._router.hedge_waste),
             "queue_depth": float(sample.queue_depth),
             "active_queries": float(sample.active),
             "round_latency": float(sample.round_latency),
@@ -1049,19 +982,20 @@ class MaxScheduler:
         state: Dict[str, Any] = {
             "tick": self._ticks,
             "now": self._now,
-            "breaker": (
-                self.breaker.state.value if self.breaker is not None else None
-            ),
+            "breaker": {
+                backend.name: (
+                    backend.breaker.state.value
+                    if backend.breaker is not None
+                    else None
+                )
+                for backend in self._router.backends
+            },
             "brownout": (
                 self._brownout.state_dict()
                 if self._brownout is not None
                 else None
             ),
-            "router": (
-                self._router.hedge_summary()
-                if self._router is not None
-                else None
-            ),
+            "router": self._router.hedge_summary(),
             "journal": (
                 {"path": str(self._journal.path), "seq": self._journal._seq}
                 if self._journal is not None
@@ -1339,11 +1273,16 @@ class MaxScheduler:
     def _run_tick(
         self, runnable: List[ActiveQuery], probe_only: bool = False
     ) -> None:
-        """Pack, post and resolve one shared round.
+        """Pack one shared round, route it to the fleet and resolve it.
 
-        With ``probe_only`` (circuit half-open) only the first query in
-        policy order is packed: a single probe round tests the platform
-        without exposing the whole runnable set to another outage.
+        With ``probe_only`` (a solo fleet's circuit half-open) only the
+        first query in policy order is packed: a single probe round tests
+        the platform without exposing the whole runnable set to another
+        outage.  A total outage (every backend that received questions
+        went dark) costs every scheduled query a round attempt; a partial
+        outage leaves that backend's questions unanswered for the next
+        tick; questions the router could not place under capacity spend
+        no round attempt — the crowd never saw them.
         """
         scheduled: List[ActiveQuery] = []
         batch: List[Question] = []
@@ -1392,9 +1331,6 @@ class MaxScheduler:
             n_questions=len(batch),
             probe=probe_only,
         )
-        if isinstance(self.platform, FaultyPlatform):
-            # The sustained-outage window is gated on simulated time.
-            self.platform.set_clock(self._now)
         tick_span = f"t{self._ticks}"
         tick_start = self._now
         if tracer.enabled:
@@ -1408,93 +1344,13 @@ class MaxScheduler:
                     + (" (probe)" if probe_only else "")
                 ),
             )
-        if self._router is not None:
-            self._routed_tick(
-                runnable, scheduled, tick_span, tick_start, tracer, registry
-            )
-            return
-        try:
-            # The span scope hands the tick's id and clock anchor down to
-            # the RWL / fault layer / breaker, whose events and attempt
-            # sub-spans then nest under this shared round.
-            with span_scope(tick_span, base_time=tick_start):
-                result = self._rwl.ask(
-                    batch, budget=self._round_budget(scheduled)
-                )
-        except PlatformOutageError as outage:
-            # No retry policy: the whole shared round was swallowed.  Every
-            # scheduled query keeps its outstanding questions for the next
-            # tick; the detection time is latency all of them paid.
-            self._now += outage.wasted_seconds
-            self._last_round_latency = float(outage.wasted_seconds)
-            self._last_round_questions = 0
-            if self.breaker is not None:
-                self.breaker.note_time(self._now)
-            self._journal_record(
-                "answers_collected",
-                tick=self._ticks,
-                outage=True,
-                latency=outage.wasted_seconds,
-            )
-            if tracer.enabled:
-                close_span(tracer, tick_span, end=self._now, status="outage")
-                self._record_tick_chunks(
-                    tracer, runnable, scheduled, tick_start, self._now,
-                    outage=True,
-                )
-            for query in scheduled:
-                self._bump_round_attempts(query)
-            return
-        self._shared_rounds += 1
-        self._questions_posted += len(batch)
-        self._last_round_latency = float(result.latency)
-        self._last_round_questions = len(batch)
-        registry.counter("service.rounds").inc()
-        registry.counter("service.questions_posted").inc(len(batch))
-        self._now += result.latency
-        if self.breaker is not None:
-            # The RWL trips the breaker clock-lessly; stamp opened_at now
-            # that the round's cost is on the clock.
-            self.breaker.note_time(self._now)
-        self._journal_record(
-            "answers_collected",
-            tick=self._ticks,
-            outage=False,
-            n_answers=len(result.answers),
-            latency=result.latency,
-        )
-        if tracer.enabled:
-            close_span(tracer, tick_span, end=self._now)
-            self._record_tick_chunks(
-                tracer, runnable, scheduled, tick_start, self._now,
-                outage=False,
-            )
-        by_question = {answer.question: answer for answer in result.answers}
-        for query in scheduled:
-            self._collect(query, by_question)
-
-    def _routed_tick(
-        self,
-        runnable: List[ActiveQuery],
-        scheduled: List[ActiveQuery],
-        tick_span: str,
-        tick_start: float,
-        tracer: Any,
-        registry: Any,
-    ) -> None:
-        """Post one shared round through the multi-backend router.
-
-        Mirrors the direct posting path tick-for-tick: a total outage
-        (every backend that received questions went dark) takes the same
-        whole-round outage exit, a partial outage simply leaves that
-        backend's questions unanswered for the next tick, and questions
-        the router could not place under capacity are exempt from the
-        round-attempt bump — the crowd never saw them.
-        """
         units = [
             (query.spec.query_id, list(query.outstanding))
             for query in scheduled
         ]
+        # The span scope hands the tick's id and clock anchor down to the
+        # router / RWL / fault layer / breaker, whose events and attempt
+        # sub-spans then nest under this shared round.
         with span_scope(tick_span, base_time=tick_start):
             outcome = self._router.post_round(
                 units,
@@ -1505,47 +1361,51 @@ class MaxScheduler:
             )
         if not self._router.solo:
             self._journal_record("route", **outcome.decision.to_dict())
-        if outcome.total_outage:
-            self._now += outcome.latency
-            self._last_round_latency = float(outcome.latency)
+        outage = outcome.total_outage
+        self._now += outcome.latency
+        # Breakers trip clock-lessly inside the RWL; stamp opened_at now
+        # that the round's cost is on the clock.
+        self._router.note_time(self._now)
+        self._last_round_latency = float(outcome.latency)
+        if outage:
+            # The whole shared round was swallowed: every scheduled query
+            # keeps its outstanding questions for the next tick, and the
+            # detection time is latency all of them paid.
             self._last_round_questions = 0
-            self._router.note_time(self._now)
             self._journal_record(
                 "answers_collected",
                 tick=self._ticks,
                 outage=True,
                 latency=outcome.latency,
             )
-            if tracer.enabled:
-                close_span(tracer, tick_span, end=self._now, status="outage")
-                self._record_tick_chunks(
-                    tracer, runnable, scheduled, tick_start, self._now,
-                    outage=True,
-                )
+        else:
+            self._shared_rounds += 1
+            self._questions_posted += outcome.n_posted
+            self._last_round_questions = outcome.n_posted
+            registry.counter("service.rounds").inc()
+            registry.counter("service.questions_posted").inc(outcome.n_posted)
+            self._journal_record(
+                "answers_collected",
+                tick=self._ticks,
+                outage=False,
+                n_answers=len(outcome.answers),
+                latency=outcome.latency,
+            )
+        if tracer.enabled:
+            close_span(
+                tracer,
+                tick_span,
+                end=self._now,
+                status="outage" if outage else "ok",
+            )
+            self._record_tick_chunks(
+                tracer, runnable, scheduled, tick_start, self._now,
+                outage=outage, hedged=outcome.hedged_questions,
+            )
+        if outage:
             for query in scheduled:
                 self._bump_round_attempts(query)
             return
-        self._shared_rounds += 1
-        self._questions_posted += outcome.n_posted
-        self._last_round_latency = float(outcome.latency)
-        self._last_round_questions = outcome.n_posted
-        registry.counter("service.rounds").inc()
-        registry.counter("service.questions_posted").inc(outcome.n_posted)
-        self._now += outcome.latency
-        self._router.note_time(self._now)
-        self._journal_record(
-            "answers_collected",
-            tick=self._ticks,
-            outage=False,
-            n_answers=len(outcome.answers),
-            latency=outcome.latency,
-        )
-        if tracer.enabled:
-            close_span(tracer, tick_span, end=self._now)
-            self._record_tick_chunks(
-                tracer, runnable, scheduled, tick_start, self._now,
-                outage=False, hedged=outcome.hedged_questions,
-            )
         by_question = {answer.question: answer for answer in outcome.answers}
         for query in scheduled:
             self._collect(query, by_question, unposted=outcome.unposted)
@@ -1554,7 +1414,7 @@ class MaxScheduler:
         self,
         query: ActiveQuery,
         by_question: Dict[Question, Answer],
-        unposted: Optional[FrozenSet[Question]] = None,
+        unposted: FrozenSet[Question],
     ) -> None:
         """Route a shared round's answers back into *query*'s session."""
         for global_q in list(query.outstanding):
@@ -1564,9 +1424,7 @@ class MaxScheduler:
             local_q = query.outstanding.pop(global_q)
             query.collected[local_q] = query.to_local_answer(answer)
         if query.outstanding:
-            if unposted is not None and all(
-                global_q in unposted for global_q in query.outstanding
-            ):
+            if all(global_q in unposted for global_q in query.outstanding):
                 # Capacity deferral, not a lost round: the crowd never saw
                 # these questions, so the query spends no round attempt.
                 return

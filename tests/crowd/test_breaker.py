@@ -153,13 +153,14 @@ class TestSchedulerIntegration:
         scheduler = _sustained_scheduler(
             CircuitBreakerConfig(failure_threshold=2, cooldown_seconds=1800.0)
         )
-        platform = scheduler.platform
+        (backend,) = scheduler.router.backends
+        platform, breaker = backend.platform, backend.breaker
         original_post = platform.post_batch
         posts_while_open = 0
 
         def counting_post(questions):
             nonlocal posts_while_open
-            if scheduler.breaker.state is BreakerState.OPEN:
+            if breaker.state is BreakerState.OPEN:
                 posts_while_open += 1
             return original_post(questions)
 
@@ -167,12 +168,12 @@ class TestSchedulerIntegration:
         report = scheduler.run()
 
         assert posts_while_open == 0
-        assert scheduler.breaker.opens >= 1
-        assert scheduler.breaker.closes >= 1
-        assert scheduler.breaker.state is BreakerState.CLOSED
+        assert breaker.opens >= 1
+        assert breaker.closes >= 1
+        assert breaker.state is BreakerState.CLOSED
         # Every query completes once the window lifts, and the breaker
         # wastes far fewer posts on the dead platform than raw retries do.
-        window_end = scheduler.platform.profile.outage_window[1]
+        window_end = platform.profile.outage_window[1]
         assert all(r.state.value == "completed" for r in report.results)
         assert report.makespan > window_end
         assert all(r.state.value == "completed" for r in without.results)
@@ -184,7 +185,10 @@ class TestSchedulerIntegration:
             CircuitBreakerConfig(failure_threshold=2, cooldown_seconds=1800.0)
         )
         guarded_report = guarded.run()
-        assert guarded.platform.fault_stats.outages < bare.platform.fault_stats.outages
+        assert (
+            guarded.router.backends[0].faulty.fault_stats.outages
+            < bare.router.backends[0].faulty.fault_stats.outages
+        )
         assert all(
             r.state.value == "completed" for r in guarded_report.results
         )
@@ -194,9 +198,10 @@ class TestSchedulerIntegration:
         scheduler = _sustained_scheduler(
             CircuitBreakerConfig(failure_threshold=2, cooldown_seconds=1800.0)
         )
+        breaker = scheduler.router.backends[0].breaker
         opened_ticks = []
         while scheduler.step():
-            if scheduler.breaker.state is BreakerState.OPEN:
+            if breaker.state is BreakerState.OPEN:
                 opened_ticks.append((scheduler.ticks, scheduler.now))
         assert opened_ticks, "breaker never opened under the sustained profile"
 
@@ -207,8 +212,8 @@ class TestSchedulerIntegration:
             failure_threshold=2, cooldown_seconds=1800.0
         )
         scheduler = _sustained_scheduler(config)
-        platform = scheduler.platform
-        breaker = scheduler.breaker
+        (backend,) = scheduler.router.backends
+        platform, breaker = backend.platform, backend.breaker
         deferred_steps = 0
         while True:
             # A step starting with the circuit open and the cooldown not

@@ -12,6 +12,7 @@ from repro.crowd.faults import FaultProfile
 from repro.crowd.ground_truth import GroundTruth
 from repro.crowd.multibackend import (
     PROBE_QUESTIONS,
+    SOLO_BACKEND_NAME,
     BackendSpec,
     CapacityAwareRouter,
     available_backend_presets,
@@ -21,6 +22,7 @@ from repro.crowd.multibackend import (
     build_backends,
     load_backend_specs,
     resolve_backends,
+    resolve_fleet,
     validate_fleet,
 )
 from repro.crowd.workers import WorkerPoolConfig
@@ -337,3 +339,18 @@ class TestRouterAssignment:
         assert all(s.breaker is not None for s in fleet)
         replaced = dataclasses.replace(stormy[0], fault_profile=None)
         assert replaced.latency == mturk_car_latency()
+
+
+class TestResolveFleet:
+    def test_single_platform_arguments_become_a_solo_spec(self):
+        breaker = CircuitBreakerConfig(failure_threshold=2)
+        faults = FaultProfile(drop_prob=0.1)
+        (spec,) = resolve_fleet(
+            None, latency=FAST, fault_profile=faults, breaker_config=breaker
+        )
+        assert spec == BackendSpec(
+            name=SOLO_BACKEND_NAME,
+            latency=FAST,
+            fault_profile=faults,
+            breaker=breaker,
+        )

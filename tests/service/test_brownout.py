@@ -155,13 +155,13 @@ class TestBrownoutScheduling:
         while scheduler.step():
             if scheduler.brownout.level >= 2:
                 break
-        assert scheduler._rwl.repetition == 1
+        assert scheduler.router.backends[0].rwl.repetition == 1
         # Drain; once the queue empties the controller restores the
         # configured repetition on the way back down.
         while scheduler.step():
             pass
         assert scheduler.brownout.level < 2
-        assert scheduler._rwl.repetition == 3
+        assert scheduler.router.backends[0].rwl.repetition == 3
 
     def test_transitions_emit_events_and_journal_samples(self):
         tracer = RecordingTracer()

@@ -166,7 +166,7 @@ class TestRecovery:
             victim.step()
         journal.close()
         recovered = recover_scheduler(path)
-        assert recovered.breaker is not None
+        assert recovered.router.backends[0].breaker is not None
         report = recovered.run()
         recovered.journal.close()
         assert report == baseline
@@ -281,9 +281,44 @@ class TestHeaderRoundTrip:
         rebuilt = scheduler_from_header(header)
         assert rebuilt.seed == original.seed
         assert rebuilt.config == original.config
-        assert rebuilt.breaker.config == original.breaker.config
+        assert (
+            rebuilt.router.backends[0].spec == original.router.backends[0].spec
+        )
         # Both untouched schedulers must then run identically.
         assert rebuilt.run() == _scheduler(**kwargs).run()
+
+    def test_single_platform_header_records_its_solo_fleet(self, tmp_path):
+        path = tmp_path / "solo.jsonl"
+        journal = SchedulerJournal.create(path)
+        _scheduler(
+            journal=journal,
+            breaker_config=CircuitBreakerConfig(failure_threshold=2),
+            **_faulty_kwargs(),
+        )
+        journal.close()
+        contents = read_journal(path)
+        header = contents.header
+        assert JOURNAL_VERSION == 2
+        assert "fault_profile" not in header
+        assert "breaker_config" not in header
+        (backend,) = header["backends"]
+        assert backend["breaker"]["failure_threshold"] == 2
+        assert backend["fault_profile"]["outage_prob"] > 0
+        (state,) = contents.last_snapshot["backends"]
+        assert state["name"] == backend["name"]
+
+    def test_version_one_journal_is_rejected(self, tmp_path):
+        path = tmp_path / "v1.jsonl"
+        journal = SchedulerJournal.create(path)
+        _scheduler(journal=journal)
+        journal.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["payload"]["version"] = 1
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(JournalCorruptError, match="version 1"):
+            recover_scheduler(path)
 
     def test_header_with_missing_keys_raises_typed_error(self, tmp_path):
         with pytest.raises(JournalCorruptError):

@@ -23,6 +23,7 @@ from repro.chaos import (
     scenario_by_name,
 )
 from repro.core.latency import LinearLatency
+from repro.crowd.multibackend import backend_preset_by_name
 from repro.obs.dashboard import render_frame
 from repro.obs.events import events_of
 from repro.obs.metrics import get_registry
@@ -287,3 +288,35 @@ class TestEngineInScheduler:
         scheduler = _congested_scheduler(_stormy_slo())
         report = scheduler.run()
         assert report.health == scheduler.slo.health()
+
+
+class TestFleetBreakerSignal:
+    """The breaker signal and debug state read every backend's breaker."""
+
+    def _outage_trio(self):
+        specs = generate_workload(workload_by_name("steady"), seed=3)
+        return MaxScheduler(
+            specs,
+            LATENCY,
+            seed=3,
+            config=ServiceConfig(slo=default_slo_config()),
+            backends=backend_preset_by_name("outage-trio"),
+        )
+
+    def test_open_backend_breaker_fires_breaker_open(self):
+        tracer = RecordingTracer()
+        with use_tracer(tracer):
+            self._outage_trio().run()
+        fired = [
+            r.event.alert for r in events_of(tracer.records, "AlertFired")
+        ]
+        assert "breaker-open" in fired
+
+    def test_debug_state_records_each_backend_breaker(self):
+        scheduler = self._outage_trio()
+        seen_open = False
+        while scheduler.step():
+            breakers = scheduler.debug_state()["breaker"]
+            assert set(breakers) == {"fast", "balanced", "cheap"}
+            seen_open = seen_open or breakers["balanced"] == "open"
+        assert seen_open

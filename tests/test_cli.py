@@ -707,6 +707,18 @@ class TestServeBackends:
         ) == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
+    def test_rejected_fleet_leaves_the_journal_untouched(
+        self, capsys, tmp_path
+    ):
+        journal = tmp_path / "keep.jsonl"
+        journal.write_text("precious\n", encoding="utf-8")
+        assert main(
+            ["serve", "--workload", "smoke", "--backends", "trio",
+             "--breaker", "--journal", str(journal)]
+        ) == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+        assert journal.read_text(encoding="utf-8") == "precious\n"
+
     def test_unknown_preset_is_a_clean_error(self, capsys):
         assert main(
             ["serve", "--workload", "smoke", "--backends", "nonesuch"]

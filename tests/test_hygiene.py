@@ -35,6 +35,30 @@ class TestCommittedTree:
         module = _load_module()
         assert module.tracked_bytecode() == []
 
+    def test_no_tracked_egg_info(self):
+        module = _load_module()
+        assert module.tracked_egg_info() == []
+
+
+class TestTrackedBuildOutput:
+    def test_egg_info_paths_are_flagged(self, monkeypatch):
+        module = _load_module()
+        monkeypatch.setattr(
+            module,
+            "tracked_files",
+            lambda: [
+                "src/repro/cli.py",
+                "src/repro.egg-info/PKG-INFO",
+                "src/repro.egg-info/SOURCES.txt",
+                "docs/egg-info.md",
+            ],
+        )
+        assert module.tracked_egg_info() == [
+            "src/repro.egg-info/PKG-INFO",
+            "src/repro.egg-info/SOURCES.txt",
+        ]
+        assert module.main() == 1
+
 
 class TestBytecodeOnlyDetection:
     def test_empty_and_bytecode_only_dirs_are_flagged(self, tmp_path):
