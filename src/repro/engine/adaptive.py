@@ -23,33 +23,18 @@ actual surviving candidates and leftover budget.
 
 from __future__ import annotations
 
-import logging
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.latency import LatencyFunction
 from repro.core.tdp import solve_min_latency
 from repro.crowd.ground_truth import GroundTruth
-from repro.engine.max_engine import AnswerSource
-from repro.engine.results import MaxRunResult, RoundRecord
+from repro.engine.max_engine import AnswerSource, _run_rounds
+from repro.engine.results import MaxRunResult
 from repro.errors import InvalidParameterError
-from repro.graphs.answer_graph import AnswerGraph
-from repro.obs.events import (
-    AnswersReceived,
-    CandidateSetShrunk,
-    RoundPosted,
-    RunFinished,
-    RunStarted,
-)
-from repro.obs.metrics import get_registry
-from repro.obs.spans import close_span, open_span, span_scope
-from repro.obs.tracer import Tracer, current_tracer
-from repro.selection.base import QuestionSelector, SelectionContext
-from repro.selection.scoring import score_candidates
-from repro.types import Element
-
-logger = logging.getLogger(__name__)
+from repro.obs.tracer import Tracer
+from repro.selection.base import QuestionSelector
 
 
 class AdaptiveMaxEngine:
@@ -89,193 +74,32 @@ class AdaptiveMaxEngine:
         precomputed allocation: each round's budget is the first round of a
         fresh tDP plan for the current state.
         """
-        n_elements = truth.n_elements
-        if budget < n_elements - 1:
+        if budget < truth.n_elements - 1:
             raise InvalidParameterError(
-                f"budget {budget} < c0 - 1 = {n_elements - 1} (Theorem 1)"
+                f"budget {budget} < c0 - 1 = {truth.n_elements - 1} (Theorem 1)"
             )
-        evidence = AnswerGraph(range(n_elements))
-        candidates: Tuple[Element, ...] = tuple(range(n_elements))
-        remaining = budget
-        records: List[RoundRecord] = []
-        total_latency = 0.0
-        total_questions = 0
-        tracer = self._tracer if self._tracer is not None else current_tracer()
-        registry = get_registry()
-        registry.counter("engine.runs").inc()
-        # Structural root-span id (see MaxEngine.run for the rationale).
-        run_span = f"run{getattr(tracer, 'emitted', 0)}"
-        if tracer.enabled:
-            open_span(
-                tracer,
-                run_span,
-                "run",
-                start=0.0,
-                detail=f"{type(self).__name__} c0={n_elements}",
-            )
-            tracer.emit(
-                RunStarted(
-                    n_elements=n_elements,
-                    budget=budget,
-                    rounds_planned=0,
-                    engine=type(self).__name__,
-                ),
-                sim_time=0.0,
-            )
-        for round_index in range(self.max_rounds):
-            if len(candidates) <= 1:
-                break
-            plan = solve_min_latency(len(candidates), remaining, self.latency)
-            round_budget = plan.questions_for_first_round()
-            context = SelectionContext(
-                budget=round_budget,
-                candidates=candidates,
-                evidence=evidence,
-                round_index=round_index,
-                # The current plan's horizon; selectors that split rounds
-                # into phases (CT25) see a consistent total.
-                total_rounds=max(plan.rounds, round_index + 1),
-                rng=self._rng,
-            )
-            questions = self.selector.select(context)
-            if not questions:
-                # Nothing askable: accept the current candidates.
-                logger.debug(
-                    "round %d: selector %s returned no questions for %d "
-                    "candidates; accepting the current candidate set",
-                    round_index,
-                    self.selector.name,
-                    len(candidates),
-                )
-                break
-            round_span = f"{run_span}/r{round_index}"
-            if tracer.enabled:
-                open_span(
-                    tracer,
-                    round_span,
-                    "round",
-                    start=total_latency,
-                    parent_id=run_span,
-                    detail=f"{len(questions)} questions",
-                )
-                tracer.emit(
-                    RoundPosted(
-                        round_index=round_index,
-                        budget=round_budget,
-                        questions_posted=len(questions),
-                        candidates_before=len(candidates),
-                    ),
-                    sim_time=total_latency,
-                )
-            with span_scope(round_span, base_time=total_latency):
-                answers, latency = self.source.resolve(questions)
-            evidence.record_all(answers)
-            next_candidates = tuple(sorted(evidence.remaining_candidates()))
-            if tracer.enabled:
-                close_span(tracer, round_span, end=total_latency + latency)
-                tracer.emit(
-                    AnswersReceived(
-                        round_index=round_index,
-                        n_answers=len(answers),
-                        latency=latency,
-                    ),
-                    sim_time=total_latency + latency,
-                )
-                tracer.emit(
-                    CandidateSetShrunk(
-                        round_index=round_index,
-                        candidates_before=len(candidates),
-                        candidates_after=len(next_candidates),
-                    ),
-                    sim_time=total_latency + latency,
-                )
-                tracer.advance_sim(latency)
-            registry.counter("engine.rounds").inc()
-            registry.counter("engine.questions_posted").inc(len(questions))
-            registry.counter("engine.answers_resolved").inc(len(answers))
-            registry.histogram("engine.candidates_after").observe(
-                len(next_candidates)
-            )
-            logger.debug(
-                "round %d: %d -> %d candidates, %d questions, %.1f s "
-                "(replanned budget %d)",
-                round_index,
-                len(candidates),
-                len(next_candidates),
-                len(questions),
-                latency,
-                round_budget,
-            )
-            records.append(
-                RoundRecord(
-                    round_index=round_index,
-                    budget=round_budget,
-                    candidates_before=len(candidates),
-                    questions_posted=len(questions),
-                    latency=latency,
-                    candidates_after=len(next_candidates),
-                )
-            )
-            total_latency += latency
-            total_questions += len(questions)
-            remaining -= len(questions)
-            candidates = next_candidates
-            distinct_posted = len(dict.fromkeys(questions))
-            if len(answers) < distinct_posted:
-                # A lossy answer source gave up on some questions.  No
-                # special recovery is needed here: the next iteration
-                # re-solves MinLatency for the actual surviving candidates
-                # and leftover budget, which *is* the graceful degradation.
-                registry.counter("engine.degraded_rounds").inc()
-                logger.warning(
-                    "round %d degraded: %d of %d questions unanswered; "
-                    "re-planning %d remaining questions over %d candidates",
-                    round_index,
-                    distinct_posted - len(answers),
-                    distinct_posted,
-                    remaining,
-                    len(candidates),
-                )
-            if remaining < len(candidates) - 1:
-                # Cannot guarantee further progress (Theorem 1).
-                logger.debug(
-                    "stopping: %d remaining questions cannot guarantee "
-                    "progress on %d candidates (Theorem 1)",
-                    remaining,
-                    len(candidates),
-                )
-                break
-        singleton = len(candidates) == 1
-        if singleton:
-            winner = candidates[0]
-        else:
-            scores = score_candidates(evidence)
-            winner = max(scores, key=lambda element: (scores[element], -element))
-            logger.debug(
-                "non-singleton termination: %d candidates remain after %d "
-                "rounds; declaring the highest-scoring one (%d)",
-                len(candidates),
-                len(records),
-                winner,
-            )
-        if tracer.enabled:
-            tracer.emit(
-                RunFinished(
-                    winner=int(winner),
-                    rounds_run=len(records),
-                    total_questions=total_questions,
-                    total_latency=total_latency,
-                    singleton=singleton,
-                ),
-                sim_time=total_latency,
-            )
-            close_span(tracer, run_span, end=total_latency)
-        return MaxRunResult(
-            winner=winner,
-            true_max=truth.max_element,
-            singleton_termination=singleton,
-            total_latency=total_latency,
-            total_questions=total_questions,
-            records=tuple(records),
+
+        def plan_round(
+            round_index: int, n_candidates: int, spent: int
+        ) -> Optional[Tuple[int, int]]:
+            remaining = budget - spent
+            if round_index >= self.max_rounds or remaining < n_candidates - 1:
+                # Out of iterations, or the leftover budget cannot
+                # guarantee further progress (Theorem 1).
+                return None
+            plan = solve_min_latency(n_candidates, remaining, self.latency)
+            # The current plan's horizon; selectors that split rounds into
+            # phases (CT25) see a consistent total.
+            horizon = max(plan.rounds, round_index + 1)
+            return plan.questions_for_first_round(), horizon
+
+        # A lossy round needs no special recovery: the next round re-plans
+        # from the actual survivors anyway.
+        return _run_rounds(
+            self,
+            truth,
+            plan_round,
+            budget=budget,
             allocation=None,
+            skip_empty=False,
         )

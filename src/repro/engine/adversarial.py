@@ -27,8 +27,8 @@ from repro.engine.results import MaxRunResult, RoundRecord
 from repro.errors import InvalidParameterError
 from repro.graphs.answer_graph import AnswerGraph
 from repro.graphs.candidates import max_independent_set, worst_case_answers
-from repro.selection.base import QuestionSelector, SelectionContext
-from repro.selection.scoring import score_candidates
+from repro.selection.base import QuestionSelector, SelectionContext, select_round
+from repro.selection.scoring import best_scored
 from repro.types import Element, Question
 
 
@@ -116,7 +116,7 @@ class AdversarialMaxEngine:
                 total_rounds=allocation.rounds,
                 rng=self._rng,
             )
-            questions = self.selector.select(context)
+            questions = select_round(self.selector, context)
             if not questions:
                 continue
             survivors = self._adversary_survivors(candidates, questions)
@@ -137,11 +137,7 @@ class AdversarialMaxEngine:
             total_questions += len(questions)
             candidates = next_candidates
         singleton = len(candidates) == 1
-        if singleton:
-            winner = candidates[0]
-        else:
-            scores = score_candidates(evidence)
-            winner = max(scores, key=lambda e: (scores[e], -e))
+        winner = candidates[0] if singleton else best_scored(evidence)
         return MaxRunResult(
             winner=winner,
             true_max=winner,  # the adversary never committed to an order

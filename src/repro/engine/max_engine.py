@@ -20,9 +20,11 @@ Two answer sources are provided:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from repro.core.tdp import solve_min_latency
 from repro.crowd.ground_truth import GroundTruth
 from repro.crowd.rwl import ReliableWorkerLayer
 from repro.engine.results import MaxRunResult, RoundRecord
-from repro.errors import InvalidParameterError
 from repro.graphs.answer_graph import AnswerGraph
 from repro.obs.events import (
     AnswersReceived,
@@ -44,8 +45,8 @@ from repro.obs.events import (
 from repro.obs.metrics import get_registry
 from repro.obs.spans import close_span, open_span, span_scope
 from repro.obs.tracer import Tracer, current_tracer
-from repro.selection.base import QuestionSelector, SelectionContext
-from repro.selection.scoring import score_candidates
+from repro.selection.base import QuestionSelector, SelectionContext, select_round
+from repro.selection.scoring import best_scored
 from repro.types import Answer, Element, Question
 
 logger = logging.getLogger(__name__)
@@ -121,9 +122,6 @@ class MaxEngine:
         self._tracer = tracer
         self.replan_latency = replan_latency
 
-    def _resolve_tracer(self) -> Tracer:
-        return self._tracer if self._tracer is not None else current_tracer()
-
     def run(self, truth: GroundTruth, allocation: Allocation) -> MaxRunResult:
         """Execute *allocation* against *truth* and return the full trace.
 
@@ -133,183 +131,23 @@ class MaxEngine:
         final round, the highest-scoring one is declared the MAX — a
         non-singleton termination.
         """
-        n_elements = truth.n_elements
-        evidence = AnswerGraph(range(n_elements))
-        candidates: Tuple[Element, ...] = tuple(range(n_elements))
-        records: List[RoundRecord] = []
-        total_latency = 0.0
-        total_questions = 0
-        tracer = self._resolve_tracer()
-        registry = get_registry()
-        registry.counter("engine.runs").inc()
-        # Structural root-span id: the tracer's emission count at run
-        # start distinguishes successive runs on one tracer and is
-        # reproducible (identical runs emit identical event sequences).
-        run_span = f"run{getattr(tracer, 'emitted', 0)}"
-        if tracer.enabled:
-            open_span(
-                tracer,
-                run_span,
-                "run",
-                start=0.0,
-                detail=f"{type(self).__name__} c0={n_elements}",
-            )
-            tracer.emit(
-                RunStarted(
-                    n_elements=n_elements,
-                    budget=allocation.total_questions,
-                    rounds_planned=allocation.rounds,
-                    engine=type(self).__name__,
-                ),
-                sim_time=0.0,
-            )
+        # _replan_remaining rewrites the tail of this list in place, and
+        # plan_round reads it live, so a re-plan takes effect next round.
         budgets = list(allocation.round_budgets)
-        round_index = -1
-        while round_index + 1 < len(budgets):
-            round_index += 1
-            budget = budgets[round_index]
-            if len(candidates) <= 1:
-                break
-            context = SelectionContext(
-                budget=budget,
-                candidates=candidates,
-                evidence=evidence,
-                round_index=round_index,
-                total_rounds=len(budgets),
-                rng=self._rng,
-            )
-            questions = self.selector.select(context)
-            if len(questions) > budget:
-                raise InvalidParameterError(
-                    f"selector {self.selector.name} returned {len(questions)} "
-                    f"questions for a budget of {budget}"
-                )
-            if not questions:
-                # Nothing to post; the round costs no latency.
-                logger.debug(
-                    "round %d: selector %s returned no questions for %d "
-                    "candidates (budget %d); skipping the round",
-                    round_index,
-                    self.selector.name,
-                    len(candidates),
-                    budget,
-                )
-                continue
-            round_span = f"{run_span}/r{round_index}"
-            if tracer.enabled:
-                open_span(
-                    tracer,
-                    round_span,
-                    "round",
-                    start=total_latency,
-                    parent_id=run_span,
-                    detail=f"{len(questions)} questions",
-                )
-                tracer.emit(
-                    RoundPosted(
-                        round_index=round_index,
-                        budget=budget,
-                        questions_posted=len(questions),
-                        candidates_before=len(candidates),
-                    ),
-                    sim_time=total_latency,
-                )
-            with span_scope(round_span, base_time=total_latency):
-                answers, latency = self.source.resolve(questions)
-            evidence.record_all(answers)
-            next_candidates = tuple(sorted(evidence.remaining_candidates()))
-            if tracer.enabled:
-                close_span(tracer, round_span, end=total_latency + latency)
-                tracer.emit(
-                    AnswersReceived(
-                        round_index=round_index,
-                        n_answers=len(answers),
-                        latency=latency,
-                    ),
-                    sim_time=total_latency + latency,
-                )
-                tracer.emit(
-                    CandidateSetShrunk(
-                        round_index=round_index,
-                        candidates_before=len(candidates),
-                        candidates_after=len(next_candidates),
-                    ),
-                    sim_time=total_latency + latency,
-                )
-                tracer.advance_sim(latency)
-            registry.counter("engine.rounds").inc()
-            registry.counter("engine.questions_posted").inc(len(questions))
-            registry.counter("engine.answers_resolved").inc(len(answers))
-            registry.histogram("engine.candidates_after").observe(
-                len(next_candidates)
-            )
-            logger.debug(
-                "round %d: %d -> %d candidates, %d questions, %.1f s",
-                round_index,
-                len(candidates),
-                len(next_candidates),
-                len(questions),
-                latency,
-            )
-            records.append(
-                RoundRecord(
-                    round_index=round_index,
-                    budget=budget,
-                    candidates_before=len(candidates),
-                    questions_posted=len(questions),
-                    latency=latency,
-                    candidates_after=len(next_candidates),
-                )
-            )
-            total_latency += latency
-            total_questions += len(questions)
-            candidates = next_candidates
-            distinct_posted = len(dict.fromkeys(questions))
-            if len(answers) < distinct_posted:
-                # A lossy answer source gave up on some questions: the
-                # candidate set shrank only as far as the surviving answers
-                # allow.  Re-plan the rest of the budget for the actual
-                # state instead of following the now-stale allocation.
-                registry.counter("engine.degraded_rounds").inc()
-                logger.warning(
-                    "round %d degraded: %d of %d questions unanswered; "
-                    "%d candidates survive",
-                    round_index,
-                    distinct_posted - len(answers),
-                    distinct_posted,
-                    len(candidates),
-                )
-                self._replan_remaining(budgets, round_index, len(candidates))
-        singleton = len(candidates) == 1
-        winner = candidates[0] if singleton else self._pick_winner(evidence)
-        if not singleton:
-            logger.debug(
-                "non-singleton termination: %d candidates remain after %d "
-                "rounds; declaring the highest-scoring one (%d)",
-                len(candidates),
-                len(records),
-                winner,
-            )
-        if tracer.enabled:
-            tracer.emit(
-                RunFinished(
-                    winner=int(winner),
-                    rounds_run=len(records),
-                    total_questions=total_questions,
-                    total_latency=total_latency,
-                    singleton=singleton,
-                ),
-                sim_time=total_latency,
-            )
-            close_span(tracer, run_span, end=total_latency)
-        return MaxRunResult(
-            winner=winner,
-            true_max=truth.max_element,
-            singleton_termination=singleton,
-            total_latency=total_latency,
-            total_questions=total_questions,
-            records=tuple(records),
+
+        def plan_round(round_index: int, *_: int) -> Optional[Tuple[int, int]]:
+            if round_index < len(budgets):
+                return budgets[round_index], len(budgets)
+            return None
+
+        return _run_rounds(
+            self,
+            truth,
+            plan_round,
+            budget=allocation.total_questions,
             allocation=allocation,
+            skip_empty=True,
+            on_lossy=functools.partial(self._replan_remaining, budgets),
         )
 
     def _replan_remaining(
@@ -346,8 +184,205 @@ class MaxEngine:
             replanned.round_budgets,
         )
 
-    def _pick_winner(self, evidence: AnswerGraph) -> Element:
-        """Non-singleton fallback: highest Appendix B.2 score wins."""
-        scores = score_candidates(evidence)
-        # Deterministic tie-break on element id keeps runs reproducible.
-        return max(scores, key=lambda element: (scores[element], -element))
+
+#: ``plan_round(round_index, n_candidates, questions_spent)`` gives a
+#: round's ``(budget, total_rounds)``, or ``None`` to end the run.
+RoundPlan = Callable[[int, int, int], Optional[Tuple[int, int]]]
+
+
+def _run_rounds(
+    engine,
+    truth: GroundTruth,
+    plan_round: RoundPlan,
+    *,
+    budget: int,
+    allocation: Optional[Allocation],
+    skip_empty: bool,
+    on_lossy: Optional[Callable[[int, int], None]] = None,
+) -> MaxRunResult:
+    """The round loop shared by the batch MAX engines.
+
+    *engine* supplies ``selector``, ``source``, ``_rng`` and ``_tracer``.
+    Runs until one candidate remains or *plan_round* returns ``None``.  A
+    round whose selector returns nothing is skipped (*skip_empty*) or ends
+    the run; a lossy round (fewer answers than distinct questions) calls
+    ``on_lossy(round_index, n_candidates)``.  *budget* and *allocation*
+    only describe the run, in ``RunStarted`` and the result.
+    """
+    n_elements = truth.n_elements
+    evidence = AnswerGraph(range(n_elements))
+    candidates: Tuple[Element, ...] = tuple(range(n_elements))
+    records: List[RoundRecord] = []
+    total_latency = 0.0
+    total_questions = 0
+    tracer = engine._tracer if engine._tracer is not None else current_tracer()
+    registry = get_registry()
+    registry.counter("engine.runs").inc()
+    engine_name = type(engine).__name__
+    # Structural root-span id: the tracer's emission count at run start
+    # distinguishes successive runs on one tracer and is reproducible
+    # (identical runs emit identical event sequences).
+    run_span = f"run{getattr(tracer, 'emitted', 0)}"
+    if tracer.enabled:
+        open_span(
+            tracer,
+            run_span,
+            "run",
+            start=0.0,
+            detail=f"{engine_name} c0={n_elements}",
+        )
+        tracer.emit(
+            RunStarted(
+                n_elements=n_elements,
+                budget=budget,
+                rounds_planned=allocation.rounds if allocation is not None else 0,
+                engine=engine_name,
+            ),
+            sim_time=0.0,
+        )
+    for round_index in itertools.count():
+        if len(candidates) <= 1:
+            break
+        planned = plan_round(round_index, len(candidates), total_questions)
+        if planned is None:
+            break
+        round_budget, total_rounds = planned
+        context = SelectionContext(
+            budget=round_budget,
+            candidates=candidates,
+            evidence=evidence,
+            round_index=round_index,
+            total_rounds=total_rounds,
+            rng=engine._rng,
+        )
+        questions = select_round(engine.selector, context)
+        if not questions:
+            # Nothing to post; the round costs no latency.
+            logger.debug(
+                "round %d: selector %s returned no questions for %d "
+                "candidates (budget %d)",
+                round_index,
+                engine.selector.name,
+                len(candidates),
+                round_budget,
+            )
+            if skip_empty:
+                continue
+            break
+        round_span = f"{run_span}/r{round_index}"
+        if tracer.enabled:
+            open_span(
+                tracer,
+                round_span,
+                "round",
+                start=total_latency,
+                parent_id=run_span,
+                detail=f"{len(questions)} questions",
+            )
+            tracer.emit(
+                RoundPosted(
+                    round_index=round_index,
+                    budget=round_budget,
+                    questions_posted=len(questions),
+                    candidates_before=len(candidates),
+                ),
+                sim_time=total_latency,
+            )
+        with span_scope(round_span, base_time=total_latency):
+            answers, latency = engine.source.resolve(questions)
+        evidence.record_all(answers)
+        next_candidates = tuple(sorted(evidence.remaining_candidates()))
+        if tracer.enabled:
+            close_span(tracer, round_span, end=total_latency + latency)
+            tracer.emit(
+                AnswersReceived(
+                    round_index=round_index,
+                    n_answers=len(answers),
+                    latency=latency,
+                ),
+                sim_time=total_latency + latency,
+            )
+            tracer.emit(
+                CandidateSetShrunk(
+                    round_index=round_index,
+                    candidates_before=len(candidates),
+                    candidates_after=len(next_candidates),
+                ),
+                sim_time=total_latency + latency,
+            )
+            tracer.advance_sim(latency)
+        registry.counter("engine.rounds").inc()
+        registry.counter("engine.questions_posted").inc(len(questions))
+        registry.counter("engine.answers_resolved").inc(len(answers))
+        registry.histogram("engine.candidates_after").observe(
+            len(next_candidates)
+        )
+        logger.debug(
+            "round %d: %d -> %d candidates, %d questions (budget %d), %.1f s",
+            round_index,
+            len(candidates),
+            len(next_candidates),
+            len(questions),
+            round_budget,
+            latency,
+        )
+        records.append(
+            RoundRecord(
+                round_index=round_index,
+                budget=round_budget,
+                candidates_before=len(candidates),
+                questions_posted=len(questions),
+                latency=latency,
+                candidates_after=len(next_candidates),
+            )
+        )
+        total_latency += latency
+        total_questions += len(questions)
+        candidates = next_candidates
+        distinct_posted = len(dict.fromkeys(questions))
+        if len(answers) < distinct_posted:
+            # A lossy answer source gave up on some questions: the
+            # candidate set shrank only as far as the surviving answers
+            # allow.
+            registry.counter("engine.degraded_rounds").inc()
+            logger.warning(
+                "round %d degraded: %d of %d questions unanswered; "
+                "%d candidates survive",
+                round_index,
+                distinct_posted - len(answers),
+                distinct_posted,
+                len(candidates),
+            )
+            if on_lossy is not None:
+                on_lossy(round_index, len(candidates))
+    singleton = len(candidates) == 1
+    winner = candidates[0] if singleton else best_scored(evidence)
+    if not singleton:
+        logger.debug(
+            "non-singleton termination: %d candidates remain after %d "
+            "rounds; declaring the highest-scoring one (%d)",
+            len(candidates),
+            len(records),
+            winner,
+        )
+    if tracer.enabled:
+        tracer.emit(
+            RunFinished(
+                winner=int(winner),
+                rounds_run=len(records),
+                total_questions=total_questions,
+                total_latency=total_latency,
+                singleton=singleton,
+            ),
+            sim_time=total_latency,
+        )
+        close_span(tracer, run_span, end=total_latency)
+    return MaxRunResult(
+        winner=winner,
+        true_max=truth.max_element,
+        singleton_termination=singleton,
+        total_latency=total_latency,
+        total_questions=total_questions,
+        records=tuple(records),
+        allocation=allocation,
+    )

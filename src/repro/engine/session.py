@@ -27,8 +27,8 @@ import numpy as np
 from repro.core.allocation import Allocation
 from repro.errors import InvalidParameterError, ReproError
 from repro.graphs.answer_graph import AnswerGraph
-from repro.selection.base import QuestionSelector, SelectionContext
-from repro.selection.scoring import score_candidates
+from repro.selection.base import QuestionSelector, SelectionContext, select_round
+from repro.selection.scoring import best_scored
 from repro.types import Answer, Element, Question, normalize_question
 
 
@@ -103,8 +103,7 @@ class MaxSession:
             )
         if len(self._candidates) == 1:
             return self._candidates[0]
-        scores = score_candidates(self.evidence)
-        return max(scores, key=lambda element: (scores[element], -element))
+        return best_scored(self.evidence)
 
     @property
     def candidates(self) -> Tuple[Element, ...]:
@@ -256,11 +255,7 @@ class MaxSession:
                 total_rounds=self.allocation.rounds,
                 rng=self._rng,
             )
-            questions = self.selector.select(context)
-            if len(questions) > context.budget:
-                raise InvalidParameterError(
-                    f"selector {self.selector.name} exceeded the round budget"
-                )
+            questions = select_round(self.selector, context)
             self._pending = questions
             if not questions:
                 # Nothing askable this round; skip it transparently.

@@ -30,7 +30,7 @@ from repro.engine.max_engine import AnswerSource
 from repro.engine.results import RoundRecord
 from repro.errors import InvalidParameterError
 from repro.graphs.answer_graph import AnswerGraph
-from repro.selection.base import QuestionSelector, SelectionContext
+from repro.selection.base import QuestionSelector, SelectionContext, select_round
 from repro.types import Element
 
 
@@ -163,7 +163,7 @@ class TopKEngine:
                 total_rounds=max(plan.rounds, round_index + 1),
                 rng=self._rng,
             )
-            questions = self.selector.select(context)
+            questions = select_round(self.selector, context)
             if not questions:
                 return tuple(records), latency_spent, questions_spent, None
             answers, round_latency = self.source.resolve(questions)

@@ -80,6 +80,24 @@ class QuestionSelector(ABC):
         return f"{type(self).__name__}()"
 
 
+def select_round(
+    selector: QuestionSelector, ctx: SelectionContext
+) -> List[Question]:
+    """Run *selector* for one round, enforcing its ``ctx.budget`` contract.
+
+    Raises:
+        InvalidParameterError: if the selector returned more questions than
+            the round budget allows.
+    """
+    questions = selector.select(ctx)
+    if len(questions) > ctx.budget:
+        raise InvalidParameterError(
+            f"selector {selector.name} returned {len(questions)} "
+            f"questions for a budget of {ctx.budget}"
+        )
+    return questions
+
+
 def all_pairs(candidates: Tuple[Element, ...]) -> List[Question]:
     """Every canonical pair among *candidates*."""
     ordered = sorted(candidates)

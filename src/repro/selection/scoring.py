@@ -53,3 +53,12 @@ def score_candidates(evidence: AnswerGraph) -> Dict[Element, float]:
         element: energy[element]
         for element in evidence.remaining_candidates()
     }
+
+
+def best_scored(evidence: AnswerGraph) -> Element:
+    """The non-singleton winner: highest Algorithm 2 score.
+
+    Ties go to the lower element id, which keeps runs reproducible.
+    """
+    scores = score_candidates(evidence)
+    return max(scores, key=lambda element: (scores[element], -element))

@@ -83,7 +83,7 @@ from repro.obs.slo import AlertTransition, SLOConfig, SLOEngine
 from repro.obs.spans import close_span, emit_span, open_span, span_scope
 from repro.obs.tracer import Tracer, current_tracer
 from repro.selection.registry import selector_by_name
-from repro.selection.scoring import score_candidates
+from repro.selection.scoring import best_scored
 from repro.service.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -1466,8 +1466,7 @@ class MaxScheduler:
         graph = AnswerGraph(range(query.spec.n_elements))
         graph.record_all(query.session.evidence.iter_answers())
         graph.record_all(query.collected.values())
-        scores = score_candidates(graph)
-        return max(scores, key=lambda element: (scores[element], -element))
+        return best_scored(graph)
 
     def _finalize(
         self,
