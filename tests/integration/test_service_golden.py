@@ -12,7 +12,8 @@ digests in ``golden/service_runs.json``:
 
 The matrix covers the clean path, the noisy crowd with repetition and
 retries, random outages under a breaker, a sustained outage that makes the
-breaker defer and probe, and deadlines with brownout under that outage.
+breaker defer and probe, that breaker under enforced deadlines, and
+deadlines with brownout under that outage.
 Any change to how a single-platform round is posted shows up here.
 
 To regenerate the snapshot after an *intentional* behaviour change::
@@ -88,6 +89,15 @@ def _cases():
             11,
             dict(
                 fault_profile=fault_profile_by_name("sustained"),
+                breaker_config=CircuitBreakerConfig(failure_threshold=2),
+            ),
+        ),
+        "sustained_breaker_deadline": (
+            "deadline",
+            3,
+            dict(
+                fault_profile=fault_profile_by_name("sustained"),
+                retry_policy=RetryPolicy(),
                 breaker_config=CircuitBreakerConfig(failure_threshold=2),
             ),
         ),
@@ -199,6 +209,12 @@ def test_sustained_breaker_defers_and_probes(golden):
     counters = golden["sustained_breaker"]["counters"]
     assert counters["circuit.deferred_rounds"] > 0
     assert counters["circuit.probes"] > 0
+
+
+def test_breaker_deadline_case_probes_under_deadlines(golden):
+    counters = golden["sustained_breaker_deadline"]["counters"]
+    assert counters["circuit.deferred_rounds"] > 0
+    assert counters["circuit.probes"] >= 2
 
 
 def test_brownout_case_changes_level(golden):
