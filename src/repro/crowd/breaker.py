@@ -56,7 +56,7 @@ class RoundDecision(str, Enum):
     """What the scheduler should do with its next shared round."""
 
     POST = "post"  #: circuit closed — post normally.
-    PROBE = "probe"  #: half-open — post a single probe round.
+    PROBE = "probe"  #: half-open — post one probe sub-batch.
     DEFER = "defer"  #: open — skip the round, advance the clock.
 
 

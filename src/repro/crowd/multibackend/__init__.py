@@ -26,7 +26,6 @@ from repro.crowd.multibackend.router import (
     HedgeConfig,
     RouteDecision,
     RoundOutcome,
-    RouterAdmission,
 )
 from repro.crowd.multibackend.spec import (
     SOLO_BACKEND_NAME,
@@ -47,7 +46,6 @@ __all__ = [
     "ROUTING_POLICIES",
     "RouteDecision",
     "RoundOutcome",
-    "RouterAdmission",
     "SOLO_BACKEND_NAME",
     "available_backend_presets",
     "backend_preset_by_name",

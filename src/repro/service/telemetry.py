@@ -50,8 +50,11 @@ class TickSample:
         active: queries running in shared rounds.
         waiting: admitted queries waiting for an active slot.
         backlog: queries not yet offered to admission control.
-        breaker: circuit-breaker state (``"closed"``/``"open"``/
-            ``"half_open"``), or ``"none"`` when no breaker is installed.
+        breaker: fleet circuit-breaker summary: ``"none"`` when no
+            backend has a breaker, ``"closed"`` when every circuit is
+            closed, otherwise the non-closed backends as ``name:state``
+            (``"platform:open"``, ``"fast:half_open,cheap:open"``), a
+            one-backend fleet included.
         cache_hit_rate: plan-cache hits / lookups so far (0.0 before any
             lookup).
         round_latency: the shared round's latency this tick (seconds);
