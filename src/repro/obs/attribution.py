@@ -12,7 +12,7 @@ round_post a shared platform round the query's batch rode on
 retry      a shared round re-running questions the query had lost
 defer      the circuit breaker parked the whole scheduler
 outage     a shared round the platform ate entirely
-stall      runnable but not packed (backpressure / breaker probe)
+stall      runnable but no question posted (backpressure / capacity)
 hedge      a shared round whose chunk was mirrored to a hedge backend
 ========== =========================================================
 

@@ -7,11 +7,15 @@ end-to-end latency.  And recording spans must not perturb the service:
 a traced run's report, minus the attribution table, equals the
 untraced run's report bit for bit.
 
-Hypothesis drives random workloads through fault, retry, and breaker
-configurations to hunt for tilings the hand-written tests miss.
+Hypothesis drives random workloads through fault, retry, breaker and
+backend-capacity configurations to hunt for tilings the hand-written tests
+miss.  Under a capacity limit it also checks the ``stall`` label: a packed
+query none of whose questions the router placed pays its tick as
+``stall``, and a query with any question posted never does.
 """
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core.latency import LinearLatency
 from repro.crowd.breaker import CircuitBreakerConfig
 from repro.crowd.faults import FaultProfile, RetryPolicy
+from repro.crowd.multibackend import BackendSpec
 from repro.obs.attribution import waterfalls_from_records
 from repro.obs.tracer import RecordingTracer, use_tracer
 from repro.service import MaxScheduler, QuerySpec
@@ -67,22 +72,58 @@ breaker_configs = st.one_of(
 )
 
 
-def _run(specs, seed, fault_profile, breaker_config, tracer=None):
+#: Distinct questions the lone backend takes per round (None = unbounded).
+capacities = st.one_of(st.none(), st.integers(min_value=3, max_value=30))
+
+
+def _scheduler(specs, seed, fault_profile, breaker_config, capacity=None):
     retry_policy = None
     if fault_profile is not None:
         retry_policy = RetryPolicy(max_attempts=3, base_backoff=30.0)
-    scheduler = MaxScheduler(
-        specs,
-        LATENCY,
-        seed=seed,
-        fault_profile=fault_profile,
-        retry_policy=retry_policy,
-        breaker_config=breaker_config,
+    fleet = dict(fault_profile=fault_profile, breaker_config=breaker_config)
+    if capacity is not None:
+        fleet = dict(
+            backends=[
+                BackendSpec(
+                    name="tight",
+                    latency=LATENCY,
+                    capacity=capacity,
+                    fault_profile=fault_profile,
+                    breaker=breaker_config,
+                )
+            ]
+        )
+    return MaxScheduler(
+        specs, LATENCY, seed=seed, retry_policy=retry_policy, **fleet
     )
+
+
+def _run(specs, seed, fault_profile, breaker_config, tracer=None):
+    scheduler = _scheduler(specs, seed, fault_profile, breaker_config)
     if tracer is None:
         return scheduler.run()
     with use_tracer(tracer):
         return scheduler.run()
+
+
+def _record_placement(scheduler):
+    """Wrap the router so each routed tick logs which queries it placed.
+
+    Returns ``{(tick, query_id): placed_any}`` filled in as the run goes.
+    """
+    placed = {}
+    post_round = scheduler.router.post_round
+
+    def recording_post_round(units, *, tick, **kwargs):
+        outcome = post_round(units, tick=tick, **kwargs)
+        for query_id, questions in units:
+            placed[(tick, query_id)] = any(
+                q not in outcome.unposted for q in questions
+            )
+        return outcome
+
+    scheduler.router.post_round = recording_post_round
+    return placed
 
 
 @settings(
@@ -95,12 +136,18 @@ def _run(specs, seed, fault_profile, breaker_config, tracer=None):
     seed=st.integers(min_value=0, max_value=2**16),
     fault_profile=fault_profiles,
     breaker_config=breaker_configs,
+    capacity=capacities,
 )
 def test_waterfalls_tile_latency_exactly(
-    specs, seed, fault_profile, breaker_config
+    specs, seed, fault_profile, breaker_config, capacity
 ):
     tracer = RecordingTracer()
-    report = _run(specs, seed, fault_profile, breaker_config, tracer=tracer)
+    scheduler = _scheduler(
+        specs, seed, fault_profile, breaker_config, capacity=capacity
+    )
+    placed = _record_placement(scheduler)
+    with use_tracer(tracer):
+        report = scheduler.run()
     waterfalls = waterfalls_from_records(tracer.records)
     assert set(waterfalls) == {s.query_id for s in specs}
     for result in report.results:
@@ -114,6 +161,15 @@ def test_waterfalls_tile_latency_exactly(
         assert sum(wf.components().values()) == pytest.approx(
             wf.total, rel=1e-12, abs=1e-9
         )
+    for record in tracer.records:
+        if record.event.kind != "SpanOpened":
+            continue
+        chunk = re.fullmatch(r"q(\d+)/t(\d+)", record.event.span_id)
+        if chunk is None:
+            continue
+        key = (int(chunk.group(2)), int(chunk.group(1)))
+        if key in placed:
+            assert (record.event.name == "stall") == (not placed[key])
 
 
 @settings(
