@@ -4,12 +4,44 @@ Regenerates the (c0, budget-multiple) timing grid.  Expected shape: the
 time barely grows with the budget (the paper's pruning observation; our
 Pareto solver is budget-insensitive by construction) and grows roughly
 quadratically in the collection size.
+
+``bench_tdp_plan_distinct_shapes`` times the other side of the solver: a
+service planning many distinct query shapes under one latency model, which
+one ``TDPAllocator`` answers from a single growing frontier table.
 """
 
+import random
+
 from _harness import SCALE
+from repro.core.latency import LinearLatency
+from repro.core.tdp import TDPAllocator
 from repro.experiments import fig15
+
+#: Every (c0, budget) shape of a service mix with c0 in 100..400 and
+#: budgets of 2-6x c0, in a fixed shuffled arrival order.
+DISTINCT_SHAPES = [
+    (c0, round(factor * c0))
+    for c0 in range(100, 401, 6)
+    for factor in (2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0)
+]
+random.Random(0).shuffle(DISTINCT_SHAPES)
 
 
 def bench_fig15_tdp_runtime(report):
     (table,) = report(lambda: fig15.run(SCALE))
     assert all(row[3] > 0 for row in table.rows)
+
+
+def bench_tdp_plan_distinct_shapes(benchmark):
+    latency = LinearLatency(239, 0.06)
+
+    def plan_all():
+        tdp = TDPAllocator()
+        return [tdp.plan(c0, budget, latency) for c0, budget in DISTINCT_SHAPES]
+
+    plans = benchmark(plan_all)
+    assert len(plans) == len(DISTINCT_SHAPES) == 357
+    assert all(
+        plan.sequence[0] == c0 and plan.questions_used <= budget
+        for plan, (c0, budget) in zip(plans, DISTINCT_SHAPES)
+    )

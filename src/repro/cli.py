@@ -514,7 +514,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--repeat",
         type=int,
         default=1,
-        help="solve this many times (plan-cache hit rates need >= 2)",
+        help="solve this many times; the frontier solver plans through "
+        "one tDP allocator, so its rows are built once",
     )
     _add_obs_args(profile)
 
@@ -1326,10 +1327,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.core.tdp import solve_min_latency
+    from repro.core.tdp import TDPAllocator
     from repro.core.tdp_memo import solve_min_latency_memo
     from repro.obs.profiling import profiled, render_profile
-    from repro.service.plan_cache import PlanCache, PlanKey
 
     latency = _latency_from_args(args)
     solvers = (
@@ -1339,26 +1339,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         raise InvalidParameterError(
             f"--repeat must be >= 1, got {args.repeat}"
         )
-    cache = PlanCache()
-    key = PlanKey(
-        n_elements=args.elements,
-        budget=args.budget,
-        latency_key=repr(latency),
-        repetition=1,
-    )
+    tdp = TDPAllocator()
     with profiled() as profiler:
         for _ in range(args.repeat):
             if "frontier" in solvers:
-                plan = cache.get(key)
-                if plan is None:
-                    solved = solve_min_latency(
-                        args.elements, args.budget, latency
-                    )
-                    from repro.core.allocation import Allocation
-
-                    cache.put(key, Allocation.from_element_sequence(
-                        solved.sequence, "tDP"
-                    ))
+                tdp.plan(args.elements, args.budget, latency)
             if "memo" in solvers:
                 solve_min_latency_memo(args.elements, args.budget, latency)
     print(

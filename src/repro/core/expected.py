@@ -103,14 +103,7 @@ def solve_expected_min_latency(
         raise InvalidParameterError(
             f"budget {budget} < c0 - 1 = {n_elements - 1}: infeasible"
         )
-    table = _FrontierTable(n_elements)
-    table.set_row(
-        1,
-        cost=np.zeros(1, np.int64),
-        lat=np.zeros(1),
-        parent_c=np.zeros(1, np.int32),
-        parent_i=np.zeros(1, np.int32),
-    )
+    table = _FrontierTable(n_elements)  # row 1 is P(1) = {(0, 0)}
     for c in range(2, n_elements + 1):
         _build_expected_frontier(table, c, budget, latency)
     return _extract(table, n_elements)

@@ -41,6 +41,16 @@ class _RepeatedLatency(LatencyFunction):
     def __repr__(self) -> str:
         return f"_RepeatedLatency({self.inner!r}, repetition={self.repetition})"
 
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, _RepeatedLatency)
+            and self.inner == other.inner
+            and self.repetition == other.repetition
+        )
+
+    def __hash__(self) -> int:
+        return hash(("_RepeatedLatency", self.inner, self.repetition))
+
 
 class RepetitionAwareAllocator(BudgetAllocator):
     """Wrap an allocator so it plans in distinct questions under an RWL.

@@ -16,10 +16,21 @@ latency)`` pairs achievable by tournament sequences from ``c`` down to 1:
 
 The optimal allocation for budget ``b`` is the frontier point of ``P(c_0)``
 with the lowest latency among those with ``cost <= b`` — by construction the
-last point of the (cost-ascending, latency-strictly-descending) frontier.
-Points costing more than ``b`` are pruned during construction, which keeps
-frontiers tiny; for a linear ``L`` the frontier of ``c`` has at most
-``ceil(log2 c)`` points (one per useful round count).
+last such point of the (cost-ascending, latency-strictly-descending) frontier.
+Points costing more than the build budget are pruned during construction,
+which keeps frontiers tiny; for a linear ``L`` the frontier of ``c`` has at
+most ``ceil(log2 c)`` points (one per useful round count).
+
+The frontiers depend only on ``L``, never on the query, and whether a point
+survives depends on the build budget ``B`` only through ``cost <= B``: step
+costs are non-negative and the Pareto sweep is prefix-consistent.  So the
+frontiers built at ``B``, cut at any ``b <= B``, *are* the frontiers built at
+``b``, point for point and parent for parent.  :class:`TDPTable` exploits
+this: it holds the frontiers of one latency model, grows them on demand
+(new rows for a larger ``c_0``; a rebuild at ``max(b, 2B)`` for a larger
+budget) and answers every ``(c_0, b)`` by lookup.  :class:`TDPAllocator`
+keeps one table per latency model; :func:`solve_min_latency` and
+:func:`solve_min_cost` are a fresh table plus one lookup (a cold solve).
 
 The literal top-down memoization of Algorithm 1 is also available as
 :class:`repro.core.tdp_memo.MemoizedTDPAllocator` and is used to
@@ -30,7 +41,7 @@ makes the large-``c_0`` experiments of Section 6 practical in pure Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -115,7 +126,11 @@ def _transition_questions(c: int) -> np.ndarray:
 
 
 class _FrontierTable:
-    """Padded 2D storage of the per-candidate-count Pareto frontiers."""
+    """Padded 2D storage of the per-candidate-count Pareto frontiers.
+
+    Row 1 starts out as ``P(1) = {(0, 0)}``: the MAX of one candidate is
+    already identified, at zero further cost and latency.
+    """
 
     def __init__(self, n_elements: int, width: int = _INITIAL_FRONTIER_WIDTH):
         self.width = width
@@ -125,27 +140,40 @@ class _FrontierTable:
         self.parent_c = np.zeros(shape, dtype=np.int32)
         self.parent_i = np.zeros(shape, dtype=np.int32)
         self.size = np.zeros(n_elements + 1, dtype=np.int32)
+        self.size[1] = 1
+        self.cost[1, 0] = 0
+        self.lat[1, 0] = 0.0
 
     def grow(self, new_width: int) -> None:
         """Widen the padded arrays to hold larger frontiers."""
-        extra = new_width - self.width
-        if extra <= 0:
+        if new_width <= self.width:
             return
         if PROFILER.enabled:
             PROFILER.add("frontier.grows")
             PROFILER.set_max("frontier.peak_width", new_width)
-        n_rows = self.cost.shape[0]
-        self.cost = np.hstack(
-            [self.cost, np.full((n_rows, extra), np.iinfo(np.int64).max, np.int64)]
-        )
-        self.lat = np.hstack([self.lat, np.full((n_rows, extra), np.inf)])
-        self.parent_c = np.hstack(
-            [self.parent_c, np.zeros((n_rows, extra), np.int32)]
-        )
-        self.parent_i = np.hstack(
-            [self.parent_i, np.zeros((n_rows, extra), np.int32)]
-        )
-        self.width = new_width
+        self._resize(self.cost.shape[0], new_width)
+
+    def add_rows(self, n_elements: int) -> None:
+        """Extend the padded arrays to hold rows up to *n_elements*."""
+        if n_elements >= self.cost.shape[0]:
+            self._resize(n_elements + 1, self.width)
+
+    def _resize(self, n_rows: int, width: int) -> None:
+        """Re-pad every array to *n_rows* x *width*, keeping the contents."""
+
+        def padded(array: np.ndarray, fill: float) -> np.ndarray:
+            out = np.full((n_rows, width), fill, dtype=array.dtype)
+            out[: array.shape[0], : array.shape[1]] = array
+            return out
+
+        self.cost = padded(self.cost, np.iinfo(np.int64).max)
+        self.lat = padded(self.lat, np.inf)
+        self.parent_c = padded(self.parent_c, 0)
+        self.parent_i = padded(self.parent_i, 0)
+        size = np.zeros(n_rows, dtype=np.int32)
+        size[: len(self.size)] = self.size
+        self.size = size
+        self.width = width
 
     def set_row(
         self,
@@ -167,28 +195,114 @@ class _FrontierTable:
         self.lat[c, count:] = np.inf
 
 
-def _build_frontiers(
-    n_elements: int, budget: int, latency: LatencyFunction
-) -> _FrontierTable:
-    """Compute P(c) for every candidate count up to ``n_elements``."""
-    table = _FrontierTable(n_elements)
-    # P(1): the MAX is already identified; zero further cost and latency.
-    table.set_row(
-        1,
-        cost=np.zeros(1, np.int64),
-        lat=np.zeros(1),
-        parent_c=np.zeros(1, np.int32),
-        parent_i=np.zeros(1, np.int32),
-    )
-    for c in range(2, n_elements + 1):
-        _build_frontier(table, c, budget, latency)
-    return table
+class TDPTable:
+    """The Pareto frontiers of one latency model, grown on demand.
+
+    Rows ``P(1) .. P(n)`` hold every frontier point with ``cost <= B``,
+    the table's budget cap.  :meth:`plan` and :meth:`cheapest` answer any
+    ``(c_0, b)`` by lookup in the frontiers cut at ``b`` (exactly the
+    frontiers a build at ``b`` would produce), growing the table first when
+    it does not cover the shape yet:
+
+    * ``c_0 > n``: rows ``n + 1 .. c_0`` are appended at cap ``B``;
+    * ``b > B``: every row is rebuilt at cap ``max(b, 2B)``, so a run of
+      rising budgets costs only logarithmically many rebuilds.
+
+    Nothing is built before the first lookup, which builds at exactly
+    ``(c_0, b)``: a fresh table plus one lookup is a cold solve.  Every
+    lookup reports like one — a ``tdp.solve`` span, one
+    :class:`~repro.obs.events.DPTableBuilt` whose ``states`` counts the
+    frontier points cut at ``b``, and the ``tdp.*`` counters — so a warm
+    lookup is observably identical to the cold solve it replaces.
+
+    Args:
+        latency: the latency model ``L`` every transition is priced under.
+    """
+
+    def __init__(self, latency: LatencyFunction) -> None:
+        self.latency = latency
+        #: Largest candidate count with a built row (0: nothing built).
+        self.n_elements = 0
+        #: Budget every row was built at (-1: nothing built).
+        self.budget_cap = -1
+        self._rows = _FrontierTable(1)
+
+    def plan(self, n_elements: int, budget: int) -> TDPPlan:
+        """The MinLatency optimum: the last point of ``P(c_0)`` within *budget*.
+
+        Raises:
+            InvalidParameterError: when the budget is below ``c_0 - 1``
+                (Theorem 1: the problem has no solution).
+        """
+        sizes = self._lookup(n_elements, budget)
+        return _plan_from_point(self._rows, n_elements, int(sizes[-1]) - 1, sizes)
+
+    def cheapest(self, n_elements: int, budget: int, deadline: float) -> TDPPlan:
+        """The first (cheapest) point of ``P(c_0)`` within *budget* whose
+        latency meets *deadline*.
+
+        Raises:
+            InvalidParameterError: when even the latency-optimal plan misses
+                the deadline, or on an infeasible budget.
+        """
+        sizes = self._lookup(n_elements, budget)
+        latencies = self._rows.lat[n_elements, : int(sizes[-1])]
+        meeting = np.flatnonzero(latencies <= deadline)
+        if meeting.size == 0:
+            raise InvalidParameterError(
+                f"no tournament sequence finishes within {deadline:g} s; the "
+                f"fastest achievable latency is {float(latencies[-1]):g} s"
+            )
+        return _plan_from_point(self._rows, n_elements, int(meeting[0]), sizes)
+
+    def _lookup(self, n_elements: int, budget: int) -> np.ndarray:
+        """Grow to cover ``(n_elements, budget)``; per-row sizes cut at it."""
+        if n_elements < 1:
+            raise InvalidParameterError(
+                f"n_elements must be >= 1, got {n_elements}"
+            )
+        if budget < n_elements - 1:
+            raise InvalidParameterError(
+                f"budget {budget} < c0 - 1 = {n_elements - 1}: MinLatency is "
+                f"infeasible (Theorem 1)"
+            )
+        with timed("tdp.solve") as span:
+            if budget > self.budget_cap:
+                self._build(
+                    max(n_elements, self.n_elements),
+                    max(budget, 2 * self.budget_cap),
+                )
+            elif n_elements > self.n_elements:
+                self._extend(n_elements)
+            # Rows are cost-ascending and padded with int64 max, so the
+            # count of costs within the budget is the size of the cut row.
+            sizes = np.count_nonzero(
+                self._rows.cost[1 : n_elements + 1] <= budget, axis=1
+            )
+        _record_dp_build(
+            "frontier", n_elements, budget, span.seconds, int(sizes.sum())
+        )
+        return sizes
+
+    def _build(self, n_elements: int, budget_cap: int) -> None:
+        """Rebuild every row up to *n_elements* at *budget_cap*."""
+        self._rows = _FrontierTable(n_elements)
+        self.n_elements = 1
+        self.budget_cap = budget_cap
+        self._extend(n_elements)
+
+    def _extend(self, n_elements: int) -> None:
+        """Append rows ``n + 1 .. n_elements`` at the current cap."""
+        self._rows.add_rows(n_elements)
+        for c in range(self.n_elements + 1, n_elements + 1):
+            _build_frontier(self._rows, c, self.budget_cap, self.latency)
+        self.n_elements = n_elements
 
 
 def solve_min_latency(
     n_elements: int, budget: int, latency: LatencyFunction
 ) -> TDPPlan:
-    """Solve MinLatency (Problem 1) exactly.
+    """Solve MinLatency (Problem 1) exactly, from a cold table.
 
     Args:
         n_elements: ``c_0``, the size of the input collection (>= 1).
@@ -202,19 +316,7 @@ def solve_min_latency(
         InvalidParameterError: when the budget is below ``c_0 - 1``
             (Theorem 1: the problem has no solution).
     """
-    if n_elements < 1:
-        raise InvalidParameterError(f"n_elements must be >= 1, got {n_elements}")
-    if budget < n_elements - 1:
-        raise InvalidParameterError(
-            f"budget {budget} < c0 - 1 = {n_elements - 1}: MinLatency is "
-            f"infeasible (Theorem 1)"
-        )
-    with timed("tdp.solve") as span:
-        table = _build_frontiers(n_elements, budget, latency)
-    _record_dp_build(
-        "frontier", n_elements, budget, span.seconds, int(table.size.sum())
-    )
-    return _extract_plan(table, n_elements)
+    return TDPTable(latency).plan(n_elements, budget)
 
 
 def solve_min_cost(
@@ -246,31 +348,11 @@ def solve_min_cost(
             the deadline (the message reports the fastest achievable
             latency), or on out-of-domain arguments.
     """
-    if n_elements < 1:
-        raise InvalidParameterError(f"n_elements must be >= 1, got {n_elements}")
     if deadline < 0:
         raise InvalidParameterError(f"deadline must be >= 0, got {deadline}")
     if budget is None:
         budget = max(n_elements - 1, n_elements * (n_elements - 1) // 2)
-    if budget < n_elements - 1:
-        raise InvalidParameterError(
-            f"budget {budget} < c0 - 1 = {n_elements - 1} (Theorem 1)"
-        )
-    with timed("tdp.solve") as span:
-        table = _build_frontiers(n_elements, budget, latency)
-    _record_dp_build(
-        "frontier", n_elements, budget, span.seconds, int(table.size.sum())
-    )
-    count = int(table.size[n_elements])
-    latencies = table.lat[n_elements, :count]
-    meeting = np.flatnonzero(latencies <= deadline)
-    if meeting.size == 0:
-        fastest = float(latencies[count - 1]) if count else float("inf")
-        raise InvalidParameterError(
-            f"no tournament sequence finishes within {deadline:g} s; the "
-            f"fastest achievable latency is {fastest:g} s"
-        )
-    return _plan_from_point(table, n_elements, int(meeting[0]))
+    return TDPTable(latency).cheapest(n_elements, budget, deadline)
 
 
 def _build_frontier(
@@ -381,21 +463,10 @@ def solve_min_latency_bounded_rounds(
     if n_elements == 1:
         return TDPPlan((1,), 0.0, 0, frontier_sizes=(1,))
 
-    def base_table() -> _FrontierTable:
-        table = _FrontierTable(n_elements)
-        table.set_row(
-            1,
-            cost=np.zeros(1, np.int64),
-            lat=np.zeros(1),
-            parent_c=np.zeros(1, np.int32),
-            parent_i=np.zeros(1, np.int32),
-        )
-        return table
-
     with timed("tdp.solve") as span:
-        tables = [base_table()]  # P_0: only the solved state exists
+        tables = [_FrontierTable(n_elements)]  # P_0: only the solved state
         for _ in range(max_rounds):
-            current = base_table()
+            current = _FrontierTable(n_elements)
             for c in range(2, n_elements + 1):
                 _build_frontier(current, c, budget, latency, source=tables[-1])
             tables.append(current)
@@ -429,18 +500,13 @@ def solve_min_latency_bounded_rounds(
     )
 
 
-def _extract_plan(table: _FrontierTable, n_elements: int) -> TDPPlan:
-    """Pick the min-latency frontier point of P(c_0) and walk the parents."""
-    count = int(table.size[n_elements])
-    # The frontier is cost-ascending with strictly descending latency, so the
-    # last point is the optimum; every stored point already fits the budget.
-    return _plan_from_point(table, n_elements, count - 1)
-
-
 def _plan_from_point(
-    table: _FrontierTable, n_elements: int, index: int
+    table: _FrontierTable, n_elements: int, index: int, sizes: np.ndarray
 ) -> TDPPlan:
-    """Reconstruct the plan behind one frontier point of P(c_0)."""
+    """Reconstruct the plan behind one frontier point of P(c_0).
+
+    *sizes* are the per-row frontier sizes the plan reports (rows 1..c_0).
+    """
     total_latency = float(table.lat[n_elements, index])
     questions_used = int(table.cost[n_elements, index])
     sequence: List[int] = [n_elements]
@@ -452,7 +518,7 @@ def _plan_from_point(
         sequence=tuple(sequence),
         total_latency=total_latency,
         questions_used=questions_used,
-        frontier_sizes=tuple(int(s) for s in table.size[1:]),
+        frontier_sizes=tuple(sizes.tolist()),
     )
 
 
@@ -461,6 +527,10 @@ class TDPAllocator(BudgetAllocator):
 
     Combined with the Tournament-formation question selector this is also
     optimal for the Generalized Worst MinLatency problem (Theorem 4).
+
+    The allocator keeps one :class:`TDPTable` per latency model, created on
+    the first call under that model, so every later shape under the same
+    model is planned by lookup; the plans equal cold solves exactly.
 
     Example:
         >>> from repro.core.latency import LinearLatency
@@ -474,14 +544,27 @@ class TDPAllocator(BudgetAllocator):
 
     name = "tDP"
 
+    def __init__(self) -> None:
+        self._tables: Dict[LatencyFunction, TDPTable] = {}
+
+    def _table(self, latency: LatencyFunction) -> TDPTable:
+        """The growing frontier table of *latency* (empty until first used).
+
+        Latency models compare by value, so equal models share one table.
+        """
+        table = self._tables.get(latency)
+        if table is None:
+            table = self._tables[latency] = TDPTable(latency)
+        return table
+
     def _allocate(
         self, n_elements: int, budget: int, latency: LatencyFunction
     ) -> Allocation:
-        plan = solve_min_latency(n_elements, budget, latency)
+        plan = self._table(latency).plan(n_elements, budget)
         return Allocation.from_element_sequence(plan.sequence, self.name)
 
     def plan(
         self, n_elements: int, budget: int, latency: LatencyFunction
     ) -> TDPPlan:
         """Expose the full solver output (diagnostics included)."""
-        return solve_min_latency(n_elements, budget, latency)
+        return self._table(latency).plan(n_elements, budget)

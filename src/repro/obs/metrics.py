@@ -413,7 +413,6 @@ STANDARD_METRICS = (
     ("counter", "solver.memo.misses"),
     ("counter", "solver.plan_cache.hits"),
     ("counter", "solver.plan_cache.misses"),
-    ("counter", "solver.plan_cache.shape_hits"),
     # Deadline enforcement, hedged posting and brownout (repro.service
     # .deadline / the router); pre-declared so exports show zeros.
     ("counter", "deadline.met"),

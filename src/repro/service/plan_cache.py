@@ -1,10 +1,12 @@
 """LRU cache of tDP allocations keyed by query shape.
 
-Solving MinLatency is the one CPU-bound step of admitting a query; in a
-service, query *shapes* repeat constantly (the same ``c0``/budget under the
-same latency model), so the optimal allocation can be reused verbatim —
-tDP is deterministic given its inputs.  The cache key captures everything
-the solver consumes: ``(c0, budget, latency-model, rwl-params)``.
+In a service, query *shapes* repeat constantly (the same ``c0``/budget
+under the same latency model), so the optimal allocation can be reused
+verbatim — tDP is deterministic given its inputs.  The cache key captures
+everything the solver consumes: ``(c0, budget, latency-model, rwl-params)``.
+A miss falls through to the allocator; tDP answers it from the growing
+frontier table it keeps per latency model (:class:`repro.core.tdp.TDPTable`),
+so a new shape is a lookup too, not a cold solve.
 
 The latency model is keyed by its ``repr``; every model in
 :mod:`repro.core.latency` renders its full parameterization there (knots
@@ -94,10 +96,6 @@ class PlanCache:
         self.capacity = capacity
         self.stats = PlanCacheStats()
         self._entries: "OrderedDict[PlanKey, Allocation]" = OrderedDict()
-        # Secondary index by coarse shape (c0, budget) — the *two-level*
-        # hit question: how many full-key misses would have hit if the
-        # latency model / repetition matched?  Profiling-only diagnostic.
-        self._shapes: Dict[Tuple[int, int], int] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -112,8 +110,6 @@ class PlanCache:
             self.stats.misses += 1
             if PROFILER.enabled:
                 PROFILER.add("plan_cache.misses")
-                if self._shapes.get((key.n_elements, key.budget), 0):
-                    PROFILER.add("plan_cache.shape_hits")
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
@@ -132,20 +128,9 @@ class PlanCache:
             self._entries[key] = allocation
             return
         if len(self._entries) >= self.capacity:
-            evicted, _ = self._entries.popitem(last=False)
+            self._entries.popitem(last=False)
             self.stats.evictions += 1
-            self._drop_shape(evicted)
         self._entries[key] = allocation
-        shape = (key.n_elements, key.budget)
-        self._shapes[shape] = self._shapes.get(shape, 0) + 1
-
-    def _drop_shape(self, key: PlanKey) -> None:
-        shape = (key.n_elements, key.budget)
-        remaining = self._shapes.get(shape, 0) - 1
-        if remaining > 0:
-            self._shapes[shape] = remaining
-        else:
-            self._shapes.pop(shape, None)
 
     def items(self) -> List[Tuple[PlanKey, Allocation]]:
         """All entries, LRU first (a snapshot; safe to iterate)."""
@@ -154,7 +139,6 @@ class PlanCache:
     def clear(self) -> None:
         """Drop every entry; stats keep accumulating."""
         self._entries.clear()
-        self._shapes.clear()
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict summary for reports and metrics exports."""

@@ -8,10 +8,17 @@ from hypothesis import strategies as st
 from repro.core.latency import LinearLatency, PowerLawLatency
 from repro.core.questions import tournament_questions
 from repro.core.tdp import (
+    TDPTable,
     _FrontierTable,
-    _build_frontiers,
     _transition_questions,
 )
+
+
+def _frontiers(n, budget, latency):
+    """The rows of a cold table built at exactly ``(n, budget)``."""
+    table = TDPTable(latency)
+    table.plan(n, budget)
+    return table._rows
 
 
 class TestTransitionQuestions:
@@ -65,7 +72,7 @@ class TestFrontierInvariants:
     def test_frontiers_are_strict_pareto_sets(self, n, data, delta, alpha, p):
         budget = data.draw(st.integers(n - 1, n * (n - 1) // 2))
         latency = PowerLawLatency(delta, max(alpha, 1e-9), p)
-        table = _build_frontiers(n, budget, latency)
+        table = _frontiers(n, budget, latency)
         for c in range(1, n + 1):
             count = int(table.size[c])
             assert count >= 1
@@ -81,7 +88,7 @@ class TestFrontierInvariants:
 
     def test_parents_reference_valid_points(self):
         latency = LinearLatency(239, 0.06)
-        table = _build_frontiers(50, 400, latency)
+        table = _frontiers(50, 400, latency)
         for c in range(2, 51):
             for i in range(int(table.size[c])):
                 parent_c = int(table.parent_c[c, i])
@@ -96,3 +103,47 @@ class TestFrontierInvariants:
                 assert table.lat[c, i] == pytest.approx(
                     latency(step) + table.lat[parent_c, parent_i]
                 )
+
+
+class TestTDPTable:
+    LATENCY = PowerLawLatency(120, 3.0, 0.75)
+
+    def test_nothing_is_built_before_the_first_lookup(self):
+        table = TDPTable(self.LATENCY)
+        assert (table.n_elements, table.budget_cap) == (0, -1)
+        table.plan(30, 90)
+        assert (table.n_elements, table.budget_cap) == (30, 90)
+
+    def test_growth_policy(self):
+        table = TDPTable(self.LATENCY)
+        table.plan(30, 90)
+        table.plan(50, 60)  # more rows, same cap
+        assert (table.n_elements, table.budget_cap) == (50, 90)
+        table.plan(20, 100)  # budget past the cap: rebuild at 2B
+        assert (table.n_elements, table.budget_cap) == (50, 180)
+        table.plan(10, 500)  # past 2B: rebuild at b
+        assert (table.n_elements, table.budget_cap) == (50, 500)
+
+    @given(
+        shapes=st.lists(
+            st.tuples(st.integers(1, 60), st.integers(0, 200)),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_grown_rows_cut_at_b_equal_a_cold_build(self, shapes):
+        table = TDPTable(self.LATENCY)
+        for n, extra in shapes:
+            budget = n - 1 + extra
+            table.plan(n, budget)
+            cold = _frontiers(n, budget, self.LATENCY)
+            rows = table._rows
+            for c in range(1, n + 1):
+                count = int(cold.size[c])
+                assert int(np.count_nonzero(rows.cost[c] <= budget)) == count
+                for name in ("cost", "lat", "parent_c", "parent_i"):
+                    np.testing.assert_array_equal(
+                        getattr(rows, name)[c, :count],
+                        getattr(cold, name)[c, :count],
+                    )

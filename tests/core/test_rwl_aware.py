@@ -23,8 +23,21 @@ class TestRepeatedLatency:
             repeated.batch(qs), [repeated(int(q)) for q in qs]
         )
 
+    def test_compares_by_value(self):
+        same = _RepeatedLatency(LinearLatency(239, 0.06), 3)
+        assert _RepeatedLatency(MTURK, 3) == same
+        assert hash(_RepeatedLatency(MTURK, 3)) == hash(same)
+        assert _RepeatedLatency(MTURK, 3) != _RepeatedLatency(MTURK, 4)
+
 
 class TestRepetitionAwareAllocator:
+    def test_repeated_calls_share_one_tdp_table(self):
+        inner = TDPAllocator()
+        wrapped = RepetitionAwareAllocator(inner, 3)
+        for budget in (900, 1200, 1500):
+            wrapped.allocate(100, budget, MTURK)
+        assert len(inner._tables) == 1
+
     def test_repetition_one_is_transparent(self):
         plain = TDPAllocator().allocate(100, 700, MTURK)
         wrapped = RepetitionAwareAllocator(TDPAllocator(), 1).allocate(

@@ -112,31 +112,14 @@ class TestPlanCacheCounters:
         cache = PlanCache()
         with profiled(publish=False) as profiler:
             key = self._key()
-            assert cache.get(key) is None          # cold miss, no shape
+            assert cache.get(key) is None          # cold miss
             cache.put(key, self._allocation())
             assert cache.get(key) is not None      # full hit
-            # Same (n, budget) shape, different latency: shape hit.
+            # Same (n, budget) shape, different latency: a plain miss.
             assert cache.get(self._key(latency_key="other")) is None
         counts = profiler.snapshot()
         assert counts["plan_cache.hits"] == 1
         assert counts["plan_cache.misses"] == 2
-        assert counts["plan_cache.shape_hits"] == 1
-
-    def test_eviction_drops_the_shape(self):
-        cache = PlanCache(capacity=1)
-        with profiled(publish=False) as profiler:
-            cache.put(self._key(n=20), self._allocation(n=20))
-            cache.put(self._key(n=30), self._allocation(n=30))  # evicts n=20
-            assert cache.get(self._key(n=20, latency_key="other")) is None
-        assert "plan_cache.shape_hits" not in profiler.snapshot()
-
-    def test_clear_drops_shapes(self):
-        cache = PlanCache()
-        cache.put(self._key(), self._allocation())
-        cache.clear()
-        with profiled(publish=False) as profiler:
-            assert cache.get(self._key(latency_key="other")) is None
-        assert "plan_cache.shape_hits" not in profiler.snapshot()
 
 
 class TestRendering:

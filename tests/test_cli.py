@@ -635,16 +635,21 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "frontier.solves" in out
         assert "memo.solves" in out
-        assert "plan_cache.misses" in out
+        assert "frontier.rows" in out
 
-    def test_repeat_warms_the_plan_cache(self, capsys):
+    def test_repeat_builds_the_rows_once(self, capsys):
         assert main(
             ["profile", "--elements", "30", "--budget", "150",
              "--solver", "frontier", "--repeat", "3"]
         ) == 0
-        out = capsys.readouterr().out
-        assert "plan_cache.hits" in out
-        assert "memo.solves" not in out
+        counts = dict(
+            line.split()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("frontier.")
+        )
+        assert counts["frontier.solves"] == "3"
+        assert counts["frontier.rows"] == "29"  # rows 2..c0, built once
+        assert "memo.solves" not in counts
 
     def test_repeat_must_be_positive(self, capsys):
         assert main(
