@@ -9,7 +9,8 @@ as a comment.  This harness turns it into a property that runs in CI:
    abandon it (the "kill"), :func:`~repro.service.journal.recover_scheduler`
    from the journal, drive the recovered scheduler to completion;
 3. assert the recovered report ``==`` the baseline (dataclass equality —
-   every field of every per-query result).
+   every field of every per-query result), and that the results folded
+   from the journal's ``result`` records equal the recovered report's.
 
 Crash points can be explicit (``crash_points``), seeded-random
 (``n_crashes``) or exhaustive (``sweep=True``, one kill per step boundary
@@ -34,7 +35,11 @@ from repro.crowd.multibackend import (
     resolve_fleet,
 )
 from repro.errors import InvalidParameterError
-from repro.service.journal import SchedulerJournal, recover_scheduler
+from repro.service.journal import (
+    SchedulerJournal,
+    journal_results,
+    recover_scheduler,
+)
 from repro.service.report import ServiceReport
 from repro.service.scheduler import MaxScheduler, ServiceConfig
 from repro.service.workload import generate_workload, workload_by_name
@@ -430,6 +435,8 @@ def run_with_crash(
     if recovered.journal is not None:
         recovered.journal.close()
     mismatch = describe_mismatch(report, baseline)
+    if mismatch is None and journal_results(journal_path) != report.results:
+        mismatch = "journal results differ from the recovered report's"
     return CrashOutcome(
         crash_after=steps,
         crashed_at_tick=crashed_at_tick,

@@ -310,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=5,
         metavar="TICKS",
-        help="ticks between full journal snapshots (larger = smaller "
+        help="ticks between journal snapshots (larger = smaller "
         "journal and less overhead, more replay on recovery; 1 = "
         "snapshot every tick)",
     )
@@ -562,7 +562,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="TICKS",
-        help="ticks between full journal snapshots",
+        help="ticks between journal snapshots (named scenarios included)",
     )
     crash_sched = chaos.add_mutually_exclusive_group()
     crash_sched.add_argument(
@@ -1363,10 +1363,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 "--scenario is a complete setup; it cannot be combined "
                 "with --faults or --breaker"
             )
-        scenario = scenario_by_name(args.scenario)
-        if args.queries is not None:
-            import dataclasses
+        import dataclasses
 
+        scenario = dataclasses.replace(
+            scenario_by_name(args.scenario),
+            snapshot_interval=args.snapshot_interval,
+        )
+        if args.queries is not None:
             scenario = dataclasses.replace(scenario, n_queries=args.queries)
     else:
         attempts = args.retry

@@ -3,31 +3,46 @@
 A crowdsourced workload is hours of paid real time; a requester process
 that dies mid-workload must not forfeit it.  :class:`SchedulerJournal`
 gives :class:`~repro.service.scheduler.MaxScheduler` durability in the
-classic database shape:
+classic database shape: an **append-only JSONL log** with **periodic
+snapshots** of the state the log cannot rebuild.  Every record type has
+a reader:
 
-* an **append-only JSONL log** — one record per state change (admit,
-  plan, round posted, answers collected, finalize, shed, deferred) so the
-  run is auditable line by line;
-* **periodic full snapshots** — every ``snapshot_interval`` ticks the
-  complete scheduler state is serialized into the log, building on the
-  :mod:`repro.persistence` serializers: allocations, evidence graphs and
-  per-session RNG bit-generator state, plus the scheduler's own queues,
-  plan-cache contents and, per backend of the fleet, the platform
-  counters, fault statistics and circuit breaker.
+* ``header`` — the constructor arguments (specs, latency, config, seed,
+  the backend fleet); :func:`scheduler_from_header` rebuilds from it.
+* ``snapshot`` — every ``snapshot_interval`` ticks, the mutable state
+  (:func:`snapshot_scheduler`); :func:`recover_scheduler` restores the
+  newest intact one.
+* ``result`` — one per finished or shed query, ``{"index": i, ...}``
+  with the full :class:`~repro.service.query.QueryResult`;
+  :func:`read_journal` folds them back into the snapshot's results.
+* ``tick`` — the per-tick telemetry sample; ``top``, ``health`` and
+  :mod:`repro.service.telemetry` read it.
+* ``alert`` — SLO alert transitions; ``health`` and
+  :func:`~repro.service.telemetry.alert_transitions_from_records`.
+* ``route`` — each routed tick's decision, the failover audit trail of
+  ``docs/backends.md``.
+* ``deferred``, ``replan``, ``brownout`` — the rare control decisions
+  (all-breakers-open deferral, deadline replan, brownout level change),
+  for the operator reading the log (``docs/robustness.md``).
+* ``complete`` — the drain marker
+  :func:`~repro.service.telemetry.follow_samples` stops at.
 
-Every run posts through a fleet — a single-platform run is a one-backend
-("solo") fleet — so the header records the fleet and a snapshot has one
-crowd-state shape: a list of per-backend states.  Journal version 2; the
-version-1 layout (with a separate single-platform branch) is rejected.
+A snapshot grows with the *active* set, not the run: the backlog is a
+count (it is always a suffix of the header's specs in arrival order) and
+the finished results are a count of ``result`` records.  Every run posts
+through a fleet — a single-platform run is a one-backend ("solo") fleet —
+so a snapshot has one crowd-state shape: a list of per-backend states.
+Journal version 3; versions 1 and 2 are rejected.
 
 Because the scheduler is deterministic given its seed, recovery is exact:
 :func:`recover_scheduler` rebuilds the scheduler from the journal header
 (same constructor arguments, hence the same ground truth and RNG streams),
 restores the last snapshot, and re-runs.  Ticks that ran after the last
 snapshot but before the crash replay *identically* — same RNG states, same
-iteration orders — so the final :class:`~repro.service.report.ServiceReport`
-is bit-identical to the uninterrupted run's, no matter where the kill
-landed.  :mod:`repro.chaos` asserts exactly that property.
+iteration orders, same ``result`` records — so the final
+:class:`~repro.service.report.ServiceReport` is bit-identical to the
+uninterrupted run's, no matter where the kill landed.  :mod:`repro.chaos`
+asserts exactly that property.
 
 Corruption policy (the crash-mid-write shapes):
 
@@ -35,7 +50,8 @@ Corruption policy (the crash-mid-write shapes):
   :class:`~repro.errors.JournalCorruptError`;
 * truncated last record or garbage tail — drop the tail, recover from the
   last valid snapshot (every journal starts with one, so this always
-  works once the header is intact).
+  works once the header is intact).  A resumed journal is first cut back
+  to the last intact record, so the resumed run's records stay readable.
 """
 
 from __future__ import annotations
@@ -44,9 +60,8 @@ import dataclasses
 import json
 import logging
 import os
-import weakref
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -82,7 +97,7 @@ from repro.types import Answer
 logger = logging.getLogger(__name__)
 
 #: Bumped on incompatible journal layout changes.
-JOURNAL_VERSION = 2
+JOURNAL_VERSION = 3
 
 
 def _json_default(value: Any) -> Any:
@@ -100,7 +115,7 @@ class SchedulerJournal:
     Args:
         path: journal file; :meth:`create` truncates, :meth:`resume`
             appends (recovery continues the same file).
-        snapshot_interval: full snapshot every N ticks (>= 1; default 5).
+        snapshot_interval: snapshot every N ticks (>= 1; default 5).
             Larger intervals write less but replay more ticks on
             recovery; recovery is exact either way.  Use 1 for a
             snapshot at every tick boundary; the default keeps steady
@@ -163,11 +178,17 @@ class SchedulerJournal:
             return
         self._header_written = True
         self._write("header", self._header_payload(scheduler))
+        for index, result in enumerate(scheduler._results):
+            self.record_result(index, result)
         self.write_snapshot(scheduler)
 
     def record(self, record_type: str, payload: Dict[str, Any]) -> None:
         """Append one write-ahead record."""
         self._write(record_type, payload)
+
+    def record_result(self, index: int, result: QueryResult) -> None:
+        """Append the ``result`` record of the run's *index*-th result."""
+        self.record("result", {"index": index, **_result_to_dict(result)})
 
     def maybe_snapshot(self, scheduler: MaxScheduler) -> None:
         """Snapshot if the tick counter crossed the snapshot interval."""
@@ -175,7 +196,7 @@ class SchedulerJournal:
             self.write_snapshot(scheduler)
 
     def write_snapshot(self, scheduler: MaxScheduler) -> None:
-        """Serialize the scheduler's full state into the journal."""
+        """Serialize the scheduler's state into the journal."""
         payload = snapshot_scheduler(scheduler)
         self._write("snapshot", payload, flush=True)
         get_registry().counter("service.checkpoints").inc()
@@ -186,7 +207,7 @@ class SchedulerJournal:
                     tick=payload["ticks"],
                     n_active=len(payload["active"]),
                     n_waiting=len(payload["waiting"]),
-                    n_results=len(payload["results"]),
+                    n_results=payload["results"],
                 ),
                 sim_time=payload["now"],
             )
@@ -265,41 +286,17 @@ class SchedulerJournal:
 # Snapshot / restore of the full scheduler state
 # ----------------------------------------------------------------------
 
-#: Finished results, backlog specs and cached allocations are immutable
-#: once created, yet a full snapshot re-serializes all of them every
-#: ``snapshot_interval`` ticks.  Memoizing their payloads keeps the
-#: dict-building cost of a snapshot proportional to the state that
-#: actually changed since the last one.  Weak keys: the memo never
-#: extends an object's lifetime.  Entries must be treated as frozen —
-#: the same dict is embedded in every later snapshot.
-_frozen_payloads: "weakref.WeakKeyDictionary[Any, Dict[str, Any]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _memoized_payload(
-    obj: Any, build: Callable[[Any], Dict[str, Any]]
-) -> Dict[str, Any]:
-    try:
-        return _frozen_payloads[obj]
-    except (KeyError, TypeError):  # TypeError: unhashable/unweakrefable
-        payload = build(obj)
-        try:
-            _frozen_payloads[obj] = payload
-        except TypeError:
-            pass
-        return payload
-
-
 def snapshot_scheduler(scheduler: MaxScheduler) -> Dict[str, Any]:
-    """Serialize every piece of mutable scheduler state.
+    """Serialize the mutable scheduler state the log cannot rebuild.
 
     The immutable construction arguments (specs, latency, config, seed)
     live in the journal header; this captures what evolves: the clock and
-    counters, the backlog/waiting/active/results queues, every session
-    (mid-round included), plan-cache contents and each backend's state
-    (RNG bit-generator states of its platform, RWL and fault streams,
-    platform/fault statistics and circuit breaker).
+    counters, the waiting/active queues, every session (mid-round
+    included), plan-cache contents and each backend's state (RNG
+    bit-generator states of its platform, RWL and fault streams,
+    platform/fault statistics and circuit breaker).  The backlog is its
+    length — a suffix of the header's specs in arrival order — and the
+    results are their count; each result is in its own ``result`` record.
     """
     return {
         "now": float(scheduler._now),
@@ -307,20 +304,13 @@ def snapshot_scheduler(scheduler: MaxScheduler) -> Dict[str, Any]:
         "shared_rounds": scheduler._shared_rounds,
         "questions_posted": scheduler._questions_posted,
         "next_seq": scheduler._next_seq,
-        "backlog": [
-            _memoized_payload(s, _spec_to_dict) for s in scheduler._backlog
-        ],
+        "backlog": len(scheduler._backlog),
         "waiting": [_waiting_query_payload(q) for q in scheduler._waiting],
         "active": [_active_query_to_dict(q) for q in scheduler._active],
-        "results": [
-            _memoized_payload(r, _result_to_dict) for r in scheduler._results
-        ],
+        "results": len(scheduler._results),
         "plan_cache": {
             "entries": [
-                [
-                    _memoized_payload(key, dataclasses.asdict),
-                    _memoized_payload(allocation, allocation_to_dict),
-                ]
+                [dataclasses.asdict(key), allocation_to_dict(allocation)]
                 for key, allocation in scheduler.plan_cache.items()
             ],
             "stats": dataclasses.asdict(scheduler.plan_cache.stats),
@@ -359,13 +349,21 @@ def restore_scheduler_state(
     The scheduler must have been constructed from the matching journal
     header (same seed/specs/config), so its immutable pieces — ground
     truth, element offsets, policy, allocator — are already identical.
+    *snapshot* carries its results folded in, as :func:`read_journal`
+    and :func:`fold_results` return it.
     """
     scheduler._now = float(snapshot["now"])
     scheduler._ticks = int(snapshot["ticks"])
     scheduler._shared_rounds = int(snapshot["shared_rounds"])
     scheduler._questions_posted = int(snapshot["questions_posted"])
     scheduler._next_seq = int(snapshot["next_seq"])
-    scheduler._backlog = [_spec_from_dict(d) for d in snapshot["backlog"]]
+    backlog = int(snapshot["backlog"])
+    if backlog > len(scheduler._backlog):
+        raise JournalCorruptError(
+            f"snapshot backlog of {backlog} exceeds the header's "
+            f"{len(scheduler._backlog)} specs"
+        )
+    scheduler._backlog = scheduler._backlog[len(scheduler._backlog) - backlog:]
     scheduler._waiting = [_active_query_from_dict(d) for d in snapshot["waiting"]]
     scheduler._active = [_active_query_from_dict(d) for d in snapshot["active"]]
     scheduler._results = [_result_from_dict(d) for d in snapshot["results"]]
@@ -594,62 +592,83 @@ class JournalContents:
         header: the header record's payload.
         records: every parsed record (header included, corrupt tail
             excluded), in file order.
-        last_snapshot: payload of the newest intact snapshot.
+        last_snapshot: payload of the newest intact snapshot, its
+            ``results`` count folded into the full result list
+            (:func:`fold_results`).
         tail_corrupt: whether a truncated/garbage tail was discarded.
+        intact_bytes: byte length of the intact records — where a
+            resumed journal cuts off a corrupt tail.
     """
 
     header: Dict[str, Any]
     records: Tuple[Dict[str, Any], ...]
     last_snapshot: Dict[str, Any]
     tail_corrupt: bool
+    intact_bytes: int
+
+
+def fold_results(
+    records: Iterable[Dict[str, Any]], snapshot: Dict[str, Any]
+) -> Dict[str, Any]:
+    """*snapshot* with its ``results`` count replaced by the result payloads.
+
+    ``result`` records are folded by index, last write wins: a recovered
+    run replays the indices after its snapshot with identical content.
+
+    Raises:
+        JournalCorruptError: a counted index has no ``result`` record.
+    """
+    try:
+        by_index = {
+            record["payload"]["index"]: record["payload"]
+            for record in records
+            if record.get("record") == "result"
+        }
+        results = [by_index[i] for i in range(int(snapshot["results"]))]
+    except (KeyError, TypeError) as missing:
+        raise JournalCorruptError(
+            f"snapshot counts result {missing} but no result record holds it"
+        ) from None
+    return {**snapshot, "results": results}
 
 
 def read_journal(path: Union[str, Path]) -> JournalContents:
     """Parse a journal, tolerating a corrupt tail.
 
     Raises:
-        JournalCorruptError: missing/empty file, unparseable header, or
-            no intact snapshot to recover from.
+        JournalCorruptError: missing/empty file, unparseable header, no
+            intact snapshot to recover from, or a missing result record.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except FileNotFoundError:
         raise JournalCorruptError(f"no such journal: {path}") from None
-    raw_lines = text.split("\n")
-    # A journal's every line ends with "\n"; a non-empty final fragment
-    # is a record that was being written when the process died.
-    dangling_tail = raw_lines[-1] != ""
-    lines = [line for line in raw_lines[:-1] if line] + (
-        [raw_lines[-1]] if dangling_tail else []
-    )
-    if not lines:
+    if not data.strip():
         raise JournalCorruptError(f"journal {path} is empty")
-
+    # A journal's every line ends with "\n"; a non-empty final fragment
+    # is a record that was being written when the process died, so it is
+    # never trusted, even when it parses.
+    *lines, fragment = data.split(b"\n")
     records: List[Dict[str, Any]] = []
-    tail_corrupt = False
-    for index, line in enumerate(lines):
-        truncated = dangling_tail and index == len(lines) - 1
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            tail_corrupt = True
-            break
-        if not isinstance(record, dict) or "record" not in record:
-            tail_corrupt = True
-            break
-        if truncated:
-            # Parsed, but the trailing newline never made it to disk —
-            # treat the record as incomplete rather than trusting it.
-            tail_corrupt = True
-            break
-        records.append(record)
+    intact_bytes = 0
+    tail_corrupt = fragment != b""
+    for line in lines:
+        if line:
+            try:
+                record = json.loads(line)
+            except ValueError:  # JSON or UTF-8 decoding
+                record = None
+            if not isinstance(record, dict) or "record" not in record:
+                tail_corrupt = True
+                break
+            records.append(record)
+        intact_bytes += len(line) + 1
     if tail_corrupt:
-        dropped = len(lines) - len(records)
         logger.warning(
-            "journal %s has a corrupt tail: dropping %d trailing line(s)",
+            "journal %s has a corrupt tail: dropping %d trailing byte(s)",
             path,
-            dropped,
+            len(data) - intact_bytes,
         )
 
     if not records or records[0].get("record") != "header":
@@ -680,8 +699,20 @@ def read_journal(path: Union[str, Path]) -> JournalContents:
     return JournalContents(
         header=header,
         records=tuple(records),
-        last_snapshot=last_snapshot,
+        last_snapshot=fold_results(records, last_snapshot),
         tail_corrupt=tail_corrupt,
+        intact_bytes=intact_bytes,
+    )
+
+
+def journal_results(path: Union[str, Path]) -> Tuple[QueryResult, ...]:
+    """The results a journal's last snapshot counts, in ``query_id`` order.
+
+    For a drained run this equals its :class:`ServiceReport`'s results.
+    """
+    folded = read_journal(path).last_snapshot["results"]
+    return tuple(
+        sorted(map(_result_from_dict, folded), key=lambda r: r.spec.query_id)
     )
 
 
@@ -784,6 +815,10 @@ def recover_scheduler(
         ", corrupt tail dropped" if contents.tail_corrupt else "",
     )
     if resume_journal:
+        if contents.tail_corrupt:
+            # Cut the torn tail off, or it would hide every record the
+            # resumed run appends from the next read.
+            os.truncate(journal_path, contents.intact_bytes)
         snapshot_interval = int(contents.header.get("snapshot_interval", 1))
         journal = SchedulerJournal.resume(
             journal_path, snapshot_interval=snapshot_interval, fsync=fsync

@@ -539,6 +539,12 @@ class MaxScheduler:
         if self._journal is not None:
             self._journal.record(record_type, payload)
 
+    def _append_result(self, result: QueryResult) -> None:
+        """Record a query's exit; the journal keeps each result once."""
+        self._results.append(result)
+        if self._journal is not None:
+            self._journal.record_result(len(self._results) - 1, result)
+
     # ------------------------------------------------------------------
     # Causal spans + latency attribution (active only while tracing)
     # ------------------------------------------------------------------
@@ -755,13 +761,6 @@ class MaxScheduler:
             deadline_at=budget.expires_at if budget is not None else None,
         )
         self._next_seq += 1
-        self._journal_record(
-            "admit",
-            query_id=spec.query_id,
-            seq=query.seq,
-            plan_cache_hit=cache_hit,
-            now=self._now,
-        )
         registry = get_registry()
         registry.counter("service.queries_admitted").inc()
         tracer = current_tracer()
@@ -1153,9 +1152,6 @@ class MaxScheduler:
     def _shed(self, spec: QuerySpec, reason: Optional[str] = None) -> None:
         if reason is None:
             reason = self._admission.describe_overload()
-        self._journal_record(
-            "shed", query_id=spec.query_id, reason=reason, now=self._now
-        )
         get_registry().counter("service.queries_shed").inc()
         tracer = current_tracer()
         if tracer.enabled:
@@ -1171,7 +1167,7 @@ class MaxScheduler:
         )
         if budget is not None:
             get_registry().counter(f"deadline.{DEADLINE_SHED}").inc()
-        self._results.append(
+        self._append_result(
             QueryResult(
                 spec=spec,
                 state=QueryState.SHED,
@@ -1202,26 +1198,12 @@ class MaxScheduler:
         cached = self.plan_cache.get(key)
         if cached is not None:
             registry.counter("service.plan_cache.hits").inc()
-            self._journal_record(
-                "plan",
-                query_id=spec.query_id,
-                n_elements=spec.n_elements,
-                budget=spec.budget,
-                cache_hit=True,
-            )
             return cached, True
         allocation = self._allocator.allocate(
             spec.n_elements, spec.budget, self.latency
         )
         self.plan_cache.put(key, allocation)
         registry.counter("service.plan_cache.misses").inc()
-        self._journal_record(
-            "plan",
-            query_id=spec.query_id,
-            n_elements=spec.n_elements,
-            budget=spec.budget,
-            cache_hit=False,
-        )
         return allocation, False
 
     # ------------------------------------------------------------------
@@ -1307,13 +1289,6 @@ class MaxScheduler:
             len(scheduled),
             len(batch),
         )
-        self._journal_record(
-            "round_posted",
-            tick=self._ticks,
-            now=self._now,
-            queries=[q.spec.query_id for q in scheduled],
-            n_questions=len(batch),
-        )
         tick_span = f"t{self._ticks}"
         tick_start = self._now
         if tracer.enabled:
@@ -1351,25 +1326,12 @@ class MaxScheduler:
             # keeps its outstanding questions for the next tick, and the
             # detection time is latency all of them paid.
             self._last_round_questions = 0
-            self._journal_record(
-                "answers_collected",
-                tick=self._ticks,
-                outage=True,
-                latency=outcome.latency,
-            )
         else:
             self._shared_rounds += 1
             self._questions_posted += outcome.n_posted
             self._last_round_questions = outcome.n_posted
             registry.counter("service.rounds").inc()
             registry.counter("service.questions_posted").inc(outcome.n_posted)
-            self._journal_record(
-                "answers_collected",
-                tick=self._ticks,
-                outage=False,
-                n_answers=len(outcome.answers),
-                latency=outcome.latency,
-            )
         if tracer.enabled:
             close_span(
                 tracer,
@@ -1482,7 +1444,7 @@ class MaxScheduler:
                     deadline_outcome = DEADLINE_MET
                 else:
                     deadline_outcome = DEADLINE_DEGRADED
-        self._results.append(
+        self._append_result(
             QueryResult(
                 spec=spec,
                 state=state,
@@ -1501,15 +1463,6 @@ class MaxScheduler:
         )
         if query in self._active:
             self._active.remove(query)
-        finalize_payload: Dict[str, Any] = dict(
-            query_id=spec.query_id,
-            state=state.value,
-            winner=winner,
-            now=self._now,
-        )
-        if deadline_outcome is not None:
-            finalize_payload["deadline_outcome"] = deadline_outcome
-        self._journal_record("finalize", **finalize_payload)
         registry = get_registry()
         if state is QueryState.COMPLETED:
             registry.counter("service.queries_completed").inc()

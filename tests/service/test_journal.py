@@ -19,6 +19,7 @@ from repro.service import (
     scheduler_from_header,
     workload_by_name,
 )
+from repro.service.journal import journal_results
 
 
 def _specs(workload="smoke", seed=7, n_queries=None):
@@ -62,8 +63,15 @@ class TestJournalWriting:
         assert records[-1]["record"] == "complete"
         assert [rec["seq"] for rec in records] == list(range(len(records)))
         kinds = {rec["record"] for rec in records}
-        assert {"admit", "plan", "round_posted", "answers_collected",
-                "finalize", "snapshot"} <= kinds
+        assert {"snapshot", "result", "tick", "route"} <= kinds
+        assert kinds <= {"header", "snapshot", "result", "tick", "route",
+                         "alert", "deferred", "replan", "brownout",
+                         "complete"}
+        indices = [
+            rec["payload"]["index"] for rec in records
+            if rec["record"] == "result"
+        ]
+        assert indices == list(range(len(_specs())))
 
     def test_snapshot_interval_thins_snapshots(self, tmp_path):
         dense = tmp_path / "dense.jsonl"
@@ -140,6 +148,57 @@ class TestRecovery:
         report = third.run()
         third.journal.close()
         assert report == baseline
+
+    def test_double_crash_in_one_file_folds_every_result(self, tmp_path):
+        """Kill, recover and resume, kill between snapshots, recover."""
+        baseline = _scheduler(workload="steady", seed=3).run()
+        path = tmp_path / "double.jsonl"
+        journal = SchedulerJournal.create(path, snapshot_interval=3)
+        first = _scheduler(journal=journal, workload="steady", seed=3)
+        while first.ticks < 4 and first.step():
+            pass
+        journal.close()
+        second = recover_scheduler(path)
+        assert second.ticks == 3
+        # Past the next snapshot (tick 6), then off the interval.
+        while second.ticks < 8 and second.step():
+            pass
+        second.journal.close()
+        third = recover_scheduler(path)
+        assert third.ticks == 6
+        report = third.run()
+        third.journal.close()
+        assert report == baseline
+        assert journal_results(path) == report.results
+        folded = read_journal(path).last_snapshot["results"]
+        assert [d["index"] for d in folded] == list(range(len(report.results)))
+
+    def test_resume_after_torn_tail_keeps_later_snapshots_readable(
+        self, tmp_path
+    ):
+        baseline = _scheduler(workload="steady", seed=3).run()
+        path = tmp_path / "torn.jsonl"
+        journal = SchedulerJournal.create(path, snapshot_interval=1)
+        victim = _scheduler(journal=journal, workload="steady", seed=3)
+        while victim.ticks < 3 and victim.step():
+            pass
+        journal.close()
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 17])  # tear the last record
+        assert read_journal(path).last_snapshot["ticks"] == 2
+        second = recover_scheduler(path)
+        while second.ticks < 6 and second.step():
+            pass
+        second.journal.close()
+        contents = read_journal(path)
+        assert not contents.tail_corrupt
+        assert contents.intact_bytes == path.stat().st_size
+        third = recover_scheduler(path)
+        assert third.ticks == 6
+        report = third.run()
+        third.journal.close()
+        assert report == baseline
+        assert read_journal(path).last_snapshot["ticks"] == report.ticks
 
     def test_recover_without_resume_leaves_journal_untouched(self, tmp_path):
         path = tmp_path / "frozen.jsonl"
@@ -250,6 +309,32 @@ class TestCorruption:
         with pytest.raises(JournalCorruptError, match="snapshot"):
             recover_scheduler(path)
 
+    def test_missing_result_record_raises_typed_error(self, tmp_path):
+        path = tmp_path / "missing.jsonl"
+        with SchedulerJournal.create(path) as journal:
+            _scheduler(journal=journal).run()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        kept = [
+            line for line in lines
+            if json.loads(line)["record"] != "result"
+            or json.loads(line)["payload"]["index"] != 0
+        ]
+        assert len(kept) == len(lines) - 1
+        path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        with pytest.raises(JournalCorruptError, match="result 0"):
+            read_journal(path)
+
+    def test_backlog_longer_than_the_specs_is_corruption(self, tmp_path):
+        from repro.service import restore_scheduler_state
+
+        path = self._journal_after_steps(tmp_path)
+        contents = read_journal(path)
+        snapshot = dict(contents.last_snapshot, backlog=len(_specs()) + 1)
+        with pytest.raises(JournalCorruptError, match="backlog"):
+            restore_scheduler_state(
+                scheduler_from_header(contents.header), snapshot
+            )
+
     def test_corruption_errors_never_leak_json_tracebacks(self, tmp_path):
         path = tmp_path / "junk.jsonl"
         path.write_text("{not json\n", encoding="utf-8")
@@ -298,7 +383,7 @@ class TestHeaderRoundTrip:
         journal.close()
         contents = read_journal(path)
         header = contents.header
-        assert JOURNAL_VERSION == 2
+        assert JOURNAL_VERSION == 3
         assert "fault_profile" not in header
         assert "breaker_config" not in header
         (backend,) = header["backends"]
@@ -307,17 +392,26 @@ class TestHeaderRoundTrip:
         (state,) = contents.last_snapshot["backends"]
         assert state["name"] == backend["name"]
 
-    def test_version_one_journal_is_rejected(self, tmp_path):
-        path = tmp_path / "v1.jsonl"
+    @staticmethod
+    def _journal_claiming_version(path, version):
         journal = SchedulerJournal.create(path)
         _scheduler(journal=journal)
         journal.close()
         lines = path.read_text(encoding="utf-8").splitlines()
         header = json.loads(lines[0])
-        header["payload"]["version"] = 1
+        header["payload"]["version"] = version
         lines[0] = json.dumps(header)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_version_one_journal_is_rejected(self, tmp_path):
+        path = self._journal_claiming_version(tmp_path / "v1.jsonl", 1)
         with pytest.raises(JournalCorruptError, match="version 1"):
+            recover_scheduler(path)
+
+    def test_version_two_journal_is_rejected(self, tmp_path):
+        path = self._journal_claiming_version(tmp_path / "v2.jsonl", 2)
+        with pytest.raises(JournalCorruptError, match="version 2"):
             recover_scheduler(path)
 
     def test_header_with_missing_keys_raises_typed_error(self, tmp_path):
@@ -356,3 +450,41 @@ class TestMidRoundCheckpoint:
             )
             want = entry["session"]["pending"]
             assert got == want
+
+
+class TestSnapshotSize:
+    @staticmethod
+    def _run(tmp_path, n_queries):
+        path = tmp_path / f"burst-{n_queries}.jsonl"
+        with SchedulerJournal.create(path) as journal:
+            MaxScheduler(
+                _specs(workload="burst", seed=3, n_queries=n_queries),
+                mturk_car_latency(),
+                seed=3,
+                journal=journal,
+            ).run()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        snapshots = [
+            line for line in lines if json.loads(line)["record"] == "snapshot"
+        ]
+        results = [
+            line for line in lines if json.loads(line)["record"] == "result"
+        ]
+        return snapshots, results
+
+    def test_snapshot_counts_the_backlog_and_the_results(self, tmp_path):
+        snapshots, results = self._run(tmp_path, 40)
+        first = json.loads(snapshots[0])["payload"]
+        last = json.loads(snapshots[-1])["payload"]
+        assert (first["backlog"], first["results"]) == (40, 0)
+        assert (last["backlog"], last["results"]) == (0, 40)
+        assert len(results) == 40
+
+    def test_last_snapshot_does_not_grow_with_finished_queries(
+        self, tmp_path
+    ):
+        small_snapshots, small_results = self._run(tmp_path, 40)
+        large_snapshots, large_results = self._run(tmp_path, 160)
+        assert len(large_results) == 4 * len(small_results)
+        small, large = len(small_snapshots[-1]), len(large_snapshots[-1])
+        assert large - small < 0.05 * small

@@ -195,13 +195,16 @@ class TestJournalRoundTrip:
         ]
         assert len(snapshots) > 2
         from repro.service.journal import (
+            fold_results,
             restore_scheduler_state,
             scheduler_from_header,
         )
 
         for snapshot in snapshots:
             restored = scheduler_from_header(contents.header)
-            restore_scheduler_state(restored, snapshot)
+            restore_scheduler_state(
+                restored, fold_results(contents.records, snapshot)
+            )
             assert restored.slo.state_dict() == snapshot["slo"]
             assert restored.flight.state_dict() == snapshot["flight"]
 
