@@ -9,8 +9,10 @@ as a comment.  This harness turns it into a property that runs in CI:
    abandon it (the "kill"), :func:`~repro.service.journal.recover_scheduler`
    from the journal, drive the recovered scheduler to completion;
 3. assert the recovered report ``==`` the baseline (dataclass equality —
-   every field of every per-query result), and that the results folded
-   from the journal's ``result`` records equal the recovered report's.
+   every field of every per-query result), that the results folded
+   from the journal's ``result`` records equal the recovered report's,
+   and that the SLO flight ring folded from its ``tick`` and ``alert``
+   records equals the recovered scheduler's live ring.
 
 Crash points can be explicit (``crash_points``), seeded-random
 (``n_crashes``) or exhaustive (``sweep=True``, one kill per step boundary
@@ -38,6 +40,7 @@ from repro.errors import InvalidParameterError
 from repro.service.journal import (
     SchedulerJournal,
     journal_results,
+    read_journal,
     recover_scheduler,
 )
 from repro.service.report import ServiceReport
@@ -437,6 +440,10 @@ def run_with_crash(
     mismatch = describe_mismatch(report, baseline)
     if mismatch is None and journal_results(journal_path) != report.results:
         mismatch = "journal results differ from the recovered report's"
+    if mismatch is None and recovered.flight is not None:
+        ring = read_journal(journal_path).last_snapshot["flight"]
+        if ring[-recovered.flight.capacity:] != recovered.flight.entries():
+            mismatch = "flight ring rebuilt from the journal differs"
     return CrashOutcome(
         crash_after=steps,
         crashed_at_tick=crashed_at_tick,

@@ -49,9 +49,7 @@ class FlightRecorder:
     """A bounded ring of recent observations.
 
     Entries are plain JSON-serializable dicts tagged with a ``kind``;
-    the ring drops the oldest entry once *capacity* is reached.  The
-    ring round-trips through :meth:`state_dict`, so a recovered
-    scheduler diagnoses with the same recent history it crashed with.
+    the ring drops the oldest entry once *capacity* is reached.
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -72,17 +70,6 @@ class FlightRecorder:
     def entries(self) -> List[Dict[str, Any]]:
         """The ring contents, oldest first."""
         return [dict(entry) for entry in self._ring]
-
-    # -- snapshot / restore -------------------------------------------
-    def state_dict(self) -> Dict[str, Any]:
-        """Serialize the ring for a journal snapshot."""
-        return {"capacity": self.capacity, "entries": self.entries()}
-
-    def load_state_dict(self, payload: Dict[str, Any]) -> None:
-        """Restore the counterpart of :meth:`state_dict`."""
-        self._ring.clear()
-        for entry in payload.get("entries", []):
-            self._ring.append(dict(entry))
 
 
 def write_bundle(

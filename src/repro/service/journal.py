@@ -15,10 +15,11 @@ a reader:
 * ``result`` — one per finished or shed query, ``{"index": i, ...}``
   with the full :class:`~repro.service.query.QueryResult`;
   :func:`read_journal` folds them back into the snapshot's results.
-* ``tick`` — the per-tick telemetry sample; ``top``, ``health`` and
-  :mod:`repro.service.telemetry` read it.
-* ``alert`` — SLO alert transitions; ``health`` and
-  :func:`~repro.service.telemetry.alert_transitions_from_records`.
+* ``tick`` — the per-tick telemetry sample; ``top``, ``health``,
+  :mod:`repro.service.telemetry` and recovery read it.
+* ``alert`` — SLO alert transitions; ``health``,
+  :func:`~repro.service.telemetry.alert_transitions_from_records` and
+  recovery (which rebuilds the SLO flight ring from both) read them.
 * ``route`` — each routed tick's decision, the failover audit trail of
   ``docs/backends.md``.
 * ``deferred``, ``replan``, ``brownout`` — the rare control decisions
@@ -61,7 +62,7 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,6 +74,7 @@ from repro.crowd.multibackend import (
 )
 from repro.errors import InvalidParameterError, JournalCorruptError
 from repro.obs.events import CheckpointWritten, RecoveryCompleted
+from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import get_registry
 from repro.obs.slo import slo_config_from_dict
 from repro.obs.tracer import current_tracer
@@ -92,6 +94,10 @@ from repro.service.deadline import BrownoutConfig
 from repro.service.plan_cache import PlanCacheStats, PlanKey
 from repro.service.query import QueryResult, QuerySpec, QueryState
 from repro.service.scheduler import ActiveQuery, MaxScheduler, ServiceConfig
+from repro.service.telemetry import (
+    alert_transitions_from_records,
+    samples_from_records,
+)
 from repro.types import Answer
 
 logger = logging.getLogger(__name__)
@@ -297,6 +303,7 @@ def snapshot_scheduler(scheduler: MaxScheduler) -> Dict[str, Any]:
     platform/fault statistics and circuit breaker).  The backlog is its
     length — a suffix of the header's specs in arrival order — and the
     results are their count; each result is in its own ``result`` record.
+    The SLO flight ring is left out: :func:`fold_results` rebuilds it.
     """
     return {
         "now": float(scheduler._now),
@@ -333,11 +340,6 @@ def snapshot_scheduler(scheduler: MaxScheduler) -> Dict[str, Any]:
             if scheduler._slo is not None
             else None
         ),
-        "flight": (
-            scheduler._flight.state_dict()
-            if scheduler._flight is not None
-            else None
-        ),
     }
 
 
@@ -349,61 +351,68 @@ def restore_scheduler_state(
     The scheduler must have been constructed from the matching journal
     header (same seed/specs/config), so its immutable pieces — ground
     truth, element offsets, policy, allocator — are already identical.
-    *snapshot* carries its results folded in, as :func:`read_journal`
-    and :func:`fold_results` return it.
+    *snapshot* carries its results and flight ring folded in, as
+    :func:`read_journal` and :func:`fold_results` return it; a missing
+    or malformed slot raises :class:`JournalCorruptError`.
     """
-    scheduler._now = float(snapshot["now"])
-    scheduler._ticks = int(snapshot["ticks"])
-    scheduler._shared_rounds = int(snapshot["shared_rounds"])
-    scheduler._questions_posted = int(snapshot["questions_posted"])
-    scheduler._next_seq = int(snapshot["next_seq"])
-    backlog = int(snapshot["backlog"])
-    if backlog > len(scheduler._backlog):
+    try:
+        scheduler._now = float(snapshot["now"])
+        scheduler._ticks = int(snapshot["ticks"])
+        scheduler._shared_rounds = int(snapshot["shared_rounds"])
+        scheduler._questions_posted = int(snapshot["questions_posted"])
+        scheduler._next_seq = int(snapshot["next_seq"])
+        backlog = int(snapshot["backlog"])
+        if backlog > len(scheduler._backlog):
+            raise JournalCorruptError(
+                f"snapshot backlog of {backlog} exceeds the header's "
+                f"{len(scheduler._backlog)} specs"
+            )
+        scheduler._backlog = scheduler._backlog[len(scheduler._backlog) - backlog:]
+        scheduler._waiting = [_active_query_from_dict(d) for d in snapshot["waiting"]]
+        scheduler._active = [_active_query_from_dict(d) for d in snapshot["active"]]
+        scheduler._results = [_result_from_dict(d) for d in snapshot["results"]]
+
+        backends_payload = snapshot["backends"]
+        fleet = scheduler._router.backends
+        if not isinstance(backends_payload, list) or len(backends_payload) != len(
+            fleet
+        ):
+            raise JournalCorruptError(
+                "snapshot backend states do not match the configured fleet"
+            )
+        for backend, backend_payload in zip(fleet, backends_payload):
+            backend.load_state_dict(backend_payload)
+
+        cache = snapshot["plan_cache"]
+        scheduler.plan_cache.clear()
+        for key_payload, allocation_payload in cache["entries"]:
+            scheduler.plan_cache.put(
+                PlanKey(**key_payload), allocation_from_dict(allocation_payload)
+            )
+        # After the puts, so re-inserting does not perturb the counters.
+        scheduler.plan_cache.stats = PlanCacheStats(**cache["stats"])
+
+        if snapshot["router"] is not None:
+            scheduler._router.load_state_dict(snapshot["router"])
+        if snapshot["brownout"] is not None and scheduler._brownout is not None:
+            scheduler._brownout.load_state_dict(snapshot["brownout"])
+            # Effects (repetition, hedging suspension) are a pure function
+            # of the restored level; re-derive them so the replay matches.
+            scheduler._apply_brownout_effects()
+        if snapshot["slo"] is not None and scheduler._slo is not None:
+            scheduler._slo.load_state_dict(snapshot["slo"])
+        if scheduler._flight is not None:
+            scheduler._flight = FlightRecorder(scheduler._flight.capacity)
+            for entry in snapshot["flight"]:
+                scheduler._flight.record(**entry)
+    except (KeyError, TypeError) as error:
         raise JournalCorruptError(
-            f"snapshot backlog of {backlog} exceeds the header's "
-            f"{len(scheduler._backlog)} specs"
-        )
-    scheduler._backlog = scheduler._backlog[len(scheduler._backlog) - backlog:]
-    scheduler._waiting = [_active_query_from_dict(d) for d in snapshot["waiting"]]
-    scheduler._active = [_active_query_from_dict(d) for d in snapshot["active"]]
-    scheduler._results = [_result_from_dict(d) for d in snapshot["results"]]
+            f"snapshot is missing or malformed: {error}"
+        ) from None
 
-    backends_payload = snapshot.get("backends")
-    fleet = scheduler._router.backends
-    if not isinstance(backends_payload, list) or len(backends_payload) != len(
-        fleet
-    ):
-        raise JournalCorruptError(
-            "snapshot backend states do not match the configured fleet"
-        )
-    for backend, backend_payload in zip(fleet, backends_payload):
-        backend.load_state_dict(backend_payload)
 
-    cache = snapshot["plan_cache"]
-    scheduler.plan_cache.clear()
-    for key_payload, allocation_payload in cache["entries"]:
-        scheduler.plan_cache.put(
-            PlanKey(**key_payload), allocation_from_dict(allocation_payload)
-        )
-    # After the puts, so re-inserting does not perturb the counters.
-    scheduler.plan_cache.stats = PlanCacheStats(**cache["stats"])
-
-    router_state = snapshot.get("router")
-    if router_state is not None:
-        scheduler._router.load_state_dict(router_state)
-    brownout_state = snapshot.get("brownout")
-    if scheduler._brownout is not None and brownout_state is not None:
-        scheduler._brownout.load_state_dict(brownout_state)
-        # Effects (repetition, hedging suspension) are a pure function of
-        # the restored level; re-derive them so the replay matches.
-        scheduler._apply_brownout_effects()
-    # .get(): pre-SLO journals lack the slots and replay unchanged.
-    slo_state = snapshot.get("slo")
-    if scheduler._slo is not None and slo_state is not None:
-        scheduler._slo.load_state_dict(slo_state)
-    flight_state = snapshot.get("flight")
-    if scheduler._flight is not None and flight_state is not None:
-        scheduler._flight.load_state_dict(flight_state)
+def _optional_float(value: Any) -> Optional[float]:
+    return float(value) if value is not None else None
 
 
 def _spec_to_dict(spec: QuerySpec) -> Dict[str, Any]:
@@ -419,19 +428,14 @@ def _spec_to_dict(spec: QuerySpec) -> Dict[str, Any]:
 
 
 def _spec_from_dict(payload: Dict[str, Any]) -> QuerySpec:
-    deadline = payload.get("deadline")  # absent in pre-deadline journals
     return QuerySpec(
         query_id=int(payload["query_id"]),
         n_elements=int(payload["n_elements"]),
         budget=int(payload["budget"]),
         priority=int(payload["priority"]),
-        latency_slo=(
-            float(payload["latency_slo"])
-            if payload["latency_slo"] is not None
-            else None
-        ),
+        latency_slo=_optional_float(payload["latency_slo"]),
         arrival_time=float(payload["arrival_time"]),
-        deadline=float(deadline) if deadline is not None else None,
+        deadline=_optional_float(payload["deadline"]),
     )
 
 
@@ -465,11 +469,7 @@ def _active_query_to_dict(query: ActiveQuery) -> Dict[str, Any]:
         "plan_cache_hit": query.plan_cache_hit,
         "state": query.state.value,
         "admitted_time": float(query.admitted_time),
-        "first_scheduled_time": (
-            float(query.first_scheduled_time)
-            if query.first_scheduled_time is not None
-            else None
-        ),
+        "first_scheduled_time": _optional_float(query.first_scheduled_time),
         # Insertion order is iteration order, which the round packer
         # depends on — keep both dicts as ordered pair lists.
         "outstanding": [
@@ -483,9 +483,7 @@ def _active_query_to_dict(query: ActiveQuery) -> Dict[str, Any]:
         "times_scheduled": query.times_scheduled,
         "round_attempts": query.round_attempts,
         "questions_posted": query.questions_posted,
-        "deadline_at": (
-            float(query.deadline_at) if query.deadline_at is not None else None
-        ),
+        "deadline_at": _optional_float(query.deadline_at),
     }
 
 
@@ -498,19 +496,11 @@ def _active_query_from_dict(payload: Dict[str, Any]) -> ActiveQuery:
         plan_cache_hit=bool(payload["plan_cache_hit"]),
         state=QueryState(payload["state"]),
         admitted_time=float(payload["admitted_time"]),
-        first_scheduled_time=(
-            float(payload["first_scheduled_time"])
-            if payload["first_scheduled_time"] is not None
-            else None
-        ),
+        first_scheduled_time=_optional_float(payload["first_scheduled_time"]),
         times_scheduled=int(payload["times_scheduled"]),
         round_attempts=int(payload["round_attempts"]),
         questions_posted=int(payload["questions_posted"]),
-        deadline_at=(
-            float(payload["deadline_at"])
-            if payload.get("deadline_at") is not None
-            else None
-        ),
+        deadline_at=_optional_float(payload["deadline_at"]),
     )
     query.outstanding = {
         (int(g[0]), int(g[1])): (int(local[0]), int(local[1]))
@@ -557,12 +547,8 @@ def _result_from_dict(payload: Dict[str, Any]) -> QueryResult:
         plan_cache_hit=bool(payload["plan_cache_hit"]),
         slo_met=payload["slo_met"],
         shed_reason=payload["shed_reason"],
-        deadline=(
-            float(payload["deadline"])
-            if payload.get("deadline") is not None
-            else None
-        ),
-        deadline_outcome=payload.get("deadline_outcome"),
+        deadline=_optional_float(payload["deadline"]),
+        deadline_outcome=payload["deadline_outcome"],
     )
 
 
@@ -608,12 +594,16 @@ class JournalContents:
 
 
 def fold_results(
-    records: Iterable[Dict[str, Any]], snapshot: Dict[str, Any]
+    records: Sequence[Dict[str, Any]], snapshot: Dict[str, Any]
 ) -> Dict[str, Any]:
-    """*snapshot* with its ``results`` count replaced by the result payloads.
+    """*snapshot* with the state its log records hold folded back in.
 
     ``result`` records are folded by index, last write wins: a recovered
     run replays the indices after its snapshot with identical content.
+    With the SLO layer armed, ``flight`` lists the flight ring's entries
+    through the snapshot's tick in the order the scheduler records them —
+    each tick's sample, then its alert transitions — one copy of each
+    replayed duplicate; restoring keeps the newest ``SLOConfig.ring``.
 
     Raises:
         JournalCorruptError: a counted index has no ``result`` record.
@@ -629,7 +619,21 @@ def fold_results(
         raise JournalCorruptError(
             f"snapshot counts result {missing} but no result record holds it"
         ) from None
-    return {**snapshot, "results": results}
+    folded = {**snapshot, "results": results}
+    # A snapshot without the slot is restore_scheduler_state's to reject.
+    if snapshot.get("slo") is not None:
+        alerts: Dict[int, List[Dict[str, Any]]] = {}
+        for transition in alert_transitions_from_records(records):
+            alerts.setdefault(transition.tick, []).append(
+                {"kind": "alert", **dataclasses.asdict(transition)}
+            )
+        ring = folded["flight"] = []
+        for sample in samples_from_records(records):
+            if sample.tick > snapshot["ticks"]:
+                break
+            ring.append({"kind": "tick", **sample.to_dict()})
+            ring.extend(alerts.get(sample.tick, ()))
+    return folded
 
 
 def read_journal(path: Union[str, Path]) -> JournalContents:
@@ -719,9 +723,8 @@ def journal_results(path: Union[str, Path]) -> Tuple[QueryResult, ...]:
 def service_config_from_dict(payload: Dict[str, Any]) -> ServiceConfig:
     """Rebuild a :class:`ServiceConfig` from its journal-header form.
 
-    ``dataclasses.asdict`` flattens the nested ``hedge``/``brownout``
-    configs into plain dicts; headers written before those fields existed
-    simply lack the keys, which the dataclass defaults cover.
+    ``dataclasses.asdict`` flattens the nested ``hedge``/``brownout``/
+    ``slo`` configs into plain dicts; this rebuilds them.
     """
     data = dict(payload)
     hedge = data.get("hedge")
@@ -819,7 +822,7 @@ def recover_scheduler(
             # Cut the torn tail off, or it would hide every record the
             # resumed run appends from the next read.
             os.truncate(journal_path, contents.intact_bytes)
-        snapshot_interval = int(contents.header.get("snapshot_interval", 1))
+        snapshot_interval = int(contents.header["snapshot_interval"])
         journal = SchedulerJournal.resume(
             journal_path, snapshot_interval=snapshot_interval, fsync=fsync
         )

@@ -445,7 +445,9 @@ class MaxScheduler:
         """Attach a write-ahead journal.
 
         A fresh journal writes its header and an initial snapshot; a
-        journal resumed from disk (recovery) continues appending.
+        journal resumed from disk (recovery) continues appending.  Attach
+        a fresh journal before the first tick: recovery rebuilds the
+        flight ring from the journal's records alone.
         """
         self._journal = journal
         journal.begin(self)

@@ -12,7 +12,7 @@ once:
   ``service.active_queries`` gauges and the ``service.round_latency``
   histogram);
 * the write-ahead journal, as a ``"tick"`` delta record — recovery
-  ignores unknown record types, so old journals stay readable, and
+  rebuilds the SLO flight ring from it, and
   ``tdp-repro top`` can replay any journaled run tick by tick
   (:func:`samples_from_journal`) or follow one that is still being
   written (:func:`follow_samples`).

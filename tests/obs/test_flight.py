@@ -26,23 +26,6 @@ class TestRing:
         assert len(recorder) == 3
         assert [e["tick"] for e in recorder.entries()] == [2, 3, 4]
 
-    def test_state_dict_round_trip(self):
-        recorder = FlightRecorder(4)
-        recorder.record("tick", tick=1)
-        recorder.record("alert", rule="burn", action="fired")
-        clone = FlightRecorder(4)
-        clone.load_state_dict(recorder.state_dict())
-        assert clone.entries() == recorder.entries()
-
-    def test_restored_ring_keeps_evicting(self):
-        recorder = FlightRecorder(2)
-        recorder.record("tick", tick=1)
-        recorder.record("tick", tick=2)
-        clone = FlightRecorder(2)
-        clone.load_state_dict(recorder.state_dict())
-        clone.record("tick", tick=3)
-        assert [e["tick"] for e in clone.entries()] == [2, 3]
-
 
 class TestBundle:
     def _recorder(self):

@@ -4,9 +4,11 @@ plan-cache fidelity.
 * A seeded serve run with >= 50 concurrent queries over one shared
   platform is bit-identical across two invocations;
 * the same holds under a fault profile (replays identically);
-* on a repeated-shape workload the plan cache reports a non-zero hit
-  rate while every cached allocation equals the freshly solved tDP
-  allocation.
+* on a repeated-shape workload the plan cache serves most lookups
+  while every cached allocation equals the freshly solved tDP
+  allocation;
+* widening the admission window loses no queries and does not raise the
+  burst's p95 latency.
 """
 
 from repro.core.latency import mturk_car_latency
@@ -63,6 +65,17 @@ class TestBitIdenticalReplay:
         assert first != second
 
 
+class TestAdmissionWindow:
+    def test_wider_window_loses_no_queries_and_keeps_burst_p95(self):
+        narrow, wide = (
+            serve(seed=0, config=ServiceConfig(max_active_queries=window))[1]
+            for window in (4, 64)
+        )
+        for report in (narrow, wide):
+            assert len(report.finished) == report.n_queries
+        assert wide.p95_latency <= narrow.p95_latency
+
+
 class TestPlanCacheFidelity:
     def test_repeated_workload_hits_and_matches_fresh_solves(self):
         """The repeated-shape workload must produce a non-zero hit rate,
@@ -70,7 +83,7 @@ class TestPlanCacheFidelity:
         solve of the same (c0, budget, latency) inputs."""
         config = ServiceConfig(allocator="tDP")
         scheduler, report = serve(workload="repeated", config=config)
-        assert report.cache_hit_rate > 0
+        assert report.cache_hit_rate > 0.5
         assert report.cache_hits > 0
         entries = scheduler.plan_cache.items()
         assert entries

@@ -1,5 +1,6 @@
 """Write-ahead journal and deterministic recovery."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,10 +10,12 @@ from repro.crowd.breaker import CircuitBreakerConfig
 from repro.crowd.faults import RetryPolicy, fault_profile_by_name
 from repro.errors import JournalCorruptError
 from repro.obs import get_registry
+from repro.obs.slo import default_slo_config
 from repro.service import (
     JOURNAL_VERSION,
     MaxScheduler,
     SchedulerJournal,
+    ServiceConfig,
     generate_workload,
     read_journal,
     recover_scheduler,
@@ -335,6 +338,19 @@ class TestCorruption:
                 scheduler_from_header(contents.header), snapshot
             )
 
+    def test_snapshot_without_the_slo_slot_raises_typed_error(self, tmp_path):
+        path = self._journal_after_steps(tmp_path)
+        lines = []
+        for line in path.read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            if record["record"] == "snapshot":
+                del record["payload"]["slo"]
+                line = json.dumps(record)
+            lines.append(line)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(JournalCorruptError, match="slo"):
+            recover_scheduler(path)
+
     def test_corruption_errors_never_leak_json_tracebacks(self, tmp_path):
         path = tmp_path / "junk.jsonl"
         path.write_text("{not json\n", encoding="utf-8")
@@ -488,3 +504,26 @@ class TestSnapshotSize:
         assert len(large_results) == 4 * len(small_results)
         small, large = len(small_snapshots[-1]), len(large_snapshots[-1])
         assert large - small < 0.05 * small
+
+    def test_last_snapshot_does_not_grow_with_the_flight_ring(self, tmp_path):
+        # The flight ring is rebuilt from tick and alert records, so its
+        # capacity does not reach the snapshot.
+        held, lengths = [], []
+        for ring in (8, 4096):
+            path = tmp_path / f"ring-{ring}.jsonl"
+            slo = dataclasses.replace(default_slo_config(), ring=ring)
+            config = ServiceConfig(max_active_queries=4, slo=slo)
+            with SchedulerJournal.create(path) as journal:
+                scheduler = _scheduler(
+                    journal=journal, workload="burst", seed=3, config=config
+                )
+                scheduler.run()
+            held.append(len(scheduler.flight))
+            snapshots = [
+                line
+                for line in path.read_text(encoding="utf-8").splitlines()
+                if json.loads(line)["record"] == "snapshot"
+            ]
+            lengths.append(len(snapshots[-1]))
+        assert held[0] == 8 < held[1]
+        assert lengths[0] == lengths[1]

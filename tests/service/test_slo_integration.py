@@ -6,8 +6,9 @@ The contracts under test:
   pre-SLO behaviour, and an armed engine never changes scheduling
   decisions (only observes them);
 * **deterministic alerting** — the journal's alert records replay
-  bit-identically through kill/recover at any tick boundary, and the
-  engine/ring snapshot round-trips at every tick;
+  bit-identically through kill/recover at any tick boundary, the engine
+  snapshot round-trips at every tick, and the flight ring rebuilt from
+  the journal's tick and alert records equals the live ring;
 * **surfacing** — tick samples, events, report, dashboard header and
   metrics all carry the health/alert state, identically live or
   replayed.
@@ -180,20 +181,32 @@ class TestAlertingEndToEnd:
 
 class TestJournalRoundTrip:
     def test_engine_and_ring_state_round_trip_at_every_tick(self, tmp_path):
-        # Drive a journaled run to completion (snapshot every tick), then
-        # for every snapshot rebuild a scheduler and check the restored
-        # engine + ring state equal the snapshot exactly.
+        # Drive a journaled run to completion (snapshot every tick),
+        # keeping the live ring after every step; then for every snapshot
+        # rebuild a scheduler and check the restored engine equals the
+        # snapshot and the ring rebuilt from the log equals the live one.
         path = tmp_path / "run.jsonl"
         journal = SchedulerJournal.create(path, snapshot_interval=1)
-        scheduler = _congested_scheduler(_stormy_slo(), journal=journal)
-        scheduler.run()
+        scheduler = _congested_scheduler(
+            dataclasses.replace(_stormy_slo(), ring=4), journal=journal
+        )
+        live_rings = {0: scheduler.flight.entries()}
+        while scheduler.step():
+            live_rings[scheduler.ticks] = scheduler.flight.entries()
+        journal.complete(scheduler)
         journal.close()
+        # The ring wrapped, and it held alerts as well as ticks.
+        assert len(live_rings[scheduler.ticks]) == 4
+        assert {"tick", "alert"} <= {
+            entry["kind"] for ring in live_rings.values() for entry in ring
+        }
         contents = read_journal(path)
         snapshots = [
             r["payload"] for r in contents.records
             if r["record"] == "snapshot"
         ]
         assert len(snapshots) > 2
+        assert all("flight" not in snapshot for snapshot in snapshots)
         from repro.service.journal import (
             fold_results,
             restore_scheduler_state,
@@ -206,7 +219,42 @@ class TestJournalRoundTrip:
                 restored, fold_results(contents.records, snapshot)
             )
             assert restored.slo.state_dict() == snapshot["slo"]
-            assert restored.flight.state_dict() == snapshot["flight"]
+            assert (
+                restored.flight.entries() == live_rings[snapshot["ticks"]]
+            )
+
+    def test_twice_recovered_ring_matches_the_uninterrupted_run(
+        self, tmp_path
+    ):
+        # Sparse snapshots and two kills before the tick-10 snapshot:
+        # ticks 6-7 sit in the log three times, and the rebuilt ring must
+        # hold each of their samples and alerts once.
+        scenario = scenario_by_name("alert-storm")
+        clean = build_scheduler(scenario)
+        clean.run()
+        path = tmp_path / "crash.jsonl"
+        scheduler = build_scheduler(
+            scenario, journal=SchedulerJournal.create(path, snapshot_interval=5)
+        )
+        for _ in range(2):
+            while scheduler.ticks < 7 and scheduler.step():
+                pass
+            scheduler.journal.close()
+            scheduler = recover_scheduler(path)
+            assert scheduler.ticks == 5
+        scheduler.run()
+        scheduler.journal.close()
+        ticks = [
+            r["payload"]["tick"] for r in read_journal(path).records
+            if r["record"] == "tick"
+        ]
+        assert ticks.count(6) == ticks.count(7) == 3
+        assert any(
+            entry["kind"] == "alert" for entry in clean.flight.entries()
+        )
+        assert scheduler.flight.entries() == clean.flight.entries()
+        rebuilt = recover_scheduler(path, resume_journal=False)
+        assert rebuilt.flight.entries() == clean.flight.entries()
 
     @pytest.mark.parametrize("crash_after", [2, 5, 9])
     def test_kill_recover_replays_the_same_alert_sequence(
