@@ -17,11 +17,12 @@ from __future__ import annotations
 import os
 import re
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bench import current_git_sha, make_artifact, write_artifact
 from repro.experiments.config import scale_by_name
 from repro.experiments.tables import ExperimentResult
+from repro.obs.metrics import get_registry
 
 #: Benchmarks default to the fast preset; set REPRO_BENCH_SCALE=full to
 #: regenerate the figures at the paper's own workload sizes.
@@ -49,6 +50,34 @@ def emit_artifact(
         git_sha=current_git_sha(Path(__file__).parent.parent),
     )
     return write_artifact(artifact, ARTIFACT_DIR)
+
+
+#: Registry counters that pin how much crowd work a service run did.
+WORK_COUNTERS = (
+    "service.rounds",
+    "service.questions_posted",
+    "platform.questions_posted",
+    "rwl.batches",
+)
+
+
+def scheduler_work(scheduler) -> Tuple[Dict[str, float], List[Tuple[Any, Any]]]:
+    """A finished run's deterministic work, to compare two runs exactly.
+
+    Returns the :data:`WORK_COUNTERS` values and, per backend, the
+    bit-generator states of its platform and RWL streams.  The counters
+    come from the global registry: reset it before the run.
+    """
+    registry = get_registry()
+    counters = {name: registry.counter(name).value for name in WORK_COUNTERS}
+    streams = [
+        (
+            backend.platform._rng.bit_generator.state,
+            backend.rwl._rng.bit_generator.state,
+        )
+        for backend in scheduler.router.backends
+    ]
+    return counters, streams
 
 
 def run_and_report(benchmark, runner: Callable[[], List[ExperimentResult]]):

@@ -18,8 +18,10 @@ import time
 
 import numpy as np
 
+from _harness import scheduler_work
 from repro.core.latency import mturk_car_latency
 from repro.crowd.multibackend import HedgeConfig, backend_preset_by_name
+from repro.obs.metrics import get_registry
 from repro.service import (
     DEADLINE_OUTCOMES,
     MaxScheduler,
@@ -32,6 +34,7 @@ SEED = 0
 
 
 def _run(config=None, backends=None, workload="steady", seed=SEED):
+    get_registry().reset()
     specs = generate_workload(workload_by_name(workload), seed=seed)
     scheduler = MaxScheduler(
         specs,
@@ -65,8 +68,10 @@ def bench_deadline_off_overhead(benchmark):
         return min(plain_times), min(armed_times)
 
     plain, armed = benchmark.pedantic(compare, rounds=1, iterations=1)
-    report_plain, _, _ = _run()
-    report_armed, _, _ = _run(config=ServiceConfig())
+    report_plain, scheduler, _ = _run()
+    work_plain = scheduler_work(scheduler)
+    report_armed, scheduler, _ = _run(config=ServiceConfig())
+    work_armed = scheduler_work(scheduler)
     ratio = armed / plain
     print()
     print("-- deadline-off overhead / steady --")
@@ -74,6 +79,9 @@ def bench_deadline_off_overhead(benchmark):
           f"ratio: {ratio:.3f}")
     # The hedge-off / deadline-off path is the PR-8 path, bit for bit.
     assert report_armed == report_plain
+    # Same crowd work and RNG streams: a deterministic check beside the
+    # noisy wall-clock gate.
+    assert work_armed == work_plain
     assert ratio <= 1.02
 
 

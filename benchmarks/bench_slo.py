@@ -14,7 +14,9 @@ Two claims the observability layer has to back with numbers:
 import dataclasses
 import time
 
+from _harness import scheduler_work
 from repro.core.latency import mturk_car_latency
+from repro.obs.metrics import get_registry
 from repro.obs.slo import default_slo_config
 from repro.service import (
     MaxScheduler,
@@ -27,6 +29,7 @@ SEED = 0
 
 
 def _run(config=None, workload="steady", seed=SEED):
+    get_registry().reset()
     specs = generate_workload(workload_by_name(workload), seed=seed)
     scheduler = MaxScheduler(
         specs, mturk_car_latency(), seed=seed, config=config
@@ -56,9 +59,12 @@ def bench_slo_off_overhead(benchmark):
         return min(plain_times), min(armed_times)
 
     plain, armed = benchmark.pedantic(compare, rounds=1, iterations=1)
-    report_plain, _, _ = _run()
-    report_unarmed, _, _ = _run(config=ServiceConfig())
-    report_armed, _, _ = _run(config=armed_config)
+    report_plain, scheduler, _ = _run()
+    work_plain = scheduler_work(scheduler)
+    report_unarmed, scheduler, _ = _run(config=ServiceConfig())
+    work_unarmed = scheduler_work(scheduler)
+    report_armed, scheduler, _ = _run(config=armed_config)
+    work_armed = scheduler_work(scheduler)
     ratio = armed / plain
     print()
     print("-- slo-armed overhead / steady --")
@@ -69,6 +75,10 @@ def bench_slo_off_overhead(benchmark):
     assert report_unarmed == report_plain
     assert dataclasses.replace(report_armed, health=None) == report_plain
     assert report_armed.health is not None
+    # Same crowd work and RNG streams: a deterministic check beside the
+    # noisy wall-clock gate.
+    assert work_unarmed == work_plain
+    assert work_armed == work_plain
     assert ratio <= 1.02
 
 

@@ -21,6 +21,7 @@ Crash points can be explicit (``crash_points``), seeded-random
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,7 +44,7 @@ from repro.service.journal import (
     read_journal,
     recover_scheduler,
 )
-from repro.service.report import ServiceReport
+from repro.service.report import QueryResult, ServiceReport
 from repro.service.scheduler import MaxScheduler, ServiceConfig
 from repro.service.workload import generate_workload, workload_by_name
 
@@ -366,34 +367,30 @@ def total_steps(scenario: ChaosScenario) -> int:
 def describe_mismatch(
     recovered: ServiceReport, baseline: ServiceReport
 ) -> Optional[str]:
-    """First human-readable difference between two reports, or ``None``."""
+    """First human-readable difference between two reports, or ``None``.
+
+    Names the first differing :class:`ServiceReport` field, or, inside
+    ``results``, the first differing :class:`QueryResult` field.
+    """
     if recovered == baseline:
         return None
-    for name in ("makespan", "ticks", "shared_rounds", "questions_posted",
-                 "cache_hits", "cache_misses", "cache_evictions", "health"):
-        a, b = getattr(recovered, name), getattr(baseline, name)
-        if a != b:
-            return f"{name}: {a!r} != baseline {b!r}"
-    if len(recovered.results) != len(baseline.results):
-        return (
-            f"result count: {len(recovered.results)} != baseline "
-            f"{len(baseline.results)}"
-        )
-    for got, want in zip(recovered.results, baseline.results):
-        if got != want:
-            for fld in (
-                "state", "winner", "correct", "singleton", "latency",
-                "queue_wait", "rounds", "questions_posted",
-                "plan_cache_hit", "slo_met", "shed_reason",
-                "deadline", "deadline_outcome",
-            ):
-                a, b = getattr(got, fld), getattr(want, fld)
-                if a != b:
+    for fld in dataclasses.fields(ServiceReport):
+        a, b = getattr(recovered, fld.name), getattr(baseline, fld.name)
+        if a == b:
+            continue
+        if fld.name != "results":
+            return f"{fld.name}: {a!r} != baseline {b!r}"
+        if len(a) != len(b):
+            return f"result count: {len(a)} != baseline {len(b)}"
+        for got, want in zip(a, b):
+            for query_field in dataclasses.fields(QueryResult):
+                x = getattr(got, query_field.name)
+                y = getattr(want, query_field.name)
+                if x != y:
                     return (
-                        f"query {got.spec.query_id} {fld}: "
-                        f"{a!r} != baseline {b!r}"
+                        f"query {got.spec.query_id} {query_field.name}: "
+                        f"{x!r} != baseline {y!r}"
                     )
-            return f"query {got.spec.query_id} differs"
     return "reports differ"
 
 

@@ -19,9 +19,9 @@ Subcommands:
 
 Observability (see ``docs/observability.md``): ``--verbose`` turns on
 round-by-round ``repro`` logging; the ``solve``, ``simulate``, ``serve``
-and ``experiment`` subcommands accept ``--trace PATH`` (write a JSONL
-structured-event trace; add ``--stream-trace`` to write it incrementally
-so a killed run keeps a readable prefix), ``--metrics`` (print a
+and ``experiment`` subcommands accept ``--trace PATH`` (stream a JSONL
+structured-event trace to PATH as the run goes, so a killed run keeps a
+readable prefix), ``--metrics`` (print a
 metrics-registry snapshot after the run) and ``--metrics-json PATH``
 (save that snapshot as JSON for ``metrics-export``).  ``serve`` further
 accepts ``--dashboard`` (live terminal dashboard) and ``--metrics-out
@@ -701,23 +701,32 @@ def _breaker_config(args: argparse.Namespace):
     )
 
 
-def _fault_options(args: argparse.Namespace):
-    """Resolve (platform_mode, fault_profile, retry_policy) from the flags."""
-    fault_profile = (
-        fault_profile_by_name(args.faults) if args.faults is not None else None
-    )
+def _retry_policy(args: argparse.Namespace) -> Optional[RetryPolicy]:
+    """Resolve ``--retry``/``--retry-deadline`` into an optional RetryPolicy.
+
+    ``--retry`` defaults to 3 attempts under ``--faults``; one attempt
+    means no retries (``None``).
+    """
     attempts = args.retry
     if attempts is not None and attempts < 1:
         raise InvalidParameterError(
             f"--retry must be >= 1 attempt, got {attempts}"
         )
-    if attempts is None and fault_profile is not None:
+    if attempts is None and args.faults is not None:
         attempts = 3
-    retry_policy = (
-        RetryPolicy(max_attempts=attempts, deadline=args.retry_deadline)
-        if attempts is not None and attempts > 1
-        else None
+    if attempts is None or attempts == 1:
+        return None
+    return RetryPolicy(
+        max_attempts=attempts, deadline=getattr(args, "retry_deadline", None)
     )
+
+
+def _fault_options(args: argparse.Namespace):
+    """Resolve (platform_mode, fault_profile, retry_policy) from the flags."""
+    fault_profile = (
+        fault_profile_by_name(args.faults) if args.faults is not None else None
+    )
+    retry_policy = _retry_policy(args)
     platform_mode = (
         args.platform or fault_profile is not None or retry_policy is not None
     )
@@ -729,13 +738,8 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
         "--trace",
         default=None,
         metavar="PATH",
-        help="write a JSONL structured-event trace of the run to PATH",
-    )
-    parser.add_argument(
-        "--stream-trace",
-        action="store_true",
-        help="stream --trace to disk during the run instead of exporting "
-        "at the end: a killed run keeps a readable trace prefix",
+        help="stream a JSONL structured-event trace of the run to PATH "
+        "(a killed run keeps a readable prefix)",
     )
     parser.add_argument(
         "--metrics",
@@ -986,18 +990,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fault_profile=fault_profile,
         breaker_config=_breaker_config(args),
     )
-    attempts = args.retry
-    if attempts is not None and attempts < 1:
-        raise InvalidParameterError(
-            f"--retry must be >= 1 attempt, got {attempts}"
-        )
-    if attempts is None and fault_profile is not None:
-        attempts = 3
-    retry_policy = (
-        RetryPolicy(max_attempts=attempts, deadline=args.retry_deadline)
-        if attempts is not None and attempts > 1
-        else None
-    )
+    retry_policy = _retry_policy(args)
     specs = generate_workload(
         workload_by_name(args.workload), seed=args.seed, n_queries=args.queries
     )
@@ -1372,23 +1365,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         if args.queries is not None:
             scenario = dataclasses.replace(scenario, n_queries=args.queries)
     else:
-        attempts = args.retry
-        if attempts is not None and attempts < 1:
-            raise InvalidParameterError(
-                f"--retry must be >= 1 attempt, got {attempts}"
-            )
-        if attempts is None and args.faults is not None:
-            attempts = 3
-        retry_policy = (
-            RetryPolicy(max_attempts=attempts)
-            if attempts is not None and attempts > 1
-            else None
-        )
         scenario = ChaosScenario(
             workload=args.workload,
             seed=args.seed,
             faults=args.faults,
-            retry_policy=retry_policy,
+            retry_policy=_retry_policy(args),
             n_queries=args.queries,
             breaker=_breaker_config(args),
             snapshot_interval=args.snapshot_interval,
@@ -1491,38 +1472,25 @@ def _run_with_observability(
         return handler(args)
     from repro import obs
 
+    tracer: obs.Tracer = obs.NULL_TRACER
     if trace_path is not None:
-        # Fail before the run, not after: a long experiment should not
-        # complete only to lose its trace to an unwritable path.
+        # Opening the trace file fails before the run, not after it.
         try:
-            with open(trace_path, "a", encoding="utf-8"):
-                pass
+            tracer = obs.RecordingTracer(path=trace_path)
         except OSError as error:
             raise ReproError(f"cannot write trace to {trace_path}: {error}") from error
 
     registry = obs.get_registry()
     registry.reset()
     obs.declare_standard_metrics(registry)
-    streaming = trace_path is not None and getattr(args, "stream_trace", False)
-    if trace_path is None:
-        tracer = obs.NULL_TRACER
-    elif streaming:
-        # Events go straight to disk as they happen; no in-memory buffer,
-        # so a killed run keeps the flushed prefix of its trace.
-        tracer = obs.RecordingTracer(
-            sinks=(obs.StreamingJsonlSink(trace_path),), buffer=False
-        )
-    else:
-        tracer = obs.RecordingTracer()
-    with obs.use_tracer(tracer):
-        exit_code = handler(args)
-    if trace_path:
-        if streaming:
-            tracer.close_sinks()
-            n_events = tracer.emitted
-        else:
-            n_events = obs.write_jsonl(tracer, trace_path)
-        print(f"wrote {n_events} trace event(s) to {trace_path}")
+    try:
+        with obs.use_tracer(tracer):
+            exit_code = handler(args)
+    finally:
+        if isinstance(tracer, obs.RecordingTracer):
+            tracer.close()
+    if isinstance(tracer, obs.RecordingTracer):
+        print(f"wrote {tracer.emitted} trace event(s) to {trace_path}")
     if metrics_json is not None:
         from repro.persistence import save_json
 

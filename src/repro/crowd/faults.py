@@ -54,7 +54,7 @@ from repro.errors import InvalidParameterError, PlatformOutageError
 from repro.obs.events import FaultInjected
 from repro.obs.metrics import get_registry
 from repro.obs.spans import current_span_id
-from repro.obs.tracer import Tracer, current_tracer
+from repro.obs.tracer import current_tracer
 
 logger = logging.getLogger(__name__)
 
@@ -262,7 +262,6 @@ class FaultyPlatform(Platform):
             :class:`~repro.crowd.platform.SimulatedPlatform`).
         profile: which faults to inject, and how hard.
         fault_rng: randomness source for fault decisions only.
-        tracer: structured-event tracer; ``None`` uses the ambient one.
     """
 
     def __init__(
@@ -270,12 +269,10 @@ class FaultyPlatform(Platform):
         inner: Platform,
         profile: FaultProfile,
         fault_rng: np.random.Generator,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.inner = inner
         self.profile = profile
         self._fault_rng = fault_rng
-        self._tracer = tracer
         self.fault_stats = FaultStats()
         #: Simulated "now" used to evaluate ``profile.outage_window``.
         #: The poster (e.g. the service scheduler) advances it; direct
@@ -406,7 +403,7 @@ class FaultyPlatform(Platform):
 
     def _record_fault(self, fault: str, count: int, batch_index: int) -> None:
         get_registry().counter(f"faults.{fault}").inc(count)
-        tracer = self._tracer if self._tracer is not None else current_tracer()
+        tracer = current_tracer()
         if tracer.enabled:
             tracer.emit(
                 FaultInjected(

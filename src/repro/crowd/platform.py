@@ -28,7 +28,7 @@ from repro.crowd.workers import WorkerPoolConfig
 from repro.errors import PlatformError
 from repro.obs.events import WorkerServiced
 from repro.obs.metrics import get_registry
-from repro.obs.tracer import Tracer, current_tracer
+from repro.obs.tracer import current_tracer
 from repro.types import Answer, Question
 
 logger = logging.getLogger(__name__)
@@ -129,7 +129,6 @@ class SimulatedPlatform(Platform):
         rng: np.random.Generator,
         error_model: Optional[ErrorModel] = None,
         config: Optional[WorkerPoolConfig] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.truth = truth
         self.error_model = error_model if error_model is not None else PerfectWorkers()
@@ -137,7 +136,6 @@ class SimulatedPlatform(Platform):
         self._rng = rng
         self.stats = PlatformStats()
         self._next_worker_id = 0
-        self._tracer = tracer
 
     def post_batch(self, questions: Sequence[Question]) -> BatchResult:
         """Post *questions* as one batch and simulate until all are answered.
@@ -219,7 +217,7 @@ class SimulatedPlatform(Platform):
         registry.counter("platform.batches_posted").inc()
         registry.counter("platform.questions_posted").inc(len(questions))
         registry.counter("platform.workers_serviced").inc(len(participants))
-        tracer = self._tracer if self._tracer is not None else current_tracer()
+        tracer = current_tracer()
         if tracer.enabled:
             for worker_id, (n_answers, busy_time) in sorted(participants.items()):
                 tracer.emit(

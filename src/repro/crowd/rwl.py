@@ -39,7 +39,7 @@ from repro.graphs.answer_graph import AnswerGraph
 from repro.obs.events import BatchRetried, RWLRetry
 from repro.obs.metrics import get_registry
 from repro.obs.spans import current_span, emit_span, span_scope
-from repro.obs.tracer import Tracer, current_tracer
+from repro.obs.tracer import current_tracer
 from repro.types import Answer, Element, Question, normalize_question
 
 logger = logging.getLogger(__name__)
@@ -91,7 +91,6 @@ class ReliableWorkerLayer:
         platform: Platform,
         rng: np.random.Generator,
         repetition: int = 1,
-        tracer: Optional[Tracer] = None,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
@@ -102,7 +101,6 @@ class ReliableWorkerLayer:
         self.retry_policy = retry_policy
         self.breaker = breaker
         self._rng = rng
-        self._tracer = tracer
 
     def ask(
         self,
@@ -171,7 +169,7 @@ class ReliableWorkerLayer:
                 len(distinct),
                 self.repetition,
             )
-            tracer = self._tracer if self._tracer is not None else current_tracer()
+            tracer = current_tracer()
             if tracer.enabled:
                 tracer.emit(
                     RWLRetry(
@@ -215,7 +213,7 @@ class ReliableWorkerLayer:
         attempt = 0
         registry = get_registry()
         breaker = self.breaker
-        tracer = self._tracer if self._tracer is not None else current_tracer()
+        tracer = current_tracer()
         # When a span scope is ambient (the scheduler's tick span, or an
         # engine round span), each posting attempt becomes a child span —
         # anchored on the global simulated clock via the scope's base time

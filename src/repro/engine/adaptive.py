@@ -33,7 +33,6 @@ from repro.crowd.ground_truth import GroundTruth
 from repro.engine.max_engine import AnswerSource, _run_rounds
 from repro.engine.results import MaxRunResult
 from repro.errors import InvalidParameterError
-from repro.obs.tracer import Tracer
 from repro.selection.base import QuestionSelector
 
 
@@ -56,7 +55,6 @@ class AdaptiveMaxEngine:
         latency: LatencyFunction,
         rng: np.random.Generator,
         max_rounds: int = 10_000,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if max_rounds < 1:
             raise InvalidParameterError(f"max_rounds must be >= 1: {max_rounds}")
@@ -65,7 +63,6 @@ class AdaptiveMaxEngine:
         self.latency = latency
         self._rng = rng
         self.max_rounds = max_rounds
-        self._tracer = tracer
 
     def run(self, truth: GroundTruth, budget: int) -> MaxRunResult:
         """Find the MAX of *truth*'s collection within *budget* questions.

@@ -44,7 +44,7 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import get_registry
 from repro.obs.spans import close_span, open_span, span_scope
-from repro.obs.tracer import Tracer, current_tracer
+from repro.obs.tracer import current_tracer
 from repro.selection.base import QuestionSelector, SelectionContext, select_round
 from repro.selection.scoring import best_scored
 from repro.types import Answer, Element, Question
@@ -96,9 +96,6 @@ class MaxEngine:
         selector: question-selection strategy for each round.
         source: answer source (oracle or platform).
         rng: randomness source.
-        tracer: structured-event tracer; ``None`` falls back to the
-            ambient tracer (:func:`repro.obs.current_tracer`), which is
-            the no-op :data:`~repro.obs.NULL_TRACER` unless installed.
         replan_latency: graceful degradation under platform faults — when
             a round resolves fewer answers than it posted (a lossy answer
             source gave up on some questions), re-solve MinLatency for the
@@ -113,13 +110,11 @@ class MaxEngine:
         selector: QuestionSelector,
         source: AnswerSource,
         rng: np.random.Generator,
-        tracer: Optional[Tracer] = None,
         replan_latency: Optional[LatencyFunction] = None,
     ) -> None:
         self.selector = selector
         self.source = source
         self._rng = rng
-        self._tracer = tracer
         self.replan_latency = replan_latency
 
     def run(self, truth: GroundTruth, allocation: Allocation) -> MaxRunResult:
@@ -202,7 +197,8 @@ def _run_rounds(
 ) -> MaxRunResult:
     """The round loop shared by the batch MAX engines.
 
-    *engine* supplies ``selector``, ``source``, ``_rng`` and ``_tracer``.
+    *engine* supplies ``selector``, ``source`` and ``_rng``; events go to the
+    ambient tracer (:func:`repro.obs.current_tracer`).
     Runs until one candidate remains or *plan_round* returns ``None``.  A
     round whose selector returns nothing is skipped (*skip_empty*) or ends
     the run; a lossy round (fewer answers than distinct questions) calls
@@ -215,7 +211,7 @@ def _run_rounds(
     records: List[RoundRecord] = []
     total_latency = 0.0
     total_questions = 0
-    tracer = engine._tracer if engine._tracer is not None else current_tracer()
+    tracer = current_tracer()
     registry = get_registry()
     registry.counter("engine.runs").inc()
     engine_name = type(engine).__name__

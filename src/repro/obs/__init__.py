@@ -4,15 +4,14 @@ Three cooperating pieces:
 
 * a structured-event **tracer** (:mod:`repro.obs.tracer`,
   :mod:`repro.obs.events`) — typed events with wall-clock and
-  simulated-clock timestamps, buffered per run, exportable to JSONL
-  (:mod:`repro.obs.export`) and summarizable into a per-round
-  latency/budget breakdown (:mod:`repro.obs.report`);
+  simulated-clock timestamps, kept in memory or streamed to a JSONL
+  file as they happen, so a crashed run keeps a readable trace prefix
+  (:mod:`repro.obs.export` owns the line format), and summarizable
+  into a per-round latency/budget breakdown (:mod:`repro.obs.report`);
 * a process-wide **metrics registry** (:mod:`repro.obs.metrics`) —
   counters, gauges and histograms with ``snapshot()``/``reset()``;
 * **profiling spans** (:func:`repro.obs.timed`) — a context
   manager/decorator that feeds both of the above;
-* **streaming sinks** (:mod:`repro.obs.sinks`) — live JSONL export of
-  events as they happen, so crashed runs keep a readable trace prefix;
 * **causal spans** (:mod:`repro.obs.spans`) — deterministic
   ``query -> plan -> round -> attempt`` trees riding the same event
   pipeline, plus per-query **latency attribution**
@@ -30,14 +29,14 @@ Three cooperating pieces:
 The engine, allocators, Reliable Worker Layer and simulated platform are
 pre-instrumented; by default they see the no-op :data:`NULL_TRACER`, so
 uninstrumented use costs one boolean check per potential event.  Turn
-tracing on by passing a :class:`RecordingTracer` explicitly or ambiently::
+tracing on by installing a :class:`RecordingTracer` as the ambient
+tracer::
 
     from repro import obs
 
-    tracer = obs.RecordingTracer()
+    tracer = obs.RecordingTracer()  # path="trace.jsonl" streams instead
     with obs.use_tracer(tracer):
         engine.run(truth, allocation)
-    obs.write_jsonl(tracer, "trace.jsonl")
     print(obs.render_trace_report(tracer.records))
     print(obs.render_snapshot(obs.get_registry().snapshot()))
 
@@ -103,7 +102,7 @@ from repro.obs.dashboard import (
     render_frame,
     sparkline,
 )
-from repro.obs.export import read_jsonl, write_jsonl
+from repro.obs.export import read_jsonl
 from repro.obs.metrics import (
     DEFAULT_BUCKET_BOUNDS,
     Counter,
@@ -136,12 +135,6 @@ from repro.obs.spans import (
     span_roots,
     span_scope,
     spans_for_query,
-)
-from repro.obs.sinks import (
-    InMemorySink,
-    StreamingJsonlSink,
-    TeeSink,
-    TraceSink,
 )
 from repro.obs.stats import escalation_step, nearest_rank, percentile
 from repro.obs.tracer import (
@@ -213,11 +206,6 @@ __all__ = [
     "current_tracer",
     "use_tracer",
     "timed",
-    # sinks
-    "TraceSink",
-    "InMemorySink",
-    "StreamingJsonlSink",
-    "TeeSink",
     # metrics
     "Counter",
     "Gauge",
@@ -258,7 +246,6 @@ __all__ = [
     "render_final",
     "DashboardRenderer",
     # export / report
-    "write_jsonl",
     "read_jsonl",
     "render_trace_report",
     "report_file",

@@ -1,57 +1,32 @@
-"""JSONL import/export of trace buffers.
+"""The trace's JSONL format: the line encoder and the reader.
 
 One JSON object per line, schema::
 
     {"seq": 0, "wall_time": 0.0012, "sim_time": 0.0,
      "kind": "RoundPosted", "data": {"round_index": 0, ...}}
 
-The format is append-friendly (a crashed run leaves a readable prefix)
-and greppable (``grep RWLRetry trace.jsonl``).  :func:`read_jsonl`
-reconstructs the typed events, so ``write -> read`` is lossless; the
-round-trip is pinned by the test suite.
+A :class:`~repro.obs.tracer.RecordingTracer` given a ``path`` writes each
+record with :func:`encode_record` as it is emitted, so the format is
+append-friendly (a crashed run leaves a readable prefix) and greppable
+(``grep RWLRetry trace.jsonl``).  :func:`read_jsonl` reconstructs the
+typed events, so ``write -> read`` is lossless; the round-trip is pinned
+by the test suite.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Iterable, List, Tuple, Union
+from typing import IO, List, Union
 
 from repro.obs.events import TraceRecord
-from repro.obs.tracer import RecordingTracer
 
 PathOrFile = Union[str, Path, IO[str]]
 
 
-def _records_of(
-    source: Union[RecordingTracer, Iterable[TraceRecord]],
-) -> Tuple[TraceRecord, ...]:
-    if isinstance(source, RecordingTracer):
-        return source.records
-    return tuple(source)
-
-
-def write_jsonl(
-    source: Union[RecordingTracer, Iterable[TraceRecord]],
-    destination: PathOrFile,
-) -> int:
-    """Write a trace to *destination* as JSONL; returns the record count.
-
-    Path destinations are written atomically (temp-file + rename), so an
-    interrupted export leaves the previous trace intact rather than a
-    truncated one.  For incremental streaming during a run, use
-    :class:`~repro.obs.sinks.StreamingJsonlSink` instead.
-    """
-    records = _records_of(source)
-    lines = [json.dumps(record.to_dict()) + "\n" for record in records]
-    if hasattr(destination, "write"):
-        for line in lines:
-            destination.write(line)
-    else:
-        from repro.persistence import save_text
-
-        save_text("".join(lines), destination)
-    return len(records)
+def encode_record(record: TraceRecord) -> str:
+    """One trace record as one JSONL line, newline included."""
+    return json.dumps(record.to_dict()) + "\n"
 
 
 def read_jsonl(source: PathOrFile) -> List[TraceRecord]:

@@ -9,7 +9,7 @@ for the multi-query service, and ``run -> round -> attempt`` for the
 single-query engines.  Spans ride on the existing event pipeline as
 :class:`~repro.obs.events.SpanOpened` / :class:`~repro.obs.events.SpanClosed`
 pairs, so a ``--trace`` JSONL file keeps its crash-readable append-only
-shape and the usual sinks (buffered or streaming) need no changes.
+shape and the trace writer needs no changes.
 
 Two properties are deliberate:
 

@@ -5,18 +5,17 @@ The default tracer everywhere is the shared :data:`NULL_TRACER`, whose
 *construction* behind that flag, so a benchmark run pays one attribute
 read per potential event and allocates nothing.
 
-A :class:`RecordingTracer` buffers :class:`~repro.obs.events.TraceRecord`
-entries with two clocks: monotonic wall time (seconds since the tracer was
-created) and the simulated platform clock, which the emitting layer
-advances via :meth:`RecordingTracer.advance_sim` as rounds complete.
+A :class:`RecordingTracer` stamps each event as a
+:class:`~repro.obs.events.TraceRecord` with two clocks: monotonic wall
+time (seconds since the tracer was created) and the simulated platform
+clock, which the emitting layer advances via
+:meth:`RecordingTracer.advance_sim` as rounds complete.  It keeps the
+records in memory, or, given a ``path``, streams each one to that file
+as a JSONL line (:mod:`repro.obs.export` owns the line format).
 
-Tracers reach the instrumented layers two ways:
-
-* explicitly — ``MaxEngine(..., tracer=tracer)``;
-* ambiently — :func:`use_tracer` installs a tracer in a ``contextvars``
-  scope and :func:`current_tracer` reads it.  Module-level functions
-  (the DP solvers, the simulation helpers) always use the ambient
-  tracer; classes fall back to it when no explicit tracer was given.
+Tracers reach the instrumented layers one way: :func:`use_tracer`
+installs a tracer in a ``contextvars`` scope and every instrumented
+layer reads it with :func:`current_tracer` when it emits.
 
 :func:`timed` is the profiling primitive: a context manager *and*
 decorator that measures a wall-clock span, records it into the metrics
@@ -31,22 +30,13 @@ import functools
 import threading
 import time
 from contextlib import contextmanager
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from pathlib import Path
+from typing import Any, Callable, Iterator, List, Optional, Tuple, Union
 
+from repro.errors import InvalidParameterError
 from repro.obs.events import SpanCompleted, TraceEvent, TraceRecord
+from repro.obs.export import encode_record
 from repro.obs.metrics import MetricsRegistry, get_registry
-
-if TYPE_CHECKING:  # import cycle: sinks imports nothing from tracer, but
-    from repro.obs.sinks import TraceSink  # keep runtime deps one-way.
 
 
 class Tracer:
@@ -78,41 +68,42 @@ class NullTracer(Tracer):
 NULL_TRACER = NullTracer()
 
 
+#: A streaming :class:`RecordingTracer` writes and flushes its file in
+#: batches of this many lines.
+FLUSH_EVERY = 64
+
+
 class RecordingTracer(Tracer):
-    """Buffers timestamped events in memory and/or streams them to sinks.
+    """Timestamps events and keeps them in memory or streams them to a file.
 
     Args:
         clock: monotonic time source (injectable for deterministic tests).
-        sinks: :class:`~repro.obs.sinks.TraceSink` s each record is handed
-            to at emission time (e.g. a ``StreamingJsonlSink``, so a
-            crashed run leaves a readable trace prefix on disk).
-        buffer: keep records in memory (:attr:`records`).  Turn off for
-            long streaming runs whose only consumer is a sink — the
-            tracer then holds no per-event state at all.
+        path: ``None`` keeps every record in memory (:attr:`records`).
+            Given a path, the file is truncated now and each record
+            becomes one JSONL line when it is emitted.  Lines reach the
+            file in whole batches of :data:`FLUSH_EVERY`, flushed at once,
+            and the rest at :meth:`close`; nothing else is kept in memory
+            (``records == ()``).  So a killed run leaves a prefix of whole
+            lines that :func:`~repro.obs.export.read_jsonl` parses.
     """
 
     def __init__(
         self,
         clock: Callable[[], float] = time.perf_counter,
-        sinks: Sequence["TraceSink"] = (),
-        buffer: bool = True,
+        path: Optional[Union[str, Path]] = None,
     ) -> None:
+        self._file = None if path is None else open(path, "w", encoding="utf-8")
         self._clock = clock
         self._origin = clock()
         self._lock = threading.Lock()
         self._records: List[TraceRecord] = []
-        self._sinks: Tuple["TraceSink", ...] = tuple(sinks)
-        self._buffer = buffer
+        self._lines: List[str] = []
         self._emitted = 0
         self._sim_time = 0.0
 
     @property
-    def sinks(self) -> Tuple["TraceSink", ...]:
-        return self._sinks
-
-    @property
     def emitted(self) -> int:
-        """Events emitted so far (buffered or not)."""
+        """Events emitted so far (kept in memory or written to the file)."""
         return self._emitted
 
     @property
@@ -134,11 +125,24 @@ class RecordingTracer(Tracer):
                 sim_time=self._sim_time if sim_time is None else sim_time,
                 event=event,
             )
-            self._emitted += 1
-            if self._buffer:
+            if self._file is None:
                 self._records.append(record)
-            for sink in self._sinks:
-                sink.write(record)
+            elif self._file.closed:
+                raise InvalidParameterError(
+                    f"trace {self._file.name} is closed; "
+                    "no further records accepted"
+                )
+            else:
+                self._lines.append(encode_record(record))
+                if len(self._lines) >= FLUSH_EVERY:
+                    self._write_lines()
+            self._emitted += 1
+
+    def _write_lines(self) -> None:
+        assert self._file is not None
+        self._file.write("".join(self._lines))
+        self._file.flush()
+        self._lines.clear()
 
     @property
     def records(self) -> Tuple[TraceRecord, ...]:
@@ -159,10 +163,12 @@ class RecordingTracer(Tracer):
             self._emitted = 0
             self._sim_time = 0.0
 
-    def close_sinks(self) -> None:
-        """Flush and close every attached sink."""
-        for sink in self._sinks:
-            sink.close()
+    def close(self) -> None:
+        """Write the last lines and close the file (no-op in memory/twice)."""
+        with self._lock:
+            if self._file is not None and not self._file.closed:
+                self._write_lines()
+                self._file.close()
 
 
 _CURRENT: contextvars.ContextVar[Tracer] = contextvars.ContextVar(
@@ -201,22 +207,20 @@ class timed:
         def run(...): ...
 
     Each closed span observes ``time.<label>`` on the metrics registry and
-    emits :class:`~repro.obs.events.SpanCompleted` on the tracer (the
-    ambient one by default), giving both aggregate and per-occurrence
-    views of the same measurement.
+    emits :class:`~repro.obs.events.SpanCompleted` on the ambient tracer,
+    giving both aggregate and per-occurrence views of the same
+    measurement.
     """
 
     def __init__(
         self,
         label: str,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         self.label = label
         self.seconds: Optional[float] = None
         self._registry = registry
-        self._tracer = tracer
         self._clock = clock
         self._start: Optional[float] = None
 
@@ -229,7 +233,7 @@ class timed:
         self.seconds = self._clock() - self._start
         registry = self._registry if self._registry is not None else get_registry()
         registry.histogram(f"time.{self.label}").observe(self.seconds)
-        tracer = self._tracer if self._tracer is not None else current_tracer()
+        tracer = current_tracer()
         if tracer.enabled:
             tracer.emit(SpanCompleted(label=self.label, seconds=self.seconds))
 
@@ -238,12 +242,7 @@ class timed:
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             # A fresh span per call: the instance-as-context-manager form
             # is single-use, the decorator form is reentrant.
-            with timed(
-                self.label,
-                registry=self._registry,
-                tracer=self._tracer,
-                clock=self._clock,
-            ):
+            with timed(self.label, registry=self._registry, clock=self._clock):
                 return func(*args, **kwargs)
 
         return wrapper

@@ -368,12 +368,6 @@ class MaxScheduler:
         )
         # Burn-rate gauges, resolved lazily on the first armed tick.
         self._slo_gauges: Optional[List[Tuple[str, Any]]] = None
-        # Deadline bookkeeping only runs when some query can carry one —
-        # with no deadlines anywhere the tick loop is bit-identical to
-        # the deadline-free scheduler.
-        self._deadline_enabled = self.config.default_deadline is not None or any(
-            spec.deadline is not None for spec in specs
-        )
         self._active: List[ActiveQuery] = []
         self._waiting: List[ActiveQuery] = []
         self._results: List[QueryResult] = []
@@ -486,16 +480,14 @@ class MaxScheduler:
             self._update_brownout()
         self._admit_due()
         self._promote_waiting()
-        if self._deadline_enabled:
-            self._expire_deadlines()
+        self._expire_deadlines()
         # Snapshot: _refresh_round and _apply_deadline both finalize (and
         # remove from _active) queries that are done or out of budget, and
         # removal mid-iteration would silently skip the next query.
         runnable = [
             q
             for q in list(self._active)
-            if self._refresh_round(q)
-            and (not self._deadline_enabled or self._apply_deadline(q))
+            if self._refresh_round(q) and self._apply_deadline(q)
         ]
         if not runnable:
             if self._backlog:
@@ -1129,8 +1121,6 @@ class MaxScheduler:
         The shared round's RWL retry loop must not back off past the
         point where the most urgent rider's budget expires.
         """
-        if not self._deadline_enabled:
-            return None
         deadlines = [
             q.deadline_at for q in scheduled if q.deadline_at is not None
         ]
@@ -1142,8 +1132,6 @@ class MaxScheduler:
         self, scheduled: List[ActiveQuery]
     ) -> Optional[Dict[int, float]]:
         """Per-query remaining budgets for the router's backend choice."""
-        if not self._deadline_enabled:
-            return None
         budgets = {
             q.spec.query_id: q.deadline_at - self._now
             for q in scheduled

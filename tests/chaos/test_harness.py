@@ -15,6 +15,7 @@ from repro.chaos import (
 )
 from repro.crowd.faults import RetryPolicy
 from repro.errors import InvalidParameterError
+from repro.obs.tracer import RecordingTracer, use_tracer
 
 FAULTY = ChaosScenario(
     workload="steady",
@@ -50,6 +51,27 @@ class TestHarnessApi:
         assert describe_mismatch(baseline, baseline) is None
         tweaked = dataclasses.replace(baseline, makespan=baseline.makespan + 1)
         assert "makespan" in describe_mismatch(tweaked, baseline)
+
+    def test_describe_mismatch_names_the_attribution(self):
+        baseline = uninterrupted_report(ChaosScenario())
+        with use_tracer(RecordingTracer()):
+            traced = uninterrupted_report(ChaosScenario())
+        assert traced.attribution is not None
+        assert dataclasses.replace(traced, attribution=None) == baseline
+        message = describe_mismatch(traced, baseline)
+        assert message.startswith("attribution: ")
+
+    def test_describe_mismatch_names_a_query_spec(self):
+        baseline = uninterrupted_report(ChaosScenario())
+        first = baseline.results[0]
+        spec = dataclasses.replace(first.spec, budget=first.spec.budget + 1)
+        tweaked = dataclasses.replace(
+            baseline,
+            results=(dataclasses.replace(first, spec=spec),)
+            + baseline.results[1:],
+        )
+        message = describe_mismatch(tweaked, baseline)
+        assert message.startswith(f"query {first.spec.query_id} spec: ")
 
     def test_crash_beyond_the_last_step_recovers_a_finished_run(self, tmp_path):
         scenario = ChaosScenario()

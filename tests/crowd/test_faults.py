@@ -40,12 +40,9 @@ def _platform(seed=1, n_elements=64):
     return SimulatedPlatform(truth, np.random.default_rng(seed))
 
 
-def _wrapped(profile, seed=1, fault_seed=99, n_elements=64, tracer=None):
+def _wrapped(profile, seed=1, fault_seed=99, n_elements=64):
     return FaultyPlatform(
-        _platform(seed, n_elements),
-        profile,
-        np.random.default_rng(fault_seed),
-        tracer=tracer,
+        _platform(seed, n_elements), profile, np.random.default_rng(fault_seed)
     )
 
 
@@ -235,10 +232,9 @@ class TestIndividualFaults:
 
     def test_faults_emit_trace_events(self):
         tracer = obs.RecordingTracer()
-        platform = _wrapped(
-            FaultProfile(drop_prob=0.5, duplicate_prob=0.5), tracer=tracer
-        )
-        platform.post_batch(_chain(40))
+        platform = _wrapped(FaultProfile(drop_prob=0.5, duplicate_prob=0.5))
+        with obs.use_tracer(tracer):
+            platform.post_batch(_chain(40))
         kinds = {
             record.event.fault
             for record in tracer.records

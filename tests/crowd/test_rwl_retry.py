@@ -76,8 +76,8 @@ class TestRetryRecoversLostAnswers:
     def test_retry_emits_batch_retried_events(self):
         tracer = obs.RecordingTracer()
         rwl = _rwl(fault_profile_by_name("lossy"), RetryPolicy(max_attempts=10))
-        rwl._tracer = tracer
-        result = rwl.ask(_chain(40))
+        with obs.use_tracer(tracer):
+            result = rwl.ask(_chain(40))
         retries = [
             r.event for r in tracer.records if r.event.kind == "BatchRetried"
         ]

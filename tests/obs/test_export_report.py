@@ -1,4 +1,4 @@
-"""JSONL round-trip (export -> parse -> report) and event serialization."""
+"""JSONL round-trip (stream -> parse -> report) and event serialization."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from repro.obs.events import (
     WorkerServiced,
     event_from_dict,
 )
-from repro.obs.export import read_jsonl, write_jsonl
+from repro.obs.export import encode_record, read_jsonl
 from repro.obs.report import render_trace_report, report_file
 from repro.obs.tracer import RecordingTracer
 
@@ -36,10 +36,12 @@ ALL_EVENTS = (
 )
 
 
-def _trace() -> RecordingTracer:
-    tracer = RecordingTracer()
+def _trace(path=None) -> RecordingTracer:
+    """Every event kind through one tracer; *path* streams it to a file."""
+    tracer = RecordingTracer(clock=lambda: 0.0, path=path)
     for event in ALL_EVENTS:
         tracer.emit(event)
+    tracer.close()
     return tracer
 
 
@@ -65,28 +67,30 @@ class TestEventSerialization:
 
 class TestJsonl:
     def test_file_round_trip_is_lossless(self, tmp_path):
-        tracer = _trace()
         path = tmp_path / "trace.jsonl"
-        count = write_jsonl(tracer, path)
-        assert count == len(ALL_EVENTS)
-        assert read_jsonl(path) == list(tracer.records)
+        streamed = _trace(path)
+        assert streamed.emitted == len(ALL_EVENTS)
+        assert streamed.records == ()
+        assert read_jsonl(path) == list(_trace().records)
 
     def test_stream_round_trip(self):
-        tracer = _trace()
-        buffer = io.StringIO()
-        write_jsonl(tracer, buffer)
-        buffer.seek(0)
-        assert read_jsonl(buffer) == list(tracer.records)
+        records = _trace().records
+        buffer = io.StringIO("".join(encode_record(r) for r in records))
+        assert read_jsonl(buffer) == list(records)
 
-    def test_accepts_plain_record_iterables(self, tmp_path):
-        records = list(_trace().records)
-        path = tmp_path / "trace.jsonl"
-        write_jsonl(records, path)
-        assert read_jsonl(path) == records
+    def test_accepts_plain_record_iterables(self):
+        # Records built by hand, not by a tracer, encode the same way.
+        records = [
+            TraceRecord(seq=i, wall_time=0.25 * i, sim_time=None, event=event)
+            for i, event in enumerate(ALL_EVENTS)
+        ]
+        lines = [encode_record(record) for record in records]
+        assert all(line.count("\n") == 1 and line.endswith("\n") for line in lines)
+        assert read_jsonl(io.StringIO("".join(lines))) == records
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        write_jsonl(_trace(), path)
+        _trace(path)
         content = path.read_text()
         path.write_text("\n" + content + "\n\n")
         assert len(read_jsonl(path)) == len(ALL_EVENTS)
@@ -95,7 +99,7 @@ class TestJsonl:
         import json
 
         path = tmp_path / "trace.jsonl"
-        write_jsonl(_trace(), path)
+        _trace(path)
         lines = path.read_text().splitlines()
         assert len(lines) == len(ALL_EVENTS)
         for line in lines:
@@ -105,7 +109,7 @@ class TestJsonl:
 class TestReport:
     def test_full_pipeline_export_parse_report(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        write_jsonl(_trace(), path)
+        _trace(path)
         report = report_file(path)
         # Run header and result line.
         assert "c0=30" in report

@@ -24,29 +24,32 @@ from repro.engine.max_engine import (
 )
 from repro.obs.export import read_jsonl
 from repro.obs.metrics import get_registry
-from repro.obs.tracer import RecordingTracer, use_tracer
+from repro.obs.tracer import NULL_TRACER, RecordingTracer, use_tracer
 from repro.selection.tournament import TournamentFormation
 
 LATENCY = LinearLatency(delta=239.0, alpha=0.06)
 
 
-def _oracle_run(tracer=None, n_elements=40, budget=160, seed=7):
+def _oracle_run(n_elements=40, budget=160, seed=7):
+    """One oracle run under whatever tracer is ambient."""
     rng = np.random.default_rng(seed)
     truth = GroundTruth.random(n_elements, rng)
     allocation = TDPAllocator().allocate(n_elements, budget, LATENCY)
     engine = MaxEngine(
-        TournamentFormation(),
-        OracleAnswerSource(truth, LATENCY),
-        rng,
-        tracer=tracer,
+        TournamentFormation(), OracleAnswerSource(truth, LATENCY), rng
     )
     return engine.run(truth, allocation)
+
+
+def _traced_oracle_run(tracer):
+    with use_tracer(tracer):
+        return _oracle_run()
 
 
 class TestEngineTracing:
     def test_one_posted_received_pair_per_round(self):
         tracer = RecordingTracer()
-        result = _oracle_run(tracer=tracer)
+        result = _traced_oracle_run(tracer)
         posted = tracer.events("RoundPosted")
         received = tracer.events("AnswersReceived")
         assert len(posted) == result.rounds_run >= 1
@@ -63,7 +66,7 @@ class TestEngineTracing:
 
     def test_candidate_counts_are_non_increasing(self):
         tracer = RecordingTracer()
-        _oracle_run(tracer=tracer)
+        _traced_oracle_run(tracer)
         shrinks = tracer.events("CandidateSetShrunk")
         assert shrinks, "expected at least one CandidateSetShrunk event"
         for event in shrinks:
@@ -75,7 +78,7 @@ class TestEngineTracing:
 
     def test_run_lifecycle_events_match_result(self):
         tracer = RecordingTracer()
-        result = _oracle_run(tracer=tracer)
+        result = _traced_oracle_run(tracer)
         (started,) = tracer.events("RunStarted")
         (finished,) = tracer.events("RunFinished")
         assert started.n_elements == 40
@@ -88,7 +91,7 @@ class TestEngineTracing:
 
     def test_sim_clock_accumulates_round_latencies(self):
         tracer = RecordingTracer()
-        result = _oracle_run(tracer=tracer)
+        result = _traced_oracle_run(tracer)
         received = [
             r for r in tracer.records if r.event.kind == "AnswersReceived"
         ]
@@ -101,7 +104,7 @@ class TestEngineTracing:
     def test_ambient_tracer_is_picked_up(self):
         tracer = RecordingTracer()
         with use_tracer(tracer):
-            result = _oracle_run()  # no explicit tracer argument
+            result = _oracle_run()
         assert len(tracer.events("RoundPosted")) == result.rounds_run
 
 
@@ -150,15 +153,12 @@ class TestCrowdInstrumentation:
     def _noisy_run(self, tracer):
         rng = np.random.default_rng(3)
         truth = GroundTruth.random(16, rng)
-        platform = SimulatedPlatform(
-            truth, rng, error_model=UniformError(0.35), tracer=tracer
-        )
-        rwl = ReliableWorkerLayer(platform, rng, repetition=3, tracer=tracer)
+        platform = SimulatedPlatform(truth, rng, error_model=UniformError(0.35))
+        rwl = ReliableWorkerLayer(platform, rng, repetition=3)
         allocation = TDPAllocator().allocate(16, 60, LATENCY)
-        engine = MaxEngine(
-            TournamentFormation(), PlatformAnswerSource(rwl), rng, tracer=tracer
-        )
-        return engine.run(truth, allocation)
+        engine = MaxEngine(TournamentFormation(), PlatformAnswerSource(rwl), rng)
+        with use_tracer(tracer):
+            return engine.run(truth, allocation)
 
     def test_platform_emits_worker_serviced(self):
         tracer = RecordingTracer()
@@ -184,8 +184,8 @@ class TestTracingIsNonInvasive:
     """Regression guard: instrumentation must not perturb outcomes."""
 
     def test_oracle_run_identical_with_tracer_off_and_on(self):
-        baseline = _oracle_run(tracer=None)
-        traced = _oracle_run(tracer=RecordingTracer())
+        baseline = _oracle_run()
+        traced = _traced_oracle_run(RecordingTracer())
         assert traced.winner == baseline.winner
         assert traced.singleton_termination == baseline.singleton_termination
         assert traced.rounds_run == baseline.rounds_run
@@ -195,7 +195,7 @@ class TestTracingIsNonInvasive:
 
     def test_noisy_platform_run_identical_with_tracer_off_and_on(self):
         crowd = TestCrowdInstrumentation()
-        baseline = crowd._noisy_run(None)
+        baseline = crowd._noisy_run(NULL_TRACER)
         traced = crowd._noisy_run(RecordingTracer())
         assert traced.winner == baseline.winner
         assert traced.records == baseline.records

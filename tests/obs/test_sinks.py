@@ -1,15 +1,15 @@
-"""Tests for trace sinks: streaming JSONL, in-memory, tee, crash prefix."""
+"""Tests for the streaming trace file: JSONL lines, flushing, crash prefix."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.chaos import ChaosScenario, build_scheduler
 from repro.errors import InvalidParameterError
-from repro.obs.events import RoundPosted, TraceRecord
+from repro.obs.events import RoundPosted, SpanCompleted
 from repro.obs.export import read_jsonl
-from repro.obs.sinks import InMemorySink, StreamingJsonlSink, TeeSink
-from repro.obs.tracer import RecordingTracer, use_tracer
+from repro.obs.tracer import FLUSH_EVERY, RecordingTracer, use_tracer
 
 
 def _event(index: int) -> RoundPosted:
@@ -18,79 +18,62 @@ def _event(index: int) -> RoundPosted:
     )
 
 
-class TestInMemorySink:
-    def test_collects_records_in_order(self):
-        sink = InMemorySink()
-        tracer = RecordingTracer(sinks=[sink])
-        for i in range(5):
-            tracer.emit(_event(i))
-        assert [r.seq for r in sink.records] == [0, 1, 2, 3, 4]
-        assert sink.records == tracer.records
-
-
 class TestStreamingJsonlSink:
     def test_writes_one_line_per_record(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        with StreamingJsonlSink(path, flush_interval=1) as sink:
-            tracer = RecordingTracer(sinks=[sink])
-            for i in range(3):
-                tracer.emit(_event(i))
+        tracer = RecordingTracer(path=path)
+        for i in range(3):
+            tracer.emit(_event(i))
+        tracer.close()
         records = read_jsonl(path)
         assert len(records) == 3
         assert [r.event.round_index for r in records] == [0, 1, 2]
 
     def test_flush_interval_controls_durability(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        sink = StreamingJsonlSink(path, flush_interval=4)
-        tracer = RecordingTracer(sinks=[sink])
-        for i in range(6):
+        tracer = RecordingTracer(path=path)
+        for i in range(FLUSH_EVERY + 6):
             tracer.emit(_event(i))
-        # 6 written, last flush at 4: the readable prefix is 4 records.
-        assert sink.records_written == 6
-        assert len(read_jsonl(path)) == 4
-        sink.flush()
-        assert len(read_jsonl(path)) == 6
+        # The last flush was at FLUSH_EVERY: that is the readable prefix.
+        assert tracer.emitted == FLUSH_EVERY + 6
+        assert len(read_jsonl(path)) == FLUSH_EVERY
+        tracer.close()
+        assert len(read_jsonl(path)) == FLUSH_EVERY + 6
+
+    def test_no_part_of_an_unfinished_batch_reaches_the_file(self, tmp_path):
+        # Lines far larger than the file object's own buffer: writing them
+        # one by one would push a torn prefix to disk before the flush.
+        path = tmp_path / "trace.jsonl"
+        tracer = RecordingTracer(path=path)
+        for i in range(FLUSH_EVERY - 1):
+            tracer.emit(SpanCompleted(label=f"{i}-" + "x" * 1000, seconds=0.0))
+        assert path.read_text(encoding="utf-8") == ""
+        tracer.close()
+        assert len(read_jsonl(path)) == FLUSH_EVERY - 1
 
     def test_closed_sink_rejects_writes(self, tmp_path):
-        sink = StreamingJsonlSink(tmp_path / "t.jsonl")
-        sink.close()
+        tracer = RecordingTracer(path=tmp_path / "t.jsonl")
+        tracer.close()
         with pytest.raises(InvalidParameterError):
-            sink.write(TraceRecord(0, 0.0, 0.0, _event(0)))
+            tracer.emit(_event(0))
+        assert tracer.emitted == 0
 
     def test_close_is_idempotent(self, tmp_path):
-        sink = StreamingJsonlSink(tmp_path / "t.jsonl")
-        sink.close()
-        sink.close()
-
-    def test_rejects_bad_flush_interval(self, tmp_path):
-        with pytest.raises(InvalidParameterError):
-            StreamingJsonlSink(tmp_path / "t.jsonl", flush_interval=0)
-
-
-class TestTeeSink:
-    def test_fans_out_to_all_sinks(self, tmp_path):
-        memory = InMemorySink()
-        jsonl = StreamingJsonlSink(tmp_path / "t.jsonl", flush_interval=1)
-        tee = TeeSink([memory, jsonl])
-        tracer = RecordingTracer(sinks=[tee])
-        for i in range(4):
-            tracer.emit(_event(i))
-        tee.close()
-        assert len(memory.records) == 4
-        assert len(read_jsonl(tmp_path / "t.jsonl")) == 4
+        tracer = RecordingTracer(path=tmp_path / "t.jsonl")
+        tracer.close()
+        tracer.close()
 
 
 class TestTracerSinkIntegration:
     def test_unbuffered_tracer_keeps_no_records(self, tmp_path):
-        sink = InMemorySink()
-        tracer = RecordingTracer(sinks=[sink], buffer=False)
+        path = tmp_path / "t.jsonl"
+        tracer = RecordingTracer(path=path)
         for i in range(7):
             tracer.emit(_event(i))
+        tracer.close()
         assert tracer.records == ()
         assert tracer.emitted == 7
-        assert len(sink.records) == 7
-        # seq numbering is independent of buffering.
-        assert [r.seq for r in sink.records] == list(range(7))
+        assert [r.seq for r in read_jsonl(path)] == list(range(7))
 
     def test_clear_resets_seq(self):
         tracer = RecordingTracer()
@@ -99,42 +82,57 @@ class TestTracerSinkIntegration:
         tracer.emit(_event(1))
         assert tracer.records[0].seq == 0
 
-    def test_close_sinks_flushes(self, tmp_path):
+    def test_close_flushes(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        tracer = RecordingTracer(
-            sinks=[StreamingJsonlSink(path, flush_interval=100)]
-        )
+        tracer = RecordingTracer(path=path)
         tracer.emit(_event(0))
         assert read_jsonl(path) == []
-        tracer.close_sinks()
+        tracer.close()
         assert len(read_jsonl(path)) == 1
+
+
+def _without_wall_clock(records):
+    """Records with ``wall_time`` and any event ``seconds`` zeroed."""
+    zeroed = []
+    for record in records:
+        event = record.event
+        if hasattr(event, "seconds"):
+            event = dataclasses.replace(event, seconds=0.0)
+        zeroed.append(dataclasses.replace(record, wall_time=0.0, event=event))
+    return zeroed
+
+
+def _run_steps(tracer, steps):
+    scheduler = build_scheduler(ChaosScenario(workload="smoke", seed=7))
+    with use_tracer(tracer):
+        for _ in range(steps):
+            assert scheduler.step(), "the run must still be going"
+    return scheduler
 
 
 class TestCrashLeavesReadablePrefix:
     def test_killed_run_prefix_parses_and_matches(self, tmp_path):
-        """Abandon a scheduler mid-run; the sink's on-disk prefix must
-        parse cleanly and be an exact prefix of the emitted stream."""
-        scenario = ChaosScenario(workload="smoke", seed=7)
+        """Abandon a scheduler mid-run; the file's on-disk prefix must
+        parse cleanly and equal the same steps traced in memory."""
+        steps = 5
         trace_path = tmp_path / "trace.jsonl"
-        sink = StreamingJsonlSink(trace_path, flush_interval=2)
-        tracer = RecordingTracer(sinks=[sink])
-        victim = build_scheduler(scenario)
-        with use_tracer(tracer):
-            for _ in range(2):
-                if not victim.step():
-                    break
-        # Kill: the scheduler and sink are abandoned without close();
-        # only flushed lines are on disk (the sink object stays alive so
-        # no destructor flushes behind our back).
+        tracer = RecordingTracer(path=trace_path)
+        victim = _run_steps(tracer, steps)
+        # Kill: the scheduler and tracer are abandoned without close(), so
+        # only the whole batches already written are on disk.
         del victim
+        reference = RecordingTracer()
+        _run_steps(reference, steps)
+        assert tracer.emitted == reference.emitted > FLUSH_EVERY
+        assert tracer.emitted % FLUSH_EVERY, "the kill must strand a tail"
         on_disk = read_jsonl(trace_path)
-        emitted = tracer.records
-        assert len(emitted) > 0
-        assert len(on_disk) <= len(emitted)
-        assert len(on_disk) >= len(emitted) - (sink.flush_interval - 1)
-        for parsed, original in zip(on_disk, emitted):
-            assert parsed.to_dict() == original.to_dict()
+        assert len(on_disk) == tracer.emitted // FLUSH_EVERY * FLUSH_EVERY
+        assert _without_wall_clock(on_disk) == _without_wall_clock(
+            reference.records[: len(on_disk)]
+        )
         # Every line on disk is whole — no torn JSON at the tail.
-        with open(trace_path, "r", encoding="utf-8") as handle:
-            for line in handle.read().splitlines():
-                json.loads(line)
+        text = trace_path.read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        for line in text.splitlines():
+            json.loads(line)
+        tracer.close()

@@ -126,7 +126,7 @@ class TestTimed:
     def test_emits_span_event_on_active_tracer(self):
         registry = MetricsRegistry()
         tracer = RecordingTracer()
-        with timed("unit", registry=registry, tracer=tracer):
+        with use_tracer(tracer), timed("unit", registry=registry):
             pass
         events = tracer.events("SpanCompleted")
         assert len(events) == 1

@@ -98,12 +98,8 @@ def _scheduler(specs, seed, fault_profile, breaker_config, capacity=None):
     )
 
 
-def _run(specs, seed, fault_profile, breaker_config, tracer=None):
-    scheduler = _scheduler(specs, seed, fault_profile, breaker_config)
-    if tracer is None:
-        return scheduler.run()
-    with use_tracer(tracer):
-        return scheduler.run()
+def _run(specs, seed, fault_profile, breaker_config):
+    return _scheduler(specs, seed, fault_profile, breaker_config).run()
 
 
 def _record_placement(scheduler):
@@ -187,9 +183,8 @@ def test_tracing_never_perturbs_the_report(
     specs, seed, fault_profile, breaker_config
 ):
     untraced = _run(specs, seed, fault_profile, breaker_config)
-    traced = _run(
-        specs, seed, fault_profile, breaker_config, tracer=RecordingTracer()
-    )
+    with use_tracer(RecordingTracer()):
+        traced = _run(specs, seed, fault_profile, breaker_config)
     assert untraced.attribution is None
     # Only all-zero-latency workloads (instant trivial queries) produce
     # no chunks at all; anything that took time must be attributed.

@@ -442,13 +442,21 @@ class TestStreamTrace:
         trace = tmp_path / "trace.jsonl"
         assert main(
             ["solve", "--elements", "20", "--budget", "300", "--trace",
-             str(trace), "--stream-trace"]
+             str(trace)]
         ) == 0
         out = capsys.readouterr().out
         assert "trace event(s)" in out
         from repro.obs.export import read_jsonl
 
         assert len(read_jsonl(trace)) > 0
+
+    def test_unwritable_trace_path_fails_before_the_run(self, capsys, tmp_path):
+        trace = tmp_path / "no-such-dir" / "trace.jsonl"
+        assert main(["serve", "--workload", "smoke", "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert f"cannot write trace to {trace}" in captured.err
+        assert captured.out == ""  # no query ran, nothing was reported
+        assert not trace.parent.exists()
 
 
 class TestBenchCheck:
@@ -582,8 +590,7 @@ class TestExplain:
     def _trace(tmp_path, capsys):
         path = tmp_path / "trace.jsonl"
         assert main(
-            ["serve", "--workload", "smoke", "--trace", str(path),
-             "--stream-trace"]
+            ["serve", "--workload", "smoke", "--trace", str(path)]
         ) == 0
         capsys.readouterr()
         return path
@@ -821,7 +828,7 @@ class TestExplainDeadlines:
             ["serve", "--workload", "steady", "--queries", "12",
              "--backends", "outage-trio", "--routing", "least-loaded",
              "--default-deadline", "600", "--hedge-after", "250",
-             "--seed", "7", "--trace", str(trace), "--stream-trace"]
+             "--seed", "7", "--trace", str(trace)]
         ) == 0
         capsys.readouterr()
         assert main(["explain", "--trace", str(trace)]) == 0
@@ -833,7 +840,7 @@ class TestExplainDeadlines:
         trace = tmp_path / "trace.jsonl"
         assert main(
             ["serve", "--workload", "smoke", "--default-deadline", "1e9",
-             "--trace", str(trace), "--stream-trace"]
+             "--trace", str(trace)]
         ) == 0
         capsys.readouterr()
         assert main(["explain", "--trace", str(trace)]) == 0
