@@ -22,12 +22,7 @@ from repro.crowd.faults import (
     fault_profile_by_name,
 )
 from repro.crowd.ground_truth import GroundTruth
-from repro.crowd.platform import (
-    BatchResult,
-    Platform,
-    SimulatedPlatform,
-    WorkerAnswer,
-)
+from repro.crowd.platform import BatchResult, Platform, SimulatedPlatform
 from repro.crowd.rwl import ReliableWorkerLayer, RWLResult
 from repro.crowd.workers import WorkerPoolConfig
 
@@ -43,7 +38,6 @@ __all__ = [
     "Platform",
     "SimulatedPlatform",
     "BatchResult",
-    "WorkerAnswer",
     "FaultProfile",
     "FaultStats",
     "FaultyPlatform",

@@ -2,8 +2,9 @@
 
 The paper treats human error as orthogonal (handled by the Reliable Worker
 Layer), but a credible platform substrate must be able to *produce* errors
-for the RWL to handle.  Each model decides, per submitted answer, whether
-the worker reports the true winner or the opposite.
+for the RWL to handle.  Each model gives, per submitted answer, the
+probability that the worker reports the loser instead of the true winner;
+the platform draws one Bernoulli flip per answer from those probabilities.
 """
 
 from __future__ import annotations
@@ -14,39 +15,32 @@ import numpy as np
 
 from repro.crowd.ground_truth import GroundTruth
 from repro.errors import InvalidParameterError
-from repro.types import Answer, Element
+from repro.types import Element
 
 
 class ErrorModel(ABC):
-    """Decides the answer a single worker gives to one question."""
+    """Decides how likely a single worker is to answer a question wrongly."""
 
     @abstractmethod
+    def error_probabilities(
+        self, truth: GroundTruth, a: np.ndarray, b: np.ndarray
+    ) -> np.ndarray:
+        """Probability that a worker answers each pair ``(a[i], b[i])`` wrongly."""
+
     def error_probability(
         self, truth: GroundTruth, a: Element, b: Element
     ) -> float:
         """Probability that a worker answers the pair ``(a, b)`` wrongly."""
-
-    def worker_answer(
-        self,
-        truth: GroundTruth,
-        a: Element,
-        b: Element,
-        rng: np.random.Generator,
-    ) -> Answer:
-        """Sample one worker's (possibly wrong) answer for the pair."""
-        correct = truth.answer(a, b)
-        if rng.random() < self.error_probability(truth, a, b):
-            return Answer(winner=correct.loser, loser=correct.winner)
-        return correct
+        return float(self.error_probabilities(truth, np.array([a]), np.array([b]))[0])
 
 
 class PerfectWorkers(ErrorModel):
     """Error-free workers: the setting of the paper's main analysis."""
 
-    def error_probability(
-        self, truth: GroundTruth, a: Element, b: Element
-    ) -> float:
-        return 0.0
+    def error_probabilities(
+        self, truth: GroundTruth, a: np.ndarray, b: np.ndarray
+    ) -> np.ndarray:
+        return np.zeros(len(a))
 
     def __repr__(self) -> str:
         return "PerfectWorkers()"
@@ -63,10 +57,10 @@ class UniformError(ErrorModel):
             )
         self.rate = rate
 
-    def error_probability(
-        self, truth: GroundTruth, a: Element, b: Element
-    ) -> float:
-        return self.rate
+    def error_probabilities(
+        self, truth: GroundTruth, a: np.ndarray, b: np.ndarray
+    ) -> np.ndarray:
+        return np.full(len(a), self.rate)
 
     def __repr__(self) -> str:
         return f"UniformError(rate={self.rate:g})"
@@ -97,6 +91,12 @@ class DistanceSensitiveError(ErrorModel):
     ) -> float:
         gap = truth.rank_gap(a, b)
         return self.base * float(np.exp(-(gap - 1) / self.scale))
+
+    def error_probabilities(
+        self, truth: GroundTruth, a: np.ndarray, b: np.ndarray
+    ) -> np.ndarray:
+        gaps = np.abs(truth.ranks[a] - truth.ranks[b])
+        return self.base * np.exp(-(gaps - 1) / self.scale)
 
     def __repr__(self) -> str:
         return f"DistanceSensitiveError(base={self.base:g}, scale={self.scale:g})"

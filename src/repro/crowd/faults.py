@@ -40,16 +40,11 @@ from __future__ import annotations
 import dataclasses
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.crowd.platform import (
-    BatchResult,
-    Platform,
-    PlatformStats,
-    WorkerAnswer,
-)
+from repro.crowd.platform import BatchResult, Platform, PlatformStats, Questions
 from repro.errors import InvalidParameterError, PlatformOutageError
 from repro.obs.events import FaultInjected
 from repro.obs.metrics import get_registry
@@ -288,8 +283,12 @@ class FaultyPlatform(Platform):
         """The wrapped platform's cumulative usage statistics."""
         return self.inner.stats
 
-    def post_batch(self, questions: Sequence) -> BatchResult:
+    def post_batch(self, questions: Questions) -> BatchResult:
         """Post *questions* on the wrapped platform, then inject faults.
+
+        Each per-answer fault family draws one uniform per surviving
+        answer (in the module's fault order), and the duplicates one
+        delay per copy, all from the fault RNG.
 
         Raises:
             PlatformOutageError: when an injected outage swallows the
@@ -298,76 +297,63 @@ class FaultyPlatform(Platform):
         """
         profile = self.profile
         rng = self._fault_rng
+        n_questions = len(questions)
         batch_index = self.fault_stats.batches_seen
         self.fault_stats.batches_seen += 1
         window = profile.outage_window
-        if questions and window is not None and (
+        if n_questions and window is not None and (
             window[0] <= self.clock < window[1]
         ):
             # Deterministic sustained outage: no fault-RNG draw, so the
             # random fault stream stays aligned with a window-free run.
             self.fault_stats.outages += 1
-            self._record_fault("outage", len(questions), batch_index)
+            self._record_fault("outage", n_questions, batch_index)
             logger.debug(
                 "batch %d: sustained outage window swallowed %d question(s)",
                 batch_index,
-                len(questions),
+                n_questions,
             )
             raise PlatformOutageError(
                 f"platform down for maintenance until t={window[1]:g}s; "
-                f"batch of {len(questions)} question(s) swallowed",
+                f"batch of {n_questions} question(s) swallowed",
                 wasted_seconds=profile.outage_detection_time,
             )
-        if questions and profile.outage_prob > 0 and (
+        if n_questions and profile.outage_prob > 0 and (
             rng.random() < profile.outage_prob
         ):
             self.fault_stats.outages += 1
-            self._record_fault("outage", len(questions), batch_index)
+            self._record_fault("outage", n_questions, batch_index)
             logger.debug(
                 "batch %d: injected outage swallowed %d question(s)",
                 batch_index,
-                len(questions),
+                n_questions,
             )
             raise PlatformOutageError(
                 f"injected platform outage swallowed a batch of "
-                f"{len(questions)} question(s)",
+                f"{n_questions} question(s)",
                 wasted_seconds=profile.outage_detection_time,
             )
         result = self.inner.post_batch(questions)
-        if profile.is_zero or not result.worker_answers:
+        if profile.is_zero or not result.n_answers:
             return result
-        answers = list(result.worker_answers)
-        answers, n_abandoned = self._remove(
-            answers, profile.abandon_prob, rng
-        )
-        answers, n_dropped = self._remove(answers, profile.drop_prob, rng)
+        keep = self._survivors(result.n_answers, profile.abandon_prob, rng)
+        n_abandoned = result.n_answers - len(keep)
+        kept = self._survivors(len(keep), profile.drop_prob, rng)
+        n_dropped = len(keep) - len(kept)
+        rows = keep[kept]
+        times = result.submit_times[rows]
         n_stragglers = 0
-        if profile.straggler_prob > 0 and answers:
-            delayed: List[WorkerAnswer] = []
-            for answer in answers:
-                if rng.random() < profile.straggler_prob:
-                    n_stragglers += 1
-                    answer = dataclasses.replace(
-                        answer,
-                        submit_time=answer.submit_time
-                        * profile.straggler_multiplier,
-                    )
-                delayed.append(answer)
-            answers = delayed
+        if profile.straggler_prob > 0 and len(rows):
+            slow = rng.random(len(rows)) < profile.straggler_prob
+            n_stragglers = int(slow.sum())
+            times = np.where(slow, times * profile.straggler_multiplier, times)
         n_duplicates = 0
-        if profile.duplicate_prob > 0 and answers:
-            copies: List[WorkerAnswer] = []
-            for answer in answers:
-                if rng.random() < profile.duplicate_prob:
-                    n_duplicates += 1
-                    copies.append(
-                        dataclasses.replace(
-                            answer,
-                            submit_time=answer.submit_time
-                            + rng.uniform(0.0, profile.duplicate_delay),
-                        )
-                    )
-            answers.extend(copies)
+        if profile.duplicate_prob > 0 and len(rows):
+            copied = np.flatnonzero(rng.random(len(rows)) < profile.duplicate_prob)
+            n_duplicates = len(copied)
+            delays = rng.uniform(0.0, profile.duplicate_delay, size=n_duplicates)
+            times = np.concatenate((times, times[copied] + delays))
+            rows = np.concatenate((rows, rows[copied]))
         self.fault_stats.abandoned += n_abandoned
         self.fault_stats.dropped += n_dropped
         self.fault_stats.stragglers += n_stragglers
@@ -380,26 +366,24 @@ class FaultyPlatform(Platform):
         ):
             if count:
                 self._record_fault(fault, count, batch_index)
-        completion = max(
-            (answer.submit_time for answer in answers), default=0.0
-        )
+        worker_ids = result.worker_ids[rows]
         return BatchResult(
-            worker_answers=tuple(answers),
-            completion_time=completion,
-            n_workers=len({answer.worker_id for answer in answers}),
+            questions=result.questions[rows],
+            winners=result.winners[rows],
+            submit_times=times,
+            worker_ids=worker_ids,
+            completion_time=float(times.max()) if len(times) else 0.0,
+            n_workers=len(np.unique(worker_ids)),
         )
 
     @staticmethod
-    def _remove(
-        answers: List[WorkerAnswer],
-        probability: float,
-        rng: np.random.Generator,
-    ) -> Tuple[List[WorkerAnswer], int]:
-        """Independently delete each answer with *probability*."""
-        if probability == 0 or not answers:
-            return answers, 0
-        survivors = [a for a in answers if rng.random() >= probability]
-        return survivors, len(answers) - len(survivors)
+    def _survivors(
+        n_answers: int, probability: float, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Indices of the answers kept when each is lost with *probability*."""
+        if probability == 0 or not n_answers:
+            return np.arange(n_answers)
+        return np.flatnonzero(rng.random(n_answers) >= probability)
 
     def _record_fault(self, fault: str, count: int, batch_index: int) -> None:
         get_registry().counter(f"faults.{fault}").inc(count)

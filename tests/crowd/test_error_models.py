@@ -9,6 +9,7 @@ from repro.crowd.error_models import (
     UniformError,
 )
 from repro.crowd.ground_truth import GroundTruth
+from repro.crowd.platform import SimulatedPlatform
 
 
 class TestPerfectWorkers:
@@ -18,11 +19,11 @@ class TestPerfectWorkers:
 
     def test_answers_always_correct(self, rng):
         truth = GroundTruth.identity(10)
-        model = PerfectWorkers()
-        for _ in range(50):
-            a, b = rng.choice(10, size=2, replace=False)
-            answer = model.worker_answer(truth, int(a), int(b), rng)
-            assert answer.winner == truth.better(int(a), int(b))
+        pairs = [rng.choice(10, size=2, replace=False) for _ in range(50)]
+        platform = SimulatedPlatform(truth, rng, error_model=PerfectWorkers())
+        result = platform.post_batch(pairs)
+        for (a, b), winner in zip(pairs, result.winners.tolist()):
+            assert winner == truth.better(int(a), int(b))
 
 
 class TestUniformError:
@@ -36,12 +37,10 @@ class TestUniformError:
 
     def test_empirical_error_rate(self):
         truth = GroundTruth.identity(4)
-        model = UniformError(0.3)
-        rng = np.random.default_rng(0)
-        wrong = sum(
-            model.worker_answer(truth, 0, 3, rng).winner == 3
-            for _ in range(5000)
+        platform = SimulatedPlatform(
+            truth, np.random.default_rng(0), error_model=UniformError(0.3)
         )
+        wrong = (platform.post_batch([(0, 3)] * 5000).winners == 3).sum()
         assert wrong / 5000 == pytest.approx(0.3, abs=0.03)
 
 
@@ -71,3 +70,21 @@ class TestDistanceSensitiveError:
             DistanceSensitiveError(base=0.6)
         with pytest.raises(Exception):
             DistanceSensitiveError(scale=0)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        PerfectWorkers(),
+        UniformError(0.2),
+        DistanceSensitiveError(),
+        DistanceSensitiveError(base=0.3, scale=2.5),
+    ],
+    ids=repr,
+)
+def test_vector_probabilities_match_the_scalar_ones(model):
+    truth = GroundTruth.random(40, np.random.default_rng(3))
+    pairs = np.array([(a, b) for a in range(40) for b in range(40) if a != b])
+    vector = model.error_probabilities(truth, pairs[:, 0], pairs[:, 1])
+    scalar = [model.error_probability(truth, int(a), int(b)) for a, b in pairs]
+    np.testing.assert_allclose(vector, scalar, rtol=1e-12, atol=0)

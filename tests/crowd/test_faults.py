@@ -206,12 +206,14 @@ class TestIndividualFaults:
         platform = _wrapped(FaultProfile(duplicate_prob=1.0))
         result = platform.post_batch(_chain(10))
         assert result.n_answers == 20
-        for original, copy in zip(
-            result.worker_answers[:10], result.worker_answers[10:]
-        ):
-            assert copy.question == original.question
-            assert copy.answer == original.answer
-            assert copy.submit_time >= original.submit_time
+        np.testing.assert_array_equal(
+            result.questions[10:], result.questions[:10]
+        )
+        np.testing.assert_array_equal(result.winners[10:], result.winners[:10])
+        np.testing.assert_array_equal(
+            result.worker_ids[10:], result.worker_ids[:10]
+        )
+        assert (result.submit_times[10:] >= result.submit_times[:10]).all()
 
     def test_outage_raises_with_detection_time(self):
         platform = _wrapped(

@@ -23,21 +23,18 @@ class TestBatchExecution:
         questions = [(i, i + 1) for i in range(0, 40, 2)]
         result = platform.post_batch(questions)
         assert result.n_answers == len(questions)
-        assert [wa.question for wa in result.worker_answers] == questions
+        assert result.questions.tolist() == [list(q) for q in questions]
 
     def test_answers_match_ground_truth_for_perfect_workers(self):
         platform, truth = make_platform()
         result = platform.post_batch([(0, 1), (2, 3), (4, 5)])
-        for worker_answer in result.worker_answers:
-            a, b = worker_answer.question
-            assert worker_answer.answer.winner == truth.better(a, b)
+        for (a, b), winner in zip(result.questions.tolist(), result.winners):
+            assert winner == truth.better(a, b)
 
     def test_completion_time_is_last_submission(self):
         platform, _ = make_platform()
         result = platform.post_batch([(i, i + 1) for i in range(0, 30, 2)])
-        assert result.completion_time == max(
-            wa.submit_time for wa in result.worker_answers
-        )
+        assert result.completion_time == result.submit_times.max()
 
     def test_empty_batch(self):
         platform, _ = make_platform()
@@ -135,8 +132,5 @@ class TestErrors:
             truth, rng, error_model=UniformError(0.25)
         )
         result = platform.post_batch([(0, 1)] * 4000)
-        wrong = sum(
-            wa.answer.winner != truth.better(0, 1)
-            for wa in result.worker_answers
-        )
+        wrong = (result.winners != truth.better(0, 1)).sum()
         assert wrong / 4000 == pytest.approx(0.25, abs=0.03)

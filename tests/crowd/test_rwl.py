@@ -11,6 +11,7 @@ from repro.crowd.platform import SimulatedPlatform
 from repro.crowd.rwl import ReliableWorkerLayer
 from repro.errors import InvalidParameterError
 from repro.graphs.answer_graph import AnswerGraph
+from repro.types import Answer
 
 
 def make_rwl(seed=0, n=20, repetition=1, error_rate=None):
@@ -26,12 +27,12 @@ class TestContract:
         rwl, _ = make_rwl()
         result = rwl.ask([(0, 1), (1, 2), (0, 1)])
         assert len(result.answers) == 2
-        assert {a.question for a in result.answers} == {(0, 1), (1, 2)}
+        assert result.questions.tolist() == [[0, 1], [1, 2]]
 
     def test_empty_input(self):
         rwl, _ = make_rwl()
         result = rwl.ask([])
-        assert result.answers == ()
+        assert len(result.answers) == 0
         assert result.latency == 0.0
 
     def test_repetition_multiplies_posted_questions(self):
@@ -53,9 +54,8 @@ class TestContract:
         questions = [(i, i + 1) for i in range(10)]
         result = rwl.ask(questions)
         assert result.majority_flips == 0
-        for answer in result.answers:
-            a, b = answer.question
-            assert answer.winner == truth.better(a, b)
+        for (a, b), winner in zip(result.questions.tolist(), result.winners):
+            assert winner == truth.better(a, b)
 
 
 class TestConsistency:
@@ -74,7 +74,9 @@ class TestConsistency:
         questions = [(a, b) for a in range(8) for b in range(a + 1, 8)]
         result = rwl.ask(questions)
         graph = AnswerGraph(range(8))
-        graph.record_all(result.answers)
+        graph.record_all(
+            Answer(winner, loser) for winner, loser in result.answers.tolist()
+        )
         graph.validate_acyclic()  # raises on any cycle
         assert len(result.answers) == len(questions)
 
@@ -89,9 +91,10 @@ class TestConsistency:
                 )
                 questions = [(i, i + 1) for i in range(11)]
                 result = rwl.ask(questions)
-                for answer in result.answers:
-                    a, b = answer.question
-                    correct += answer.winner == truth.better(a, b)
+                for (a, b), winner in zip(
+                    result.questions.tolist(), result.winners
+                ):
+                    correct += winner == truth.better(a, b)
                     total += 1
             return correct / total
 

@@ -77,12 +77,12 @@ class TestSampling:
     def test_service_time_mean(self):
         config = WorkerPoolConfig(mean_service_time=3.0, service_sigma=0.4)
         rng = np.random.default_rng(2)
-        samples = [config.sample_service_time(rng) for _ in range(4000)]
+        samples = config.sample_service_times(4000, rng)
         assert np.mean(samples) == pytest.approx(3.0, rel=0.05)
 
     def test_zero_sigma_is_deterministic(self, rng):
         config = WorkerPoolConfig(mean_service_time=3.0, service_sigma=0.0)
-        assert config.sample_service_time(rng) == 3.0
+        assert list(config.sample_service_times(3, rng)) == [3.0] * 3
 
     def test_invalid_worker_count(self, rng):
         with pytest.raises(InvalidParameterError):
@@ -121,6 +121,6 @@ class TestWorkerSpeed:
         platform = SimulatedPlatform(truth, rng, config=config)
         questions = [(i % 99, 99) for i in range(600)]
         result = platform.post_batch(questions)
-        counts = Counter(wa.worker_id for wa in result.worker_answers)
+        counts = Counter(result.worker_ids.tolist())
         shares = sorted(counts.values(), reverse=True)
         assert shares[0] > 3 * shares[-1]
