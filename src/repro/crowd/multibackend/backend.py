@@ -7,16 +7,11 @@ wrapper, an optional circuit breaker, and its *own*
 :class:`~repro.crowd.rwl.ReliableWorkerLayer` — so repetition, majority
 voting and retry backoff all draw from per-backend RNG streams.
 
-RNG stream contract:
-
-* a fleet of **one** backend — every single-platform scheduler run — uses
-  the scheduler streams ``(seed, 1)`` / ``(seed, 2)`` / ``(seed, 3)`` for
-  platform / RWL / faults (the streams the single-platform service
-  goldens pin);
-* a fleet of **N > 1** derives backend *i*'s streams as ``(seed, 1, i)``
-  / ``(seed, 2, i)`` / ``(seed, 3, i)`` — independent per backend, so one
-  backend's faults never perturb another's answers, and the journal can
-  snapshot/restore each stream separately.
+RNG stream contract: backend *i* of every fleet — a single-platform
+scheduler run is a fleet of one — draws platform / RWL / faults from
+``(seed, 1, i)`` / ``(seed, 2, i)`` / ``(seed, 3, i)``.  The streams are
+independent per backend, so one backend's faults never perturb another's
+answers, and the journal can snapshot/restore each stream separately.
 """
 
 from __future__ import annotations
@@ -185,15 +180,11 @@ def build_backends(
     contract above.
     """
     validate_fleet(specs)
-    solo = len(specs) == 1
     backends: List[Backend] = []
     for index, spec in enumerate(specs):
-        platform_key = (seed, 1) if solo else (seed, 1, index)
-        rwl_key = (seed, 2) if solo else (seed, 2, index)
-        fault_key = (seed, 3) if solo else (seed, 3, index)
         platform: Platform = SimulatedPlatform(
             truth,
-            np.random.default_rng(platform_key),
+            np.random.default_rng((seed, 1, index)),
             error_model=error_model,
             config=(
                 spec.worker_config
@@ -205,14 +196,14 @@ def build_backends(
             platform = FaultyPlatform(
                 platform,
                 spec.fault_profile,
-                np.random.default_rng(fault_key),
+                np.random.default_rng((seed, 3, index)),
             )
         breaker = (
             CircuitBreaker(spec.breaker) if spec.breaker is not None else None
         )
         rwl = ReliableWorkerLayer(
             platform,
-            np.random.default_rng(rwl_key),
+            np.random.default_rng((seed, 2, index)),
             repetition=repetition,
             retry_policy=retry_policy,
             breaker=breaker,

@@ -134,11 +134,11 @@ class TestPresets:
 
 
 class TestBuildBackends:
-    def test_solo_fleet_uses_legacy_rng_streams(self):
+    def test_solo_fleet_uses_per_backend_streams(self):
         (backend,) = _fleet([BackendSpec(name="solo", latency=FAST)], seed=9)
-        expected = np.random.default_rng((9, 1)).bit_generator.state
+        expected = np.random.default_rng((9, 1, 0)).bit_generator.state
         assert backend.inner._rng.bit_generator.state == expected
-        expected_rwl = np.random.default_rng((9, 2)).bit_generator.state
+        expected_rwl = np.random.default_rng((9, 2, 0)).bit_generator.state
         assert backend.rwl._rng.bit_generator.state == expected_rwl
 
     def test_multi_fleet_uses_per_backend_streams(self):
