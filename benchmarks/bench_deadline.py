@@ -124,19 +124,24 @@ def bench_deadline_storm(benchmark):
     """The chaos scenario end to end: nothing is ever silently lost."""
     from repro.chaos import build_scheduler, scenario_by_name
 
+    scenario = scenario_by_name("deadline-storm")
+
     def storm():
-        scheduler = build_scheduler(scenario_by_name("deadline-storm"))
+        scheduler = build_scheduler(scenario)
         return scheduler.run(), scheduler
 
     report, scheduler = benchmark.pedantic(storm, rounds=1, iterations=1)
     attainment = report.deadline_attainment
     print()
-    print("-- deadline-storm attainment / 36 queries on outage-trio --")
+    print(
+        f"-- deadline-storm attainment / {scenario.n_queries} queries "
+        "on outage-trio --"
+    )
     print("   ".join(f"{k}: {v}" for k, v in attainment.items()))
     print(f"hedges: {scheduler.router.hedges}   "
           f"brownout transitions: {scheduler.brownout.transitions}")
-    assert len(report.results) == 36
+    assert len(report.results) == scenario.n_queries
     assert all(
         r.deadline_outcome in DEADLINE_OUTCOMES for r in report.results
     )
-    assert sum(attainment.values()) == 36
+    assert sum(attainment.values()) == scenario.n_queries
