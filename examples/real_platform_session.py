@@ -7,23 +7,30 @@ whenever humans provide them.  ``MaxSession`` inverts control for exactly
 that: the caller owns the loop.
 
 Here the "external platform" is a tiny stand-in class with an explicit
-HTTP-ish interface, so the integration pattern is visible end to end,
-including checkpointing the evidence between rounds.
+HTTP-ish interface, so the integration pattern is visible end to end.
+Like a real crowd it answers piecemeal: some tasks are still out when the
+caller stops waiting.  The loop submits whatever came back, re-asks the
+rest, and checkpoints the session after every pass, mid-round included.
 
 Run with:  python examples/real_platform_session.py
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from repro import LinearLatency, TDPAllocator
 from repro.crowd import GroundTruth
 from repro.engine import MaxSession
-from repro.persistence import answer_graph_to_dict, save_json
+from repro.persistence import save_json, session_to_dict
 from repro.selection import TournamentFormation
 from repro.types import Answer
 
 N_ELEMENTS = 80
 BUDGET = 500
+#: Share of tasks still unanswered when the caller stops waiting.
+STRAGGLER_SHARE = 0.2
 
 
 class MyLabelingService:
@@ -32,7 +39,9 @@ class MyLabelingService:
     def __init__(self, seed: int) -> None:
         # In reality there is no ground truth object — humans are the
         # oracle.  The stand-in keeps one internally to produce answers.
-        self._truth = GroundTruth.random(N_ELEMENTS, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        self._truth = GroundTruth.random(N_ELEMENTS, rng)
+        self._rng = rng
         self.batches_posted = 0
 
     def post_comparison_tasks(self, pairs):
@@ -41,8 +50,12 @@ class MyLabelingService:
         return list(pairs)
 
     def wait_for_results(self, tasks):
-        """GET /results — blocks until humans answered everything."""
-        return [self._truth.answer(a, b) for a, b in tasks]
+        """GET /results — the answers humans gave before the timeout."""
+        return [
+            self._truth.answer(a, b)
+            for a, b in tasks
+            if self._rng.random() >= STRAGGLER_SHARE
+        ]
 
 
 def main() -> None:
@@ -59,7 +72,10 @@ def main() -> None:
         rng=np.random.default_rng(0),
     )
 
+    checkpoint = Path(tempfile.gettempdir()) / "max_session.json"
     while not session.done:
+        # The round's questions not answered yet: all of them on the first
+        # pass, then the stragglers.
         pending = session.pending_questions()
         print(
             f"round {session.round_index}: posting {len(pending)} questions "
@@ -67,9 +83,10 @@ def main() -> None:
         )
         tasks = service.post_comparison_tasks(pending)
         answers = service.wait_for_results(tasks)
-        session.submit(Answer(a.winner, a.loser) for a in answers)
-        # Long-running deployments checkpoint the evidence between rounds:
-        save_json(answer_graph_to_dict(session.evidence), "/tmp/evidence.json")
+        session.submit([Answer(a.winner, a.loser) for a in answers])
+        # Long-running deployments checkpoint as they go; a session
+        # restored with session_from_dict re-asks exactly what is missing.
+        save_json(session_to_dict(session), checkpoint)
 
     print(
         f"\nMAX identified: element {session.winner} "

@@ -9,18 +9,20 @@ inversion of control:
 
     session = MaxSession(allocation, selector, n_elements=500, rng=rng)
     while not session.done:
-        batch = session.pending_questions()
+        batch = session.pending_questions()       # the unanswered rest
         answers = my_platform.ask(batch)          # hours may pass here
-        session.submit(answers)
+        session.submit(answers)                   # any subset of batch
     print(session.winner)
 
-Sessions are checkpointable: the evidence graph is exposed and can be
-persisted with :mod:`repro.persistence` between rounds.
+Answers may come back piecemeal: :meth:`MaxSession.submit` takes any
+subset of the unanswered questions and the round resolves when the last
+one arrives.  Sessions are checkpointable at any point, mid-round
+included, with :mod:`repro.persistence`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,10 +48,11 @@ class MaxSession:
         rng: randomness source for the selector.
 
     The session walks the allocation's rounds: :meth:`pending_questions`
-    returns the current round's questions (selecting them on first call),
-    and :meth:`submit` consumes exactly one answer per pending question,
-    after which the next round (or termination) is reached.  Rounds whose
-    budget cannot buy any questions are skipped automatically.
+    returns the current round's unanswered questions (selecting the round
+    on first call), and :meth:`submit` records answers to any of them.
+    Once every question of the round is answered the next round (or
+    termination) is reached.  Rounds whose budget cannot buy any
+    questions are skipped automatically.
     """
 
     def __init__(
@@ -70,6 +73,9 @@ class MaxSession:
         self._candidates: Tuple[Element, ...] = tuple(range(n_elements))
         self._round_index = 0
         self._pending: Optional[List[Question]] = None
+        #: The round's unanswered questions: canonical form -> as selected,
+        #: in selection order.
+        self._unanswered: Dict[Question, Question] = {}
         self._questions_posted = 0
         self._rounds_executed = 0
         self._advance_past_empty_rounds()
@@ -107,7 +113,7 @@ class MaxSession:
 
     @property
     def candidates(self) -> Tuple[Element, ...]:
-        """Elements that have not lost any comparison yet."""
+        """Elements that have not lost any recorded comparison yet."""
         return self._candidates
 
     @property
@@ -117,7 +123,7 @@ class MaxSession:
 
     @property
     def questions_posted(self) -> int:
-        """Distinct questions handed out so far."""
+        """Questions in the rounds resolved so far."""
         return self._questions_posted
 
     @property
@@ -127,11 +133,10 @@ class MaxSession:
 
     @property
     def awaiting_answers(self) -> bool:
-        """True while a selected round has been handed out but not resolved.
+        """True while a selected round still has unanswered questions.
 
-        A session in this state cannot be checkpointed: the pending
-        questions live only in the caller's hands, so persist between
-        rounds (after :meth:`submit`) instead.
+        Such a session checkpoints like any other: the round's questions
+        and the answers recorded so far are all the state it has.
         """
         return self._pending is not None
 
@@ -142,12 +147,12 @@ class MaxSession:
 
     @property
     def pending(self) -> Optional[List[Question]]:
-        """The handed-out round's questions, or ``None`` between rounds.
+        """The whole handed-out round, answered questions included, or
+        ``None`` between rounds.
 
-        Exposed so mid-round checkpoints (the service journal snapshots
-        between scheduler ticks, which can land inside a round) can
-        persist the exact selected questions without re-running the
-        selector.  Unlike :meth:`pending_questions` this never selects.
+        Exposed so mid-round checkpoints can persist the exact selected
+        questions without re-running the selector.  Unlike
+        :meth:`pending_questions` this never selects.
         """
         return list(self._pending) if self._pending is not None else None
 
@@ -177,8 +182,9 @@ class MaxSession:
 
         With *pending* the session resumes *mid-round*: the given
         questions are adopted as the already-handed-out round (in order,
-        no re-selection), and the next :meth:`submit` resolves them.  The
-        RNG must then carry the post-selection state the checkpoint saved.
+        no re-selection), and those the evidence has not answered yet are
+        pending again.  The RNG must then carry the post-selection state
+        the checkpoint saved.
 
         Raises:
             InvalidParameterError: if the checkpointed state is internally
@@ -208,11 +214,6 @@ class MaxSession:
         session._advance_past_empty_rounds()
         if pending is not None:
             pending_list = [(int(a), int(b)) for a, b in pending]
-            if not pending_list:
-                raise InvalidParameterError(
-                    "a mid-round checkpoint must carry at least one "
-                    "pending question"
-                )
             if round_index >= allocation.rounds:
                 raise InvalidParameterError(
                     f"pending questions recorded for round {round_index}, "
@@ -232,16 +233,28 @@ class MaxSession:
                     f"{round_index}'s budget of "
                     f"{allocation.round_budgets[round_index]}"
                 )
+            unanswered = {
+                normalize_question(a, b): (a, b)
+                for a, b in pending_list
+                if evidence.direct_result(a, b) is None
+            }
+            if not unanswered:
+                raise InvalidParameterError(
+                    "a mid-round checkpoint must leave at least one pending "
+                    "question unanswered"
+                )
             session._pending = pending_list
+            session._unanswered = unanswered
         return session
 
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
     def pending_questions(self) -> List[Question]:
-        """The questions of the current round (selected on first call).
+        """The current round's unanswered questions, in selection order.
 
-        Returns the same list until :meth:`submit` resolves it.  Raises
+        The round is selected on the first call; later calls return what
+        :meth:`submit` has not answered yet.  Raises
         :class:`SessionStateError` when the session is finished.
         """
         if self.done:
@@ -256,24 +269,29 @@ class MaxSession:
                 rng=self._rng,
             )
             questions = select_round(self.selector, context)
-            self._pending = questions
             if not questions:
                 # Nothing askable this round; skip it transparently.
-                self._pending = None
                 self._round_index += 1
                 self._advance_past_empty_rounds()
                 if not self.done:
                     return self.pending_questions()
                 raise SessionStateError("the session has finished")
-        return list(self._pending)
+            self._pending = questions
+            self._unanswered = {
+                normalize_question(a, b): (a, b) for a, b in questions
+            }
+        return list(self._unanswered.values())
 
-    def submit(self, answers: Iterable[Answer]) -> None:
-        """Resolve the pending round with one answer per pending question.
+    def submit(self, answers: Sequence[Answer]) -> None:
+        """Record answers to any subset of the unanswered questions.
+
+        The answers enter the evidence graph (and :attr:`candidates`) at
+        once; the round resolves when its last question is answered.
 
         Raises:
-            SessionStateError: if no round is pending, or if the answers do
-                not match the pending questions exactly (missing, extra or
-                foreign answers) — accepting them would silently corrupt
+            SessionStateError: if no round is pending, or if an answer is
+                foreign to the round, repeated, or already given — nothing
+                is recorded then, as accepting it would silently corrupt
                 the evidence graph.
         """
         if self._pending is None:
@@ -281,19 +299,23 @@ class MaxSession:
                 "no pending questions; call pending_questions() first"
             )
         answers = list(answers)
-        expected = {normalize_question(a, b) for a, b in self._pending}
-        provided = {answer.question for answer in answers}
-        if provided != expected or len(answers) != len(expected):
-            missing = expected - provided
-            extra = provided - expected
+        questions = [answer.question for answer in answers]
+        unknown = [q for q in questions if q not in self._unanswered]
+        if unknown or len(set(questions)) < len(questions):
             raise SessionStateError(
-                f"answers do not match the pending questions "
-                f"(missing: {sorted(missing)[:5]}, extra: {sorted(extra)[:5]})"
+                f"answers must match distinct unanswered questions of the "
+                f"round; foreign, repeated or already answered "
+                f"(unknown: {sorted(unknown)[:5]})"
             )
         self.evidence.record_all(answers)
+        for question in questions:
+            del self._unanswered[question]
+        losers = {answer.loser for answer in answers}
+        self._candidates = tuple(c for c in self._candidates if c not in losers)
+        if self._unanswered:
+            return
         self._questions_posted += len(self._pending)
         self._rounds_executed += 1
-        self._candidates = tuple(sorted(self.evidence.remaining_candidates()))
         self._pending = None
         self._round_index += 1
         self._advance_past_empty_rounds()

@@ -29,7 +29,7 @@ lets crash recovery replay alert history exactly
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import InvalidParameterError
@@ -298,8 +298,12 @@ class SLOEngine:
                 r.slow_window for r in config.burn_rates if r.slo == target.name
             ]
             self._depth[target.name] = max(windows)
-        self._history: Dict[str, Deque[Tuple[int, int]]] = {
-            name: deque(maxlen=depth) for name, depth in self._depth.items()
+        #: Per target, running (good, bad) totals after each of the last
+        #: ``depth`` ticks, led by the totals just before them — so a
+        #: window's sum is the difference of two entries.
+        self._totals: Dict[str, Deque[Tuple[int, int]]] = {
+            name: deque([(0, 0)], maxlen=depth + 1)
+            for name, depth in self._depth.items()
         }
         self._prev: Optional[Dict[str, int]] = None
         # name -> {"severity": str, "since": tick} in firing order.
@@ -321,9 +325,10 @@ class SLOEngine:
         if target is None:
             raise InvalidParameterError(f"unknown SLO target {slo!r}")
         span = target.window if window is None else window
-        tail = list(self._history[slo])[-span:]
-        good = sum(g for g, _ in tail)
-        bad = sum(b for _, b in tail)
+        totals = self._totals[slo]
+        good_then, bad_then = totals[max(0, len(totals) - 1 - span)]
+        good = totals[-1][0] - good_then
+        bad = totals[-1][1] - bad_then
         total = good + bad
         if total == 0:
             return 0.0
@@ -372,7 +377,8 @@ class SLOEngine:
             else:
                 good = delta["completed"]
                 bad = delta["degraded"] + delta["shed"]
-            self._history[name].append((good, bad))
+            totals = self._totals[name]
+            totals.append((totals[-1][0] + good, totals[-1][1] + bad))
 
         tick = int(sample.tick)
         transitions: List[AlertTransition] = []
@@ -434,8 +440,13 @@ class SLOEngine:
         """Serialize the mutable engine state for a journal snapshot."""
         return {
             "history": {
-                name: [list(pair) for pair in window]
-                for name, window in self._history.items()
+                name: [
+                    [good - prev_good, bad - prev_bad]
+                    for (prev_good, prev_bad), (good, bad) in zip(
+                        totals, list(totals)[1:]
+                    )
+                ]
+                for name, totals in self._totals.items()
             },
             "prev": dict(self._prev) if self._prev is not None else None,
             "active": {
@@ -449,10 +460,13 @@ class SLOEngine:
     def load_state_dict(self, payload: Dict[str, Any]) -> None:
         """Restore the counterpart of :meth:`state_dict`."""
         history = payload.get("history", {})
-        for name, window in self._history.items():
-            window.clear()
-            for pair in history.get(name, []):
-                window.append((int(pair[0]), int(pair[1])))
+        for name, totals in self._totals.items():
+            totals.clear()
+            totals.append((0, 0))
+            for good, bad in history.get(name, []):
+                totals.append(
+                    (totals[-1][0] + int(good), totals[-1][1] + int(bad))
+                )
         prev = payload.get("prev")
         self._prev = (
             {key: int(value) for key, value in prev.items()}

@@ -176,32 +176,18 @@ def run_result_from_dict(payload: Dict[str, Any]) -> MaxRunResult:
 # ----------------------------------------------------------------------
 # MaxSession checkpoints
 # ----------------------------------------------------------------------
-def session_to_dict(
-    session: MaxSession, allow_pending: bool = False
-) -> Dict[str, Any]:
-    """Checkpoint a :class:`MaxSession`.
+def session_to_dict(session: MaxSession) -> Dict[str, Any]:
+    """Checkpoint a :class:`MaxSession`, between rounds or mid-round.
 
     Captures everything a resumed session needs to finish with the same
     winner an uninterrupted run would declare: the allocation, selector
-    name, accumulated evidence, round/question counters and the exact RNG
-    state (so upcoming question selections replay bit-identically).
-
-    With ``allow_pending`` a session that is awaiting answers can also be
-    checkpointed: the handed-out questions are persisted verbatim (the
-    service journal snapshots between scheduler ticks, which can land
-    inside a round).  The saved RNG state is then the *post-selection*
-    state, so the resumed session's next round selects identically.
-
-    Raises:
-        InvalidParameterError: while a round is pending and
-            ``allow_pending`` is false — checkpoint after
-            :meth:`~repro.engine.session.MaxSession.submit` instead.
+    name, accumulated evidence (a half-answered round's answers
+    included), round/question counters, the handed-out round's questions
+    and the exact RNG state (so upcoming question selections replay
+    bit-identically).  Mid-round the saved RNG state is the
+    *post-selection* state, and the resumed session re-asks exactly the
+    questions the evidence has not answered.
     """
-    if session.awaiting_answers and not allow_pending:
-        raise InvalidParameterError(
-            "cannot checkpoint a session that is awaiting answers; "
-            "submit the pending round first"
-        )
     pending = session.pending
     return {
         "version": _FORMAT_VERSION,

@@ -33,7 +33,10 @@ count (it is always a suffix of the header's specs in arrival order) and
 the finished results are a count of ``result`` records.  Every run posts
 through a fleet — a single-platform run is a one-backend ("solo") fleet —
 so a snapshot has one crowd-state shape: a list of per-backend states.
-Journal version 3; versions 1 and 2 are rejected.
+A half-answered round lives in its query's session checkpoint alone —
+the round's questions plus the evidence, which holds the answers so far —
+so an active query carries no copy of the round.  Journal version 4;
+versions 1 to 3 are rejected.
 
 Because the scheduler is deterministic given its seed, recovery is exact:
 :func:`recover_scheduler` rebuilds the scheduler from the journal header
@@ -98,12 +101,11 @@ from repro.service.telemetry import (
     alert_transitions_from_records,
     samples_from_records,
 )
-from repro.types import Answer
 
 logger = logging.getLogger(__name__)
 
 #: Bumped on incompatible journal layout changes.
-JOURNAL_VERSION = 3
+JOURNAL_VERSION = 4
 
 
 def _json_default(value: Any) -> Any:
@@ -465,30 +467,19 @@ def _active_query_to_dict(query: ActiveQuery) -> Dict[str, Any]:
         "spec": _spec_to_dict(query.spec),
         "seq": query.seq,
         "offset": query.offset,
-        "session": session_to_dict(query.session, allow_pending=True),
+        "session": session_to_dict(query.session),
         "plan_cache_hit": query.plan_cache_hit,
         "state": query.state.value,
         "admitted_time": float(query.admitted_time),
         "first_scheduled_time": _optional_float(query.first_scheduled_time),
-        # Insertion order is iteration order, which the round packer
-        # depends on — keep both dicts as ordered pair lists.
-        "outstanding": [
-            [list(global_q), list(local_q)]
-            for global_q, local_q in query.outstanding.items()
-        ],
-        "collected": [
-            [answer.winner, answer.loser]
-            for answer in query.collected.values()
-        ],
         "times_scheduled": query.times_scheduled,
         "round_attempts": query.round_attempts,
-        "questions_posted": query.questions_posted,
         "deadline_at": _optional_float(query.deadline_at),
     }
 
 
 def _active_query_from_dict(payload: Dict[str, Any]) -> ActiveQuery:
-    query = ActiveQuery(
+    return ActiveQuery(
         spec=_spec_from_dict(payload["spec"]),
         seq=int(payload["seq"]),
         offset=int(payload["offset"]),
@@ -499,17 +490,8 @@ def _active_query_from_dict(payload: Dict[str, Any]) -> ActiveQuery:
         first_scheduled_time=_optional_float(payload["first_scheduled_time"]),
         times_scheduled=int(payload["times_scheduled"]),
         round_attempts=int(payload["round_attempts"]),
-        questions_posted=int(payload["questions_posted"]),
         deadline_at=_optional_float(payload["deadline_at"]),
     )
-    query.outstanding = {
-        (int(g[0]), int(g[1])): (int(local[0]), int(local[1]))
-        for g, local in payload["outstanding"]
-    }
-    for winner, loser in payload["collected"]:
-        answer = Answer(winner=int(winner), loser=int(loser))
-        query.collected[answer.question] = answer
-    return query
 
 
 def _result_to_dict(result: QueryResult) -> Dict[str, Any]:

@@ -65,7 +65,6 @@ from repro.crowd.multibackend import (
 from repro.crowd.workers import WorkerPoolConfig
 from repro.engine.session import MaxSession, SessionStateError
 from repro.errors import InvalidParameterError
-from repro.graphs.answer_graph import AnswerGraph
 from repro.obs.attribution import component_metric, summarize_attribution
 from repro.obs.events import (
     AlertFired,
@@ -104,7 +103,7 @@ from repro.service.policies import policy_by_name
 from repro.service.query import QueryResult, QuerySpec, QueryState
 from repro.service.report import ServiceReport
 from repro.service.telemetry import TICK_HISTORY_LIMIT, TickSample
-from repro.types import Answer, Element, Question, normalize_question
+from repro.types import Answer, Element, Question
 
 logger = logging.getLogger(__name__)
 
@@ -123,7 +122,6 @@ class ServiceConfig:
         max_active_queries: concurrent running sessions (admission bound).
         max_queue_depth: admitted-but-waiting queries (admission bound).
         overload_policy: ``"shed"`` or ``"defer"`` on a full queue.
-        plan_cache_capacity: LRU entries of the shared tDP plan cache.
         max_round_attempts: shared rounds a query's single allocation
             round may span (fault re-posts) before the query degrades.
         routing: routing-policy name the router splits each round by
@@ -151,7 +149,6 @@ class ServiceConfig:
     max_active_queries: int = 16
     max_queue_depth: int = 64
     overload_policy: str = "defer"
-    plan_cache_capacity: int = 128
     max_round_attempts: int = 8
     routing: str = "latency"
     default_deadline: Optional[float] = None
@@ -207,27 +204,21 @@ class ActiveQuery:
     state: QueryState = QueryState.QUEUED
     admitted_time: float = 0.0
     first_scheduled_time: Optional[float] = None
-    #: Global-ID questions of the current allocation round still unanswered.
-    outstanding: Dict[Question, Question] = field(default_factory=dict)
-    #: Local answers collected for the current round, keyed by local question.
-    collected: Dict[Question, Answer] = field(default_factory=dict)
+    #: Global-ID questions of the open round still unanswered; rebuilt
+    #: from the session every tick, so never journaled.
+    unanswered: List[Question] = field(default_factory=list)
     times_scheduled: int = 0
     round_attempts: int = 0
-    questions_posted: int = 0
     #: Absolute sim time the query's latency budget expires (None = none).
     deadline_at: Optional[float] = None
 
-    def to_global(self, question: Question) -> Question:
-        a, b = question
-        return (a + self.offset, b + self.offset)
-
     def none_posted(self, unposted: FrozenSet[Question]) -> bool:
-        """Whether the router placed none of the outstanding questions.
+        """Whether the router placed none of the unanswered questions.
 
         The crowd never saw such a query's round, so it spends no round
         attempt and its tick is attributed as ``stall``.
         """
-        return all(q in unposted for q in self.outstanding)
+        return all(q in unposted for q in self.unanswered)
 
 
 class MaxScheduler:
@@ -246,8 +237,6 @@ class MaxScheduler:
         retry_policy: optional RWL re-post policy for unanswered questions.
         error_model: optional worker error model for the shared platform.
         worker_config: optional worker-pool dynamics.
-        plan_cache: share a cache across schedulers; a fresh one is
-            created from ``config.plan_cache_capacity`` when omitted.
         breaker_config: enable the platform circuit breaker — rounds are
             deferred while the circuit is open instead of burning retry
             attempts against a platform in a sustained outage.  Sugar for
@@ -278,7 +267,6 @@ class MaxScheduler:
         retry_policy: Optional[RetryPolicy] = None,
         error_model: Optional[ErrorModel] = None,
         worker_config: Optional[WorkerPoolConfig] = None,
-        plan_cache: Optional[PlanCache] = None,
         breaker_config: Optional[CircuitBreakerConfig] = None,
         journal: Optional[Any] = None,
         backends: Optional[Sequence[BackendSpec]] = None,
@@ -310,11 +298,7 @@ class MaxScheduler:
             fault_profile=fault_profile,
             breaker_config=breaker_config,
         )
-        self.plan_cache = (
-            plan_cache
-            if plan_cache is not None
-            else PlanCache(self.config.plan_cache_capacity)
-        )
+        self.plan_cache = PlanCache()
         self._policy = policy_by_name(self.config.policy)
         self._allocator = allocator_by_name(self.config.allocator)
         self._admission = AdmissionController(self.config.admission_config())
@@ -559,7 +543,7 @@ class MaxScheduler:
         query_id = query.spec.query_id
         parent = (
             f"q{query_id}/r{query.session.round_index}"
-            if query.outstanding
+            if query.session.awaiting_answers
             else f"q{query_id}"
         )
         emit_span(
@@ -629,7 +613,7 @@ class MaxScheduler:
                     component = "outage"
                 elif query.round_attempts > 0:
                     component = "retry"
-                elif hedged and any(q in hedged for q in query.outstanding):
+                elif hedged and any(q in hedged for q in query.unanswered):
                     component = "hedge"
                 else:
                     component = "round_post"
@@ -685,8 +669,11 @@ class MaxScheduler:
                 self._brownout.level if self._brownout is not None else 0
             ),
         )
-        if self._slo is not None:
-            sample = self._observe_slo(sample)
+        record = (
+            self._observe_slo(sample)
+            if self._slo is not None
+            else sample.to_dict()
+        )
         self.tick_history.append(sample)
         registry = get_registry()
         registry.gauge("service.queue_depth").set(sample.queue_depth)
@@ -696,7 +683,7 @@ class MaxScheduler:
             registry.histogram("service.round_latency").observe(
                 sample.round_latency
             )
-        self._journal_record("tick", **sample.to_dict())
+        self._journal_record("tick", **record)
 
     # ------------------------------------------------------------------
     # Admission
@@ -813,8 +800,8 @@ class MaxScheduler:
     # ------------------------------------------------------------------
     # Deadlines & brownout
     # ------------------------------------------------------------------
-    def _update_brownout(self) -> None:
-        """Feed the live queue-wait p95 into the brownout controller."""
+    def _queue_wait_p95(self) -> float:
+        """Live queue-wait p95 over waiting queries and due arrivals."""
         waits = [
             max(0.0, self._now - q.spec.arrival_time) for q in self._waiting
         ]
@@ -823,7 +810,11 @@ class MaxScheduler:
             for spec in self._backlog
             if spec.arrival_time <= self._now
         )
-        p95 = queue_wait_p95(waits)
+        return queue_wait_p95(waits)
+
+    def _update_brownout(self) -> None:
+        """Feed the live queue-wait p95 into the brownout controller."""
+        p95 = self._queue_wait_p95()
         registry = get_registry()
         registry.gauge("brownout.state").set(self._brownout.level)
         change = self._brownout.observe(p95)
@@ -885,21 +876,13 @@ class MaxScheduler:
         (never the process-global metrics registry), so a recovered run
         feeds the engine the same values and replays the same alerts.
         """
-        waits = [
-            max(0.0, self._now - q.spec.arrival_time) for q in self._waiting
-        ]
-        waits.extend(
-            max(0.0, self._now - spec.arrival_time)
-            for spec in self._backlog
-            if spec.arrival_time <= self._now
-        )
         breaker_open = any(
             backend.breaker is not None
             and backend.breaker.state is BreakerState.OPEN
             for backend in self._router.backends
         )
         return {
-            "queue_wait_p95": queue_wait_p95(waits),
+            "queue_wait_p95": self._queue_wait_p95(),
             "breaker_open": 1.0 if breaker_open else 0.0,
             "brownout_level": float(sample.brownout_level),
             "hedge_waste": float(self._router.hedge_waste),
@@ -908,16 +891,18 @@ class MaxScheduler:
             "round_latency": float(sample.round_latency),
         }
 
-    def _observe_slo(self, sample: TickSample) -> TickSample:
-        """Feed the tick to the SLO engine; returns the stamped sample."""
+    def _observe_slo(self, sample: TickSample) -> Dict[str, Any]:
+        """Feed the tick to the SLO engine and stamp its verdict on *sample*.
+
+        Returns the stamped sample as a dict, which the flight ring and
+        the journal share.
+        """
         transitions = self._slo.observe(sample, self._slo_signals(sample))
         health = self._slo.health()
-        sample = dataclasses.replace(
-            sample,
-            alerts_active=len(self._slo.active_alerts()),
-            health=health.state,
-        )
-        self._flight.record("tick", **sample.to_dict())
+        sample.alerts_active = len(health.reasons)
+        sample.health = health.state
+        record = sample.to_dict()
+        self._flight.record("tick", **record)
         registry = get_registry()
         registry.gauge("alerts.active").set(sample.alerts_active)
         if self._slo_gauges is None:
@@ -975,7 +960,7 @@ class MaxScheduler:
             for transition in transitions:
                 if transition.action == "fired":
                     self._write_incident_bundle(transition)
-        return sample
+        return record
 
     def debug_state(self) -> Dict[str, Any]:
         """The robustness-layer state a debug bundle snapshots."""
@@ -1074,7 +1059,7 @@ class MaxScheduler:
         remaining = query.deadline_at - self._now
         session = query.session
         allocation = session.allocation
-        current = self.latency(len(query.outstanding))
+        current = self.latency(len(query.unanswered))
         future = allocation.round_budgets[session.round_index + 1:]
         planned = current + sum(self.latency(b) for b in future)
         if planned <= remaining:
@@ -1195,13 +1180,12 @@ class MaxScheduler:
     # Tick execution
     # ------------------------------------------------------------------
     def _refresh_round(self, query: ActiveQuery) -> bool:
-        """Ensure *query* has outstanding questions; finalize when done.
+        """Load *query*'s unanswered questions; finalize when done.
 
         Returns ``True`` when the query has questions to post this tick.
         """
-        if query.outstanding:
-            return True
         session = query.session
+        opening = not session.awaiting_answers
         if session.done:
             self._finalize(query, QueryState.COMPLETED)
             return False
@@ -1211,14 +1195,10 @@ class MaxScheduler:
             # Selecting emptied the remaining rounds; the session is done.
             self._finalize(query, QueryState.COMPLETED)
             return False
-        query.outstanding = {
-            query.to_global(q): normalize_question(*q) for q in pending
-        }
-        query.collected = {}
-        query.round_attempts = 0
-        query.questions_posted += len(pending)
+        offset = query.offset
+        query.unanswered = [(a + offset, b + offset) for a, b in pending]
         tracer = current_tracer()
-        if tracer.enabled:
+        if opening and tracer.enabled:
             query_id = query.spec.query_id
             open_span(
                 tracer,
@@ -1244,11 +1224,11 @@ class MaxScheduler:
         scheduled: List[ActiveQuery] = []
         batch: List[Question] = []
         for query in self._policy.order(runnable):
-            size = len(query.outstanding)
+            size = len(query.unanswered)
             if batch and len(batch) + size > self.config.max_inflight_questions:
                 continue  # backpressure: whole rounds only; retry next tick
             scheduled.append(query)
-            batch.extend(query.outstanding)
+            batch.extend(query.unanswered)
         registry = get_registry()
         tracer = current_tracer()
         for query in scheduled:
@@ -1263,7 +1243,7 @@ class MaxScheduler:
                         query_id=query.spec.query_id,
                         tick=self._ticks,
                         round_index=query.session.round_index,
-                        n_questions=len(query.outstanding),
+                        n_questions=len(query.unanswered),
                     ),
                     sim_time=self._now,
                 )
@@ -1284,10 +1264,7 @@ class MaxScheduler:
                 start=tick_start,
                 detail=f"{len(scheduled)} queries, {len(batch)} questions",
             )
-        units = [
-            (query.spec.query_id, list(query.outstanding))
-            for query in scheduled
-        ]
+        units = [(query.spec.query_id, query.unanswered) for query in scheduled]
         # The span scope hands the tick's id and clock anchor down to the
         # router / RWL / fault layer / breaker, whose events and attempt
         # sub-spans then nest under this shared round.
@@ -1308,7 +1285,7 @@ class MaxScheduler:
         self._last_round_latency = float(outcome.latency)
         if outage:
             # The whole shared round was swallowed: every scheduled query
-            # keeps its outstanding questions for the next tick, and the
+            # keeps its unanswered questions for the next tick, and the
             # detection time is latency all of them paid.
             self._last_round_questions = 0
         else:
@@ -1346,33 +1323,36 @@ class MaxScheduler:
         winner_of: Dict[Question, Element],
         unposted: FrozenSet[Question],
     ) -> None:
-        """Route a shared round's answers back into *query*'s session."""
-        for global_q in list(query.outstanding):
-            winner = winner_of.get(global_q)
+        """Submit a shared round's answers to *query*'s session."""
+        offset = query.offset
+        answers: List[Answer] = []
+        unanswered: List[Question] = []
+        for question in query.unanswered:
+            winner = winner_of.get(question)
             if winner is None:
-                continue  # lost to a fault; re-posted next tick
-            local_q = query.outstanding.pop(global_q)
-            local_winner = winner - query.offset
-            query.collected[local_q] = Answer(
-                winner=local_winner, loser=sum(local_q) - local_winner
+                unanswered.append(question)  # lost; re-posted next tick
+            else:
+                loser = question[0] + question[1] - winner
+                answers.append(Answer(winner - offset, loser - offset))
+        query.unanswered = unanswered
+        session = query.session
+        tracer = current_tracer()
+        if not unanswered and tracer.enabled:
+            # Before submit advances round_index, so the id matches the
+            # open emitted by _refresh_round.
+            close_span(
+                tracer,
+                f"q{query.spec.query_id}/r{session.round_index}",
+                end=self._now,
             )
-        if query.outstanding:
+        if answers:
+            session.submit(answers)
+        if unanswered:
             if not query.none_posted(unposted):
                 self._bump_round_attempts(query)
             return
-        tracer = current_tracer()
-        if tracer.enabled:
-            # round_index has not advanced yet (submit below does that),
-            # so the id matches the open emitted by _refresh_round.
-            close_span(
-                tracer,
-                f"q{query.spec.query_id}/r{query.session.round_index}",
-                end=self._now,
-            )
-        query.session.submit(query.collected.values())
-        query.collected = {}
         query.round_attempts = 0
-        if query.session.done:
+        if session.done:
             self._finalize(query, QueryState.COMPLETED)
 
     def _bump_round_attempts(self, query: ActiveQuery) -> None:
@@ -1384,20 +1364,13 @@ class MaxScheduler:
                 query.spec.query_id,
                 query.session.round_index,
                 query.round_attempts,
-                len(query.outstanding),
+                len(query.unanswered),
             )
             self._finalize(query, QueryState.DEGRADED)
 
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
-    def _degraded_winner(self, query: ActiveQuery) -> Element:
-        """Best guess from all evidence, committed and collected."""
-        graph = AnswerGraph(range(query.spec.n_elements))
-        graph.record_all(query.session.evidence.iter_answers())
-        graph.record_all(query.collected.values())
-        return best_scored(graph)
-
     def _finalize(
         self,
         query: ActiveQuery,
@@ -1408,7 +1381,7 @@ class MaxScheduler:
             winner = query.session.winner
             singleton = query.session.singleton_termination
         else:
-            winner = self._degraded_winner(query)
+            winner = best_scored(query.session.evidence)
             singleton = False
         spec = query.spec
         true_max = self._true_local_max(query)
@@ -1444,7 +1417,10 @@ class MaxScheduler:
                 latency=latency,
                 queue_wait=queue_wait,
                 rounds=query.session.rounds_executed,
-                questions_posted=query.questions_posted,
+                questions_posted=(
+                    query.session.questions_posted
+                    + len(query.session.pending or ())
+                ),
                 plan_cache_hit=query.plan_cache_hit,
                 slo_met=slo_met,
                 deadline=deadline,
@@ -1468,7 +1444,7 @@ class MaxScheduler:
                 # Never reached the platform (trivial c0=1, or degraded
                 # out of the queue): the whole lifetime was queue wait.
                 self._emit_wait_chunk(tracer, query, self._now)
-            if query.outstanding:
+            if query.session.awaiting_answers:
                 # Degraded mid-round: the open round span ends with the
                 # query.
                 close_span(

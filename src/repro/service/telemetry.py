@@ -39,9 +39,13 @@ from repro.errors import InvalidParameterError
 TICK_HISTORY_LIMIT = 4096
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class TickSample:
     """One scheduler tick's operational state.
+
+    Treat a sample as a value once it is recorded: it is mutable only so
+    the scheduler can stamp the SLO verdict (``alerts_active``,
+    ``health``) onto the tick's one sample after the engine observed it.
 
     Attributes:
         tick: 1-based tick number (the value of ``scheduler.ticks`` after

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.allocation import Allocation
 from repro.core.latency import LinearLatency
@@ -10,18 +12,35 @@ from repro.crowd.ground_truth import GroundTruth
 from repro.engine.max_engine import MaxEngine, OracleAnswerSource
 from repro.engine.session import MaxSession, SessionStateError
 from repro.errors import InvalidParameterError
+from repro.persistence import (
+    answer_graph_to_dict,
+    session_from_dict,
+    session_to_dict,
+)
 from repro.selection.tournament import TournamentFormation
 from repro.types import Answer
 
 LATENCY = LinearLatency(239, 0.06)
 
 
+def answers_to(truth, questions):
+    return [truth.answer(a, b) for a, b in questions]
+
+
 def drive_to_completion(session, truth):
     """Answer every pending batch from the ground truth."""
     while not session.done:
-        batch = session.pending_questions()
-        session.submit(truth.answer(a, b) for a, b in batch)
+        session.submit(answers_to(truth, session.pending_questions()))
     return session
+
+
+def counters(session):
+    return (
+        session.round_index,
+        session.questions_posted,
+        session.rounds_executed,
+        session.done,
+    )
 
 
 class TestHappyPath:
@@ -71,8 +90,7 @@ class TestHappyPath:
         truth = GroundTruth.random(8, rng)
         allocation = Allocation(round_budgets=(28, 10))
         session = MaxSession(allocation, TournamentFormation(), 8, rng)
-        batch = session.pending_questions()
-        session.submit(truth.answer(a, b) for a, b in batch)
+        session.submit(answers_to(truth, session.pending_questions()))
         assert session.done
         assert session.rounds_executed == 1
         assert session.winner == truth.max_element
@@ -98,12 +116,40 @@ class TestMisuse:
         with pytest.raises(SessionStateError):
             session.submit([])
 
-    def test_partial_answers_rejected(self):
+    def test_partial_answers_keep_the_round_open(self):
         session = self.make_session()
         truth = GroundTruth.identity(6)
         batch = session.pending_questions()
-        with pytest.raises(SessionStateError):
-            session.submit([truth.answer(*batch[0])])
+        assert len(batch) > 1
+        session.submit([truth.answer(*batch[0])])
+        assert session.awaiting_answers
+        assert session.round_index == 0
+        assert session.questions_posted == 0
+        assert session.evidence.n_answers == 1
+        assert session.pending_questions() == batch[1:]
+        assert session.pending == batch
+        session.submit(answers_to(truth, batch[1:]))
+        assert not session.awaiting_answers
+        assert session.questions_posted == len(batch)
+
+    @pytest.mark.parametrize("repeat", ["within_one_submit", "in_a_later_submit"])
+    def test_repeated_answers_rejected_and_evidence_untouched(self, repeat):
+        session = self.make_session()
+        truth = GroundTruth.identity(6)
+        first, second = session.pending_questions()[:2]
+        if repeat == "within_one_submit":
+            bad = answers_to(truth, [first, second, first])
+        else:
+            session.submit(answers_to(truth, [first]))
+            bad = answers_to(truth, [second, first])
+        before = sorted(session.evidence.answered_questions())
+        candidates = session.candidates
+        pending = session.pending_questions()
+        with pytest.raises(SessionStateError, match="repeated or already"):
+            session.submit(bad)
+        assert sorted(session.evidence.answered_questions()) == before
+        assert session.candidates == candidates
+        assert session.pending_questions() == pending
 
     def test_foreign_answers_rejected(self):
         session = self.make_session()
@@ -153,17 +199,13 @@ class TestNonSingletonFinish:
 class TestCheckpointing:
     def test_evidence_survives_a_round_trip(self):
         """Persist mid-session evidence and verify it reloads identically."""
-        from repro.persistence import (
-            answer_graph_from_dict,
-            answer_graph_to_dict,
-        )
+        from repro.persistence import answer_graph_from_dict
 
         rng = np.random.default_rng(8)
         truth = GroundTruth.random(12, rng)
         allocation = Allocation.from_element_sequence((12, 3, 1))
         session = MaxSession(allocation, TournamentFormation(), 12, rng)
-        batch = session.pending_questions()
-        session.submit(truth.answer(a, b) for a, b in batch)
+        session.submit(answers_to(truth, session.pending_questions()))
         restored = answer_graph_from_dict(
             answer_graph_to_dict(session.evidence)
         )
@@ -175,12 +217,7 @@ class TestCheckpointing:
     def test_checkpoint_resume_matches_uninterrupted_run(self, tmp_path):
         """Checkpoint after round 1, persist to disk, resume, and finish
         with exactly the winner/counters of an uninterrupted run."""
-        from repro.persistence import (
-            load_json,
-            save_json,
-            session_from_dict,
-            session_to_dict,
-        )
+        from repro.persistence import load_json, save_json
 
         allocation = TDPAllocator().allocate(40, 200, LATENCY)
 
@@ -194,8 +231,7 @@ class TestCheckpointing:
         rng_part = np.random.default_rng(9)
         truth_part = GroundTruth.random(40, rng_part)
         session = MaxSession(allocation, TournamentFormation(), 40, rng_part)
-        batch = session.pending_questions()
-        session.submit(truth_part.answer(a, b) for a, b in batch)
+        session.submit(answers_to(truth_part, session.pending_questions()))
         assert not session.done
 
         path = tmp_path / "session.json"
@@ -214,19 +250,41 @@ class TestCheckpointing:
         assert resumed.questions_posted == uninterrupted.questions_posted
         assert resumed.rounds_executed == uninterrupted.rounds_executed
 
-    def test_checkpoint_refused_while_awaiting_answers(self):
-        from repro.persistence import session_to_dict
+    def test_checkpoint_after_a_partial_submit_resumes_mid_round(self):
+        """A live session and one restored from a mid-round checkpoint
+        agree on the rest of the round and on the candidates, and finish
+        with the same winner and counters."""
+        allocation = TDPAllocator().allocate(40, 200, LATENCY)
+        rng = np.random.default_rng(13)
+        truth = GroundTruth.random(40, rng)
+        live = MaxSession(allocation, TournamentFormation(), 40, rng)
+        batch = live.pending_questions()
+        live.submit(answers_to(truth, batch[: len(batch) // 2]))
+        assert len(live.candidates) < 40
 
-        rng = np.random.default_rng(10)
+        resumed = session_from_dict(session_to_dict(live))
+        assert resumed.awaiting_answers
+        assert resumed.pending_questions() == live.pending_questions()
+        assert resumed.candidates == live.candidates
+        assert counters(resumed) == counters(live)
+        drive_to_completion(live, truth)
+        drive_to_completion(resumed, truth)
+        assert resumed.winner == live.winner
+        assert counters(resumed) == counters(live)
+
+    def test_restore_rejects_a_fully_answered_pending_round(self):
+        rng = np.random.default_rng(14)
+        truth = GroundTruth.random(12, rng)
         allocation = Allocation.from_element_sequence((12, 3, 1))
         session = MaxSession(allocation, TournamentFormation(), 12, rng)
-        session.pending_questions()
-        with pytest.raises(InvalidParameterError):
-            session_to_dict(session)
+        batch = session.pending_questions()
+        payload = session_to_dict(session)
+        session.submit(answers_to(truth, batch))
+        payload["evidence"] = session_to_dict(session)["evidence"]
+        with pytest.raises(InvalidParameterError, match="unanswered"):
+            session_from_dict(payload)
 
     def test_finished_session_round_trips(self):
-        from repro.persistence import session_from_dict, session_to_dict
-
         rng = np.random.default_rng(11)
         truth = GroundTruth.random(10, rng)
         allocation = Allocation.from_element_sequence((10, 2, 1))
@@ -263,3 +321,40 @@ class TestCheckpointing:
                 questions_posted=0,
                 rounds_executed=0,
             )
+
+
+class TestPiecewiseRounds:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_elements=st.integers(3, 30),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+    )
+    def test_split_submits_match_one_submit(self, seed, n_elements, cuts):
+        """Answering a round in several submits leaves the same evidence,
+        candidates, counters and next-round selection as one submit."""
+        allocation = TDPAllocator().allocate(n_elements, 3 * n_elements, LATENCY)
+        truth = GroundTruth.random(n_elements, np.random.default_rng(seed))
+        whole = MaxSession(
+            allocation, TournamentFormation(), n_elements,
+            np.random.default_rng(seed),
+        )
+        split = MaxSession(
+            allocation, TournamentFormation(), n_elements,
+            np.random.default_rng(seed),
+        )
+        batch = whole.pending_questions()
+        assert split.pending_questions() == batch
+        whole.submit(answers_to(truth, batch))
+        bounds = sorted({int(cut * len(batch)) for cut in cuts} | {len(batch)})
+        start = 0
+        for end in bounds:
+            split.submit(answers_to(truth, batch[start:end]))
+            start = end
+        assert answer_graph_to_dict(split.evidence) == answer_graph_to_dict(
+            whole.evidence
+        )
+        assert split.candidates == whole.candidates
+        assert counters(split) == counters(whole)
+        if not whole.done:
+            assert split.pending_questions() == whole.pending_questions()

@@ -1,9 +1,9 @@
 """Stateful (model-based) testing of the MaxSession state machine.
 
 Hypothesis drives random but legal interaction sequences — asking for the
-pending batch, answering it (always consistently with a hidden order),
-occasionally re-reading the pending batch — and checks the session's
-invariants after every step.
+pending batch, answering all of it or a random part of it (always
+consistently with a hidden order), occasionally re-reading the pending
+batch — and checks the session's invariants after every step.
 """
 
 import numpy as np
@@ -51,12 +51,31 @@ class SessionMachine(RuleBasedStateMachine):
         assert batch, "a pending round must have questions"
         assert self.session.pending_questions() == batch  # stable
 
+    def _submit(self, questions):
+        round_size = len(self.session.pending)
+        self.session.submit([self.truth.answer(a, b) for a, b in questions])
+        if not self.session.awaiting_answers:
+            self.asked_total += round_size
+
     @precondition(lambda self: not self.session.done)
     @rule()
     def answer_pending(self):
+        self._submit(self.session.pending_questions())
+
+    @precondition(lambda self: not self.session.done)
+    @rule(data=st.data())
+    def answer_part_of_pending(self, data):
         batch = self.session.pending_questions()
-        self.asked_total += len(batch)
-        self.session.submit(self.truth.answer(a, b) for a, b in batch)
+        part = data.draw(
+            st.lists(
+                st.sampled_from(batch), min_size=1, max_size=len(batch),
+                unique=True,
+            )
+        )
+        self._submit(part)
+        if len(part) < len(batch):
+            rest = [q for q in batch if q not in part]
+            assert self.session.pending_questions() == rest
 
     @precondition(lambda self: self.session.done)
     @rule()
@@ -74,6 +93,13 @@ class SessionMachine(RuleBasedStateMachine):
     def candidates_contain_the_true_max(self):
         if hasattr(self, "session"):
             assert self.truth.max_element in self.session.candidates
+
+    @invariant()
+    def candidates_follow_the_evidence(self):
+        if hasattr(self, "session"):
+            assert self.session.candidates == tuple(
+                sorted(self.session.evidence.remaining_candidates())
+            )
 
     @invariant()
     def budget_never_exceeded(self):

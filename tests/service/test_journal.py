@@ -399,7 +399,7 @@ class TestHeaderRoundTrip:
         journal.close()
         contents = read_journal(path)
         header = contents.header
-        assert JOURNAL_VERSION == 3
+        assert JOURNAL_VERSION == 4
         assert "fault_profile" not in header
         assert "breaker_config" not in header
         (backend,) = header["backends"]
@@ -428,6 +428,11 @@ class TestHeaderRoundTrip:
     def test_version_two_journal_is_rejected(self, tmp_path):
         path = self._journal_claiming_version(tmp_path / "v2.jsonl", 2)
         with pytest.raises(JournalCorruptError, match="version 2"):
+            recover_scheduler(path)
+
+    def test_version_three_journal_is_rejected(self, tmp_path):
+        path = self._journal_claiming_version(tmp_path / "v3.jsonl", 3)
+        with pytest.raises(JournalCorruptError, match="version 3"):
             recover_scheduler(path)
 
     def test_header_with_missing_keys_raises_typed_error(self, tmp_path):

@@ -9,7 +9,6 @@ from repro.obs.metrics import get_registry
 from repro.obs.tracer import RecordingTracer, use_tracer
 from repro.service import (
     MaxScheduler,
-    PlanCache,
     QuerySpec,
     QueryState,
     ServiceConfig,
@@ -197,12 +196,6 @@ class TestPlanCacheIntegration:
         assert report.cache_hits == 4
         hits = [r.plan_cache_hit for r in report.results]
         assert hits.count(False) == 1
-
-    def test_cache_can_be_shared_across_schedulers(self):
-        cache = PlanCache(capacity=16)
-        run_workload([spec(0)], plan_cache=cache)
-        report = run_workload([spec(1)], plan_cache=cache)
-        assert report.cache_hits >= 1
 
 
 class TestObservability:
