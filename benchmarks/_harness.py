@@ -14,8 +14,10 @@ compares a directory of these artifacts against a committed baseline.
 
 from __future__ import annotations
 
+import json
 import os
 import re
+import tempfile
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -23,6 +25,8 @@ from repro.bench import current_git_sha, make_artifact, write_artifact
 from repro.experiments.config import scale_by_name
 from repro.experiments.tables import ExperimentResult
 from repro.obs.metrics import get_registry
+from repro.obs.tracer import RecordingTracer, use_tracer
+from repro.service import SchedulerJournal
 
 #: Benchmarks default to the fast preset; set REPRO_BENCH_SCALE=full to
 #: regenerate the figures at the paper's own workload sizes.
@@ -78,6 +82,29 @@ def scheduler_work(scheduler) -> Tuple[Dict[str, float], List[Tuple[Any, Any]]]:
         for backend in scheduler.router.backends
     ]
     return counters, streams
+
+
+def run_footprint(
+    build: Callable[[Any], Any],
+) -> Tuple[int, Dict[str, Tuple[int, int]]]:
+    """The events a service run emits and what it journals.
+
+    *build(journal)* constructs the scheduler; the run is traced into
+    memory and journaled into a temporary file.  Returns the number of
+    events emitted and, per journal record type, ``(records, bytes)``.
+    """
+    tracer = RecordingTracer()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.jsonl"
+        with SchedulerJournal.create(path) as journal, use_tracer(tracer):
+            build(journal).run()
+        written: Dict[str, Tuple[int, int]] = {}
+        with open(path, "rb") as handle:
+            for line in handle:
+                kind = json.loads(line)["record"]
+                records, size = written.get(kind, (0, 0))
+                written[kind] = (records + 1, size + len(line))
+    return tracer.emitted, written
 
 
 def run_and_report(benchmark, runner: Callable[[], List[ExperimentResult]]):

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from _harness import scheduler_work
+from _harness import run_footprint, scheduler_work
 from repro.core.latency import mturk_car_latency
 from repro.crowd.multibackend import HedgeConfig, backend_preset_by_name
 from repro.obs.metrics import get_registry
@@ -33,16 +33,23 @@ from repro.service import (
 SEED = 0
 
 
-def _run(config=None, backends=None, workload="steady", seed=SEED):
-    get_registry().reset()
+def _scheduler(
+    config=None, backends=None, workload="steady", seed=SEED, journal=None
+):
     specs = generate_workload(workload_by_name(workload), seed=seed)
-    scheduler = MaxScheduler(
+    return MaxScheduler(
         specs,
         mturk_car_latency(),
         seed=seed,
         config=config,
         backends=backends,
+        journal=journal,
     )
+
+
+def _run(config=None, backends=None, workload="steady", seed=SEED):
+    get_registry().reset()
+    scheduler = _scheduler(config, backends, workload, seed)
     start = time.perf_counter()
     report = scheduler.run()
     elapsed = time.perf_counter() - start
@@ -82,6 +89,10 @@ def bench_deadline_off_overhead(benchmark):
     # Same crowd work and RNG streams: a deterministic check beside the
     # noisy wall-clock gate.
     assert work_armed == work_plain
+    # Same events and the same journal, byte for byte.
+    assert run_footprint(lambda j: _scheduler(journal=j)) == run_footprint(
+        lambda j: _scheduler(ServiceConfig(), journal=j)
+    )
     assert ratio <= 1.02
 
 

@@ -14,7 +14,7 @@ Two claims the observability layer has to back with numbers:
 import dataclasses
 import time
 
-from _harness import scheduler_work
+from _harness import run_footprint, scheduler_work
 from repro.core.latency import mturk_car_latency
 from repro.obs.metrics import get_registry
 from repro.obs.slo import default_slo_config
@@ -28,12 +28,16 @@ from repro.service import (
 SEED = 0
 
 
+def _scheduler(config=None, workload="steady", seed=SEED, journal=None):
+    specs = generate_workload(workload_by_name(workload), seed=seed)
+    return MaxScheduler(
+        specs, mturk_car_latency(), seed=seed, config=config, journal=journal
+    )
+
+
 def _run(config=None, workload="steady", seed=SEED):
     get_registry().reset()
-    specs = generate_workload(workload_by_name(workload), seed=seed)
-    scheduler = MaxScheduler(
-        specs, mturk_car_latency(), seed=seed, config=config
-    )
+    scheduler = _scheduler(config, workload, seed)
     start = time.perf_counter()
     report = scheduler.run()
     elapsed = time.perf_counter() - start
@@ -79,6 +83,20 @@ def bench_slo_off_overhead(benchmark):
     # noisy wall-clock gate.
     assert work_unarmed == work_plain
     assert work_armed == work_plain
+    # Same events and the same journal records.  The armed journal adds
+    # the SLO config to its header, the engine state to each snapshot
+    # and a health stamp to each tick record; every other record type is
+    # byte for byte the plain run's.
+    events_plain, journal_plain = run_footprint(lambda j: _scheduler(journal=j))
+    events_armed, journal_armed = run_footprint(
+        lambda j: _scheduler(armed_config, journal=j)
+    )
+    assert events_armed == events_plain
+    assert {k: n for k, (n, _) in journal_armed.items()} == {
+        k: n for k, (n, _) in journal_plain.items()
+    }
+    for kind in ("route", "result", "complete"):
+        assert journal_armed[kind] == journal_plain[kind]
     assert ratio <= 1.02
 
 

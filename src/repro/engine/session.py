@@ -16,13 +16,16 @@ inversion of control:
 
 Answers may come back piecemeal: :meth:`MaxSession.submit` takes any
 subset of the unanswered questions and the round resolves when the last
-one arrives.  Sessions are checkpointable at any point, mid-round
+one arrives.  It takes them as :class:`~repro.types.Answer` s or as a
+``(k, 2)`` int array of ``(winner, loser)`` rows, the form a shared crowd
+round already has.  Sessions are checkpointable at any point, mid-round
 included, with :mod:`repro.persistence`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, compress
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from repro.errors import InvalidParameterError, ReproError
 from repro.graphs.answer_graph import AnswerGraph
 from repro.selection.base import QuestionSelector, SelectionContext, select_round
 from repro.selection.scoring import best_scored
-from repro.types import Answer, Element, Question, normalize_question
+from repro.types import Answer, Element, Question
 
 
 class SessionStateError(ReproError):
@@ -73,9 +76,13 @@ class MaxSession:
         self._candidates: Tuple[Element, ...] = tuple(range(n_elements))
         self._round_index = 0
         self._pending: Optional[List[Question]] = None
-        #: The round's unanswered questions: canonical form -> as selected,
-        #: in selection order.
-        self._unanswered: Dict[Question, Question] = {}
+        #: The open round as columns: the sorted canonical keys
+        #: ``lo * n_elements + hi`` of its questions, the selection index
+        #: of each sorted key, and which selected questions are answered.
+        self._keys = np.empty(0, np.int64)
+        self._key_order = np.empty(0, np.int64)
+        self._answered = np.zeros(0, bool)
+        self._n_answered = 0
         self._questions_posted = 0
         self._rounds_executed = 0
         self._advance_past_empty_rounds()
@@ -233,18 +240,19 @@ class MaxSession:
                     f"{round_index}'s budget of "
                     f"{allocation.round_budgets[round_index]}"
                 )
-            unanswered = {
-                normalize_question(a, b): (a, b)
-                for a, b in pending_list
-                if evidence.direct_result(a, b) is None
-            }
-            if not unanswered:
+            answered = np.array(
+                [
+                    evidence.direct_result(a, b) is not None
+                    for a, b in pending_list
+                ],
+                dtype=bool,
+            )
+            if answered.all():
                 raise InvalidParameterError(
                     "a mid-round checkpoint must leave at least one pending "
                     "question unanswered"
                 )
-            session._pending = pending_list
-            session._unanswered = unanswered
+            session._open_round(pending_list, answered)
         return session
 
     # ------------------------------------------------------------------
@@ -276,43 +284,79 @@ class MaxSession:
                 if not self.done:
                     return self.pending_questions()
                 raise SessionStateError("the session has finished")
-            self._pending = questions
-            self._unanswered = {
-                normalize_question(a, b): (a, b) for a, b in questions
-            }
-        return list(self._unanswered.values())
+            self._open_round(questions, np.zeros(len(questions), bool))
+        if not self._n_answered:
+            return list(self._pending)
+        return list(compress(self._pending, (~self._answered).tolist()))
 
-    def submit(self, answers: Sequence[Answer]) -> None:
+    def _open_round(
+        self, questions: List[Question], answered: np.ndarray
+    ) -> None:
+        """Hand out *questions* as the round, *answered* of them already."""
+        flat = np.fromiter(chain.from_iterable(questions), np.int64)
+        a, b = flat[0::2], flat[1::2]
+        keys = np.minimum(a, b) * len(self.evidence) + np.maximum(a, b)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if np.count_nonzero(a == b) or np.count_nonzero(keys[1:] == keys[:-1]):
+            raise InvalidParameterError(
+                "a round's questions must be distinct pairs of distinct "
+                "elements"
+            )
+        self._pending = questions
+        self._keys = keys
+        self._key_order = order
+        self._answered = answered
+        self._n_answered = int(np.count_nonzero(answered))
+
+    def submit(self, answers: Union[np.ndarray, Sequence[Answer]]) -> None:
         """Record answers to any subset of the unanswered questions.
 
-        The answers enter the evidence graph (and :attr:`candidates`) at
-        once; the round resolves when its last question is answered.
+        *answers* is a ``(k, 2)`` int array of ``(winner, loser)`` rows, or
+        a sequence of :class:`~repro.types.Answer` s (converted to one on
+        entry).  The answers enter the evidence graph (and
+        :attr:`candidates`) at once; the round resolves when its last
+        question is answered.
 
         Raises:
             SessionStateError: if no round is pending, or if an answer is
-                foreign to the round, repeated, or already given — nothing
-                is recorded then, as accepting it would silently corrupt
-                the evidence graph.
+                foreign to the round, repeated, already given or compares
+                an element with itself — nothing is recorded then, as
+                accepting it would silently corrupt the evidence graph.
         """
         if self._pending is None:
             raise SessionStateError(
                 "no pending questions; call pending_questions() first"
             )
-        answers = list(answers)
-        questions = [answer.question for answer in answers]
-        unknown = [q for q in questions if q not in self._unanswered]
-        if unknown or len(set(questions)) < len(questions):
+        rows = _answer_rows(answers)
+        winners, losers = rows[:, 0], rows[:, 1]
+        lo, hi = np.minimum(winners, losers), np.maximum(winners, losers)
+        n = len(self.evidence)
+        keys = lo * n + hi
+        slots = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        known = (self._keys[slots] == keys) & (lo >= 0) & (lo < hi) & (hi < n)
+        # Every row names a question of the round, and marking them adds
+        # one answer per row: no row repeats another or an earlier answer.
+        answered = self._answered.copy()
+        answered[self._key_order[slots]] = True
+        n_answered = int(np.count_nonzero(answered))
+        if (
+            np.count_nonzero(known) < len(rows)
+            or n_answered - self._n_answered < len(rows)
+        ):
             raise SessionStateError(
                 f"answers must match distinct unanswered questions of the "
                 f"round; foreign, repeated or already answered "
-                f"(unknown: {sorted(unknown)[:5]})"
+                f"(unknown: {rows[~known][:5].tolist()})"
             )
-        self.evidence.record_all(answers)
-        for question in questions:
-            del self._unanswered[question]
-        losers = {answer.loser for answer in answers}
-        self._candidates = tuple(c for c in self._candidates if c not in losers)
-        if self._unanswered:
+        self.evidence.record_pairs(rows)
+        self._answered, self._n_answered = answered, n_answered
+        if len(rows):
+            lost = set(losers.tolist())
+            self._candidates = tuple(
+                [c for c in self._candidates if c not in lost]
+            )
+        if n_answered < len(self._pending):
             return
         self._questions_posted += len(self._pending)
         self._rounds_executed += 1
@@ -329,3 +373,17 @@ class MaxSession:
             and budgets[self._round_index] == 0
         ):
             self._round_index += 1
+
+
+def _answer_rows(answers: Union[np.ndarray, Sequence[Answer]]) -> np.ndarray:
+    """*answers* as a ``(k, 2)`` int64 array of ``(winner, loser)`` rows."""
+    if isinstance(answers, np.ndarray):
+        shape, kind = answers.shape, answers.dtype.kind
+        if len(shape) != 2 or shape[1] != 2 or kind not in "iu":
+            raise InvalidParameterError(
+                f"answers must be a (k, 2) int array of (winner, loser) rows, "
+                f"got shape {answers.shape} of {answers.dtype}"
+            )
+        return answers.astype(np.int64, copy=False)
+    rows = [(answer.winner, answer.loser) for answer in answers]
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)

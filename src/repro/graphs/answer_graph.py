@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.errors import InconsistentAnswersError, InvalidParameterError
 from repro.types import Answer, Element, Question, normalize_question
 
@@ -41,33 +43,54 @@ class AnswerGraph:
     # Construction
     # ------------------------------------------------------------------
     def record(self, answer: Answer) -> None:
-        """Add one answer.  Duplicate identical answers are idempotent.
+        """Add one answer (see :meth:`record_pairs`)."""
+        self.record_pairs(((answer.winner, answer.loser),))
+
+    def record_all(self, answers: Iterable[Answer]) -> None:
+        """Record a batch of answers (see :meth:`record_pairs`)."""
+        self.record_pairs([(answer.winner, answer.loser) for answer in answers])
+
+    def record_pairs(self, pairs: Iterable[Tuple[Element, Element]]) -> None:
+        """Record ``(winner, loser)`` rows in order, e.g. a ``(k, 2)`` int
+        array.  Duplicate identical answers are idempotent.
+
+        Rows before a rejected one stay recorded.
 
         Raises:
-            InvalidParameterError: if an element is unknown.
+            InvalidParameterError: if an element is unknown or a row
+                compares an element with itself.
             InconsistentAnswersError: if the same pair was previously
                 answered in the opposite direction.
         """
-        winner, loser = answer.winner, answer.loser
-        if winner not in self._elements or loser not in self._elements:
+        if isinstance(pairs, np.ndarray):
+            pairs = zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())
+        beat, beaten_by = self._beat, self._beaten_by
+        added = 0
+        try:
+            for winner, loser in pairs:
+                if winner == loser:
+                    raise InvalidParameterError(
+                        f"answer ({winner} > {loser}) compares an element "
+                        f"with itself"
+                    )
+                if winner in beat[loser]:
+                    raise InconsistentAnswersError(
+                        f"pair ({winner}, {loser}) already answered in the "
+                        f"opposite direction; the Reliable Worker Layer "
+                        f"must resolve conflicts"
+                    )
+                losers = beat[winner]
+                if loser not in losers:  # else an idempotent repeat
+                    losers.add(loser)
+                    beaten_by[loser].add(winner)
+                    added += 1
+        except KeyError:
             raise InvalidParameterError(
-                f"answer {answer} involves elements outside the collection"
-            )
-        if winner in self._beat[loser]:
-            raise InconsistentAnswersError(
-                f"pair ({winner}, {loser}) already answered in the opposite "
-                f"direction; the Reliable Worker Layer must resolve conflicts"
-            )
-        if loser in self._beat[winner]:
-            return  # idempotent repeat
-        self._beat[winner].add(loser)
-        self._beaten_by[loser].add(winner)
-        self._n_answers += 1
-
-    def record_all(self, answers: Iterable[Answer]) -> None:
-        """Record a batch of answers (see :meth:`record`)."""
-        for answer in answers:
-            self.record(answer)
+                f"answer ({winner} > {loser}) involves elements outside the "
+                f"collection"
+            ) from None
+        finally:
+            self._n_answers += added
 
     # ------------------------------------------------------------------
     # Queries

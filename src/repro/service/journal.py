@@ -96,7 +96,12 @@ from repro.persistence import (
 from repro.service.deadline import BrownoutConfig
 from repro.service.plan_cache import PlanCacheStats, PlanKey
 from repro.service.query import QueryResult, QuerySpec, QueryState
-from repro.service.scheduler import ActiveQuery, MaxScheduler, ServiceConfig
+from repro.service.scheduler import (
+    ActiveQuery,
+    MaxScheduler,
+    ResultTally,
+    ServiceConfig,
+)
 from repro.service.telemetry import (
     alert_transitions_from_records,
     samples_from_records,
@@ -373,6 +378,7 @@ def restore_scheduler_state(
         scheduler._waiting = [_active_query_from_dict(d) for d in snapshot["waiting"]]
         scheduler._active = [_active_query_from_dict(d) for d in snapshot["active"]]
         scheduler._results = [_result_from_dict(d) for d in snapshot["results"]]
+        scheduler._tally = ResultTally.of(scheduler._results)
 
         backends_payload = snapshot["backends"]
         fleet = scheduler._router.backends

@@ -39,6 +39,7 @@ from typing import (
     Deque,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -103,7 +104,7 @@ from repro.service.policies import policy_by_name
 from repro.service.query import QueryResult, QuerySpec, QueryState
 from repro.service.report import ServiceReport
 from repro.service.telemetry import TICK_HISTORY_LIMIT, TickSample
-from repro.types import Answer, Element, Question
+from repro.types import Element, Question
 
 logger = logging.getLogger(__name__)
 
@@ -193,6 +194,43 @@ class ServiceConfig:
 
 
 @dataclass
+class ResultTally:
+    """Running outcome counts and queue-wait sum over a results list.
+
+    Kept in result order, so the float sum equals a recount of the list
+    bit for bit.
+    """
+
+    completed: int = 0
+    degraded: int = 0
+    shed: int = 0
+    deadline_met: int = 0
+    deadline_breached: int = 0
+    wait_total: float = 0.0
+
+    @classmethod
+    def of(cls, results: Iterable[QueryResult]) -> "ResultTally":
+        tally = cls()
+        for result in results:
+            tally.add(result)
+        return tally
+
+    def add(self, result: QueryResult) -> None:
+        if result.state is QueryState.COMPLETED:
+            self.completed += 1
+            self.wait_total += result.queue_wait
+        elif result.state is QueryState.DEGRADED:
+            self.degraded += 1
+            self.wait_total += result.queue_wait
+        elif result.state is QueryState.SHED:
+            self.shed += 1
+        if result.deadline_outcome == DEADLINE_MET:
+            self.deadline_met += 1
+        elif result.deadline_outcome is not None:
+            self.deadline_breached += 1
+
+
+@dataclass
 class ActiveQuery:
     """Scheduler-internal state of one admitted query."""
 
@@ -204,8 +242,8 @@ class ActiveQuery:
     state: QueryState = QueryState.QUEUED
     admitted_time: float = 0.0
     first_scheduled_time: Optional[float] = None
-    #: Global-ID questions of the open round still unanswered; rebuilt
-    #: from the session every tick, so never journaled.
+    #: Global-ID questions of the open round unanswered when the tick
+    #: began; rebuilt from the session every tick, so never journaled.
     unanswered: List[Question] = field(default_factory=list)
     times_scheduled: int = 0
     round_attempts: int = 0
@@ -350,6 +388,8 @@ class MaxScheduler:
         self._active: List[ActiveQuery] = []
         self._waiting: List[ActiveQuery] = []
         self._results: List[QueryResult] = []
+        #: Outcome counts over ``_results``; recomputed on restore.
+        self._tally = ResultTally()
         self._next_seq = 0
         self._now = 0.0
         self._ticks = 0
@@ -515,6 +555,7 @@ class MaxScheduler:
     def _append_result(self, result: QueryResult) -> None:
         """Record a query's exit; the journal keeps each result once."""
         self._results.append(result)
+        self._tally.add(result)
         if self._journal is not None:
             self._journal.record_result(len(self._results) - 1, result)
 
@@ -622,30 +663,9 @@ class MaxScheduler:
             self._add_chunk(tracer, query, component, start, end)
 
     def _sample_tick(self, deferred: bool) -> None:
-        """Record this tick's :class:`TickSample` everywhere it goes.
-
-        Outcome counters are recomputed from ``_results`` rather than
-        kept incrementally so a recovered scheduler (whose results list
-        is restored wholesale from a snapshot) samples correctly without
-        any extra journaled state.
-        """
-        completed = degraded = shed = 0
-        deadline_met = deadline_breached = 0
-        wait_total = 0.0
-        for result in self._results:
-            if result.state is QueryState.COMPLETED:
-                completed += 1
-                wait_total += result.queue_wait
-            elif result.state is QueryState.DEGRADED:
-                degraded += 1
-                wait_total += result.queue_wait
-            elif result.state is QueryState.SHED:
-                shed += 1
-            if result.deadline_outcome == DEADLINE_MET:
-                deadline_met += 1
-            elif result.deadline_outcome is not None:
-                deadline_breached += 1
-        finished = completed + degraded
+        """Record this tick's :class:`TickSample` everywhere it goes."""
+        tally = self._tally
+        finished = tally.completed + tally.degraded
         sample = TickSample(
             tick=self._ticks,
             now=self._now,
@@ -658,13 +678,13 @@ class MaxScheduler:
             questions=0 if deferred else self._last_round_questions,
             questions_total=self._questions_posted,
             shared_rounds=self._shared_rounds,
-            completed=completed,
-            degraded=degraded,
-            shed=shed,
+            completed=tally.completed,
+            degraded=tally.degraded,
+            shed=tally.shed,
             deferred=deferred,
-            queue_wait_mean=wait_total / finished if finished else 0.0,
-            deadline_met=deadline_met,
-            deadline_breached=deadline_breached,
+            queue_wait_mean=tally.wait_total / finished if finished else 0.0,
+            deadline_met=tally.deadline_met,
+            deadline_breached=tally.deadline_breached,
             brownout_level=(
                 self._brownout.level if self._brownout is not None else 0
             ),
@@ -1309,35 +1329,38 @@ class MaxScheduler:
         if outage:
             for query in scheduled:
                 if not query.none_posted(outcome.unposted):
-                    self._bump_round_attempts(query)
+                    self._bump_round_attempts(query, len(query.unanswered))
             return
-        winner_of = dict(
-            zip(map(tuple, outcome.questions.tolist()), outcome.winners.tolist())
-        )
-        for query in scheduled:
-            self._collect(query, winner_of, unposted=outcome.unposted)
+        # Each query owns the element slice [offset, offset + c0), so a
+        # row's low element names its query; `scheduled` is in policy
+        # order, hence the sort of the offsets.
+        offsets = np.array([query.offset for query in scheduled])
+        by_offset = np.argsort(offsets)
+        questions, winners = outcome.questions, outcome.winners
+        owner = by_offset[
+            np.searchsorted(offsets[by_offset], questions[:, 0], side="right") - 1
+        ]
+        rows = np.argsort(owner, kind="stable")
+        local = np.stack((winners, questions.sum(axis=1) - winners), axis=1)
+        local = (local - offsets[owner][:, None])[rows]
+        bounds = np.bincount(owner, minlength=len(scheduled)).cumsum().tolist()
+        start = 0
+        for query, end in zip(scheduled, bounds):
+            self._collect(query, local[start:end], unposted=outcome.unposted)
+            start = end
 
     def _collect(
         self,
         query: ActiveQuery,
-        winner_of: Dict[Question, Element],
+        answers: np.ndarray,
         unposted: FrozenSet[Question],
     ) -> None:
-        """Submit a shared round's answers to *query*'s session."""
-        offset = query.offset
-        answers: List[Answer] = []
-        unanswered: List[Question] = []
-        for question in query.unanswered:
-            winner = winner_of.get(question)
-            if winner is None:
-                unanswered.append(question)  # lost; re-posted next tick
-            else:
-                loser = question[0] + question[1] - winner
-                answers.append(Answer(winner - offset, loser - offset))
-        query.unanswered = unanswered
+        """Submit *query*'s ``(k, 2)`` local winner/loser rows of a shared
+        round to its session."""
+        lost = len(query.unanswered) - len(answers)  # re-posted next tick
         session = query.session
         tracer = current_tracer()
-        if not unanswered and tracer.enabled:
+        if not lost and tracer.enabled:
             # Before submit advances round_index, so the id matches the
             # open emitted by _refresh_round.
             close_span(
@@ -1345,17 +1368,19 @@ class MaxScheduler:
                 f"q{query.spec.query_id}/r{session.round_index}",
                 end=self._now,
             )
-        if answers:
+        if len(answers):
             session.submit(answers)
-        if unanswered:
-            if not query.none_posted(unposted):
-                self._bump_round_attempts(query)
+        if lost:
+            # An unposted question is never answered, so the lost ones
+            # were all unposted exactly when `lost` of the round were.
+            if not unposted or sum(q in unposted for q in query.unanswered) < lost:
+                self._bump_round_attempts(query, lost)
             return
         query.round_attempts = 0
         if session.done:
             self._finalize(query, QueryState.COMPLETED)
 
-    def _bump_round_attempts(self, query: ActiveQuery) -> None:
+    def _bump_round_attempts(self, query: ActiveQuery, lost: int) -> None:
         query.round_attempts += 1
         if query.round_attempts >= self.config.max_round_attempts:
             logger.warning(
@@ -1364,7 +1389,7 @@ class MaxScheduler:
                 query.spec.query_id,
                 query.session.round_index,
                 query.round_attempts,
-                len(query.unanswered),
+                lost,
             )
             self._finalize(query, QueryState.DEGRADED)
 

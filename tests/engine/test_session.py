@@ -27,6 +27,14 @@ def answers_to(truth, questions):
     return [truth.answer(a, b) for a, b in questions]
 
 
+def rows_to(truth, questions):
+    """The ``(k, 2)`` winner/loser array of *questions*' true answers."""
+    answers = answers_to(truth, questions)
+    return np.array(
+        [(answer.winner, answer.loser) for answer in answers], np.int64
+    ).reshape(-1, 2)
+
+
 def drive_to_completion(session, truth):
     """Answer every pending batch from the ground truth."""
     while not session.done:
@@ -358,3 +366,94 @@ class TestPiecewiseRounds:
         assert counters(split) == counters(whole)
         if not whole.done:
             assert split.pending_questions() == whole.pending_questions()
+
+
+class TestColumnSubmits:
+    def make_session(self):
+        rng = np.random.default_rng(5)
+        allocation = Allocation.from_element_sequence((6, 2, 1))
+        return MaxSession(allocation, TournamentFormation(), 6, rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_elements=st.integers(3, 30),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+    )
+    def test_arrays_match_answer_lists(self, seed, n_elements, cuts):
+        """A session fed ``(k, 2)`` arrays and one fed ``Answer`` lists,
+        split at the same points every round, agree after every submit."""
+        allocation = TDPAllocator().allocate(n_elements, 3 * n_elements, LATENCY)
+        truth = GroundTruth.random(n_elements, np.random.default_rng(seed))
+        listed, columnar = (
+            MaxSession(
+                allocation, TournamentFormation(), n_elements,
+                np.random.default_rng(seed),
+            )
+            for _ in range(2)
+        )
+        while not listed.done:
+            batch = listed.pending_questions()
+            assert columnar.pending_questions() == batch
+            bounds = sorted({int(cut * len(batch)) for cut in cuts} | {len(batch)})
+            start = 0
+            for end in bounds:
+                listed.submit(answers_to(truth, batch[start:end]))
+                columnar.submit(rows_to(truth, batch[start:end]))
+                start = end
+                assert answer_graph_to_dict(columnar.evidence) == (
+                    answer_graph_to_dict(listed.evidence)
+                )
+                assert columnar.candidates == listed.candidates
+                assert counters(columnar) == counters(listed)
+                assert columnar.pending == listed.pending
+                if not listed.done:
+                    assert (
+                        columnar.pending_questions()
+                        == listed.pending_questions()
+                    )
+        assert columnar.done
+        assert columnar.winner == listed.winner
+
+    @pytest.mark.parametrize(
+        "case", ["foreign", "repeated", "already_answered", "self_pair"]
+    )
+    def test_rejected_columns_leave_the_session_untouched(self, case):
+        session = self.make_session()
+        truth = GroundTruth.identity(6)
+        batch = session.pending_questions()
+        first, second = batch[:2]
+        if case == "foreign":
+            asked = set(batch)
+            foreign = next(
+                (a, b) for a in range(6) for b in range(a + 1, 6)
+                if (a, b) not in asked
+            )
+            bad = rows_to(truth, [second, foreign])
+        elif case == "repeated":
+            bad = rows_to(truth, [first, second, first])
+        elif case == "already_answered":
+            session.submit(rows_to(truth, [first]))
+            bad = rows_to(truth, [second, first])
+        else:
+            bad = np.vstack([rows_to(truth, [second]), [[first[0], first[0]]]])
+        evidence = answer_graph_to_dict(session.evidence)
+        state = (session.candidates, counters(session), session.pending)
+        pending = session.pending_questions()
+        with pytest.raises(SessionStateError, match="repeated or already"):
+            session.submit(bad)
+        assert answer_graph_to_dict(session.evidence) == evidence
+        assert (session.candidates, counters(session), session.pending) == state
+        assert session.pending_questions() == pending
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([0, 1]), np.array([[0.0, 1.0]]), np.zeros((1, 3), np.int64)],
+        ids=["flat", "float", "three_columns"],
+    )
+    def test_malformed_arrays_rejected(self, bad):
+        session = self.make_session()
+        session.pending_questions()
+        with pytest.raises(InvalidParameterError, match=r"\(k, 2\) int"):
+            session.submit(bad)
+        assert session.evidence.n_answers == 0

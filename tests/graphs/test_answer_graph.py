@@ -1,5 +1,6 @@
 """Tests for the answer DAG (Section 4, Figure 7)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,50 @@ class TestConstruction:
         graph.record(Answer(winner=0, loser=1))
         with pytest.raises(InconsistentAnswersError):
             graph.record(Answer(winner=1, loser=0))
+
+
+class TestBulkRecording:
+    def test_array_rows_match_answer_records(self):
+        rows = np.array([[0, 1], [2, 1], [3, 2], [3, 0], [3, 1]], np.int64)
+        graph = AnswerGraph(range(4))
+        graph.record_pairs(rows)
+        assert sorted(graph.iter_answers(), key=str) == sorted(
+            fig7_graph().iter_answers(), key=str
+        )
+        assert graph.n_answers == 5
+
+    def test_repeated_rows_are_idempotent(self):
+        graph = AnswerGraph(range(3))
+        graph.record_pairs(np.array([[0, 1], [0, 1], [2, 1]]))
+        assert graph.n_answers == 2
+
+    def test_opposite_direction_row_rejected(self):
+        graph = AnswerGraph(range(3))
+        graph.record_pairs(np.array([[0, 1]]))
+        with pytest.raises(InconsistentAnswersError):
+            graph.record_pairs(np.array([[2, 1], [1, 0]]))
+        # Rows before the rejected one stay recorded, and are counted.
+        assert graph.direct_result(1, 2) == 2
+        assert graph.n_answers == 2
+
+    def test_opposite_direction_within_one_column_rejected(self):
+        graph = AnswerGraph(range(2))
+        with pytest.raises(InconsistentAnswersError):
+            graph.record_pairs(np.array([[0, 1], [1, 0]]))
+
+    @pytest.mark.parametrize("row", [[0, 7], [7, 0], [1, 1]])
+    def test_unknown_or_self_pair_row_rejected(self, row):
+        graph = AnswerGraph(range(3))
+        with pytest.raises(InvalidParameterError):
+            graph.record_pairs(np.array([row]))
+        assert graph.n_answers == 0
+        assert graph.remaining_candidates() == {0, 1, 2}
+
+    def test_record_all_goes_through_the_bulk_check(self):
+        graph = AnswerGraph(range(2))
+        graph.record_all([Answer(winner=0, loser=1)])
+        with pytest.raises(InconsistentAnswersError):
+            graph.record_all([Answer(winner=1, loser=0)])
 
 
 class TestRemainingCandidates:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.latency import LinearLatency
-from repro.crowd.faults import FaultProfile, RetryPolicy
+from repro.crowd.faults import FaultProfile, RetryPolicy, fault_profile_by_name
 from repro.errors import InvalidParameterError
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import RecordingTracer, use_tracer
@@ -11,10 +11,13 @@ from repro.service import (
     MaxScheduler,
     QuerySpec,
     QueryState,
+    SchedulerJournal,
     ServiceConfig,
     generate_workload,
+    recover_scheduler,
     workload_by_name,
 )
+from repro.service.deadline import DEADLINE_MET
 
 LATENCY = LinearLatency(239, 0.06)
 
@@ -186,6 +189,140 @@ class TestFaults:
         for result in report.degraded:
             assert result.winner is not None
             assert result.state is QueryState.DEGRADED
+
+
+class TestColumnSplit:
+    def test_each_query_receives_exactly_its_own_rows(self, monkeypatch):
+        """The priority policy packs queries against their offset order
+        and lossy faults leave rounds half answered; each query's submit
+        must still carry exactly the round's rows inside its slice."""
+        specs = [
+            spec(i, n=8 + 3 * i, budget=40 + 15 * i, priority=i)
+            for i in range(6)
+        ]
+        scheduler = MaxScheduler(
+            specs,
+            LATENCY,
+            seed=0,
+            config=ServiceConfig(policy="priority"),
+            fault_profile=fault_profile_by_name("lossy"),
+            retry_policy=RetryPolicy(max_attempts=1),
+        )
+        truth = scheduler.truth
+        outcomes = []
+        post_round = scheduler.router.post_round
+
+        def record_outcome(*args, **kwargs):
+            outcomes.append(post_round(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(scheduler.router, "post_round", record_outcome)
+        collected = []
+        collect = scheduler._collect
+
+        def check_rows(query, answers, unposted):
+            offset, n = query.offset, query.spec.n_elements
+            questions = outcomes[-1].questions
+            own = (questions[:, 0] >= offset) & (questions[:, 0] < offset + n)
+            expected = {
+                (truth.answer(lo, hi).winner, truth.answer(lo, hi).loser)
+                for lo, hi in questions[own].tolist()
+            }
+            received = {(w + offset, l + offset) for w, l in answers.tolist()}
+            assert len(answers) == len(received) == len(expected)
+            assert received == expected
+            collected.append(
+                (scheduler.ticks, offset, len(answers) < len(query.unanswered))
+            )
+            collect(query, answers, unposted)
+
+        monkeypatch.setattr(scheduler, "_collect", check_rows)
+        report = scheduler.run()
+        assert all(r.state is QueryState.COMPLETED for r in report.results)
+        ticks = {}
+        for tick, offset, _ in collected:
+            ticks.setdefault(tick, []).append(offset)
+        assert any(offsets != sorted(offsets) for offsets in ticks.values())
+        assert any(partial for _, _, partial in collected)
+
+
+def _recount(results):
+    """The outcome counters of a results list, recounted independently."""
+    completed = degraded = shed = met = breached = 0
+    wait_total = 0.0
+    for result in results:
+        if result.state is QueryState.COMPLETED:
+            completed += 1
+            wait_total += result.queue_wait
+        elif result.state is QueryState.DEGRADED:
+            degraded += 1
+            wait_total += result.queue_wait
+        else:
+            shed += 1
+        if result.deadline_outcome == DEADLINE_MET:
+            met += 1
+        elif result.deadline_outcome is not None:
+            breached += 1
+    finished = completed + degraded
+    return (
+        completed, degraded, shed, met, breached,
+        wait_total / finished if finished else 0.0,
+    )
+
+
+def _sampled(sample):
+    return (
+        sample.completed, sample.degraded, sample.shed,
+        sample.deadline_met, sample.deadline_breached, sample.queue_wait_mean,
+    )
+
+
+def _step_and_check(scheduler):
+    """Drive *scheduler* to the end, checking every tick's counters."""
+    checked = 0
+    while scheduler.step():
+        if scheduler.tick_history:
+            assert _sampled(scheduler.tick_history[-1]) == _recount(
+                scheduler._results
+            )
+            checked += 1
+    return checked
+
+
+class TestTickCounters:
+    """Each tick's outcome counters equal a recount of the results."""
+
+    @pytest.mark.parametrize("workload", ["steady", "deadline"])
+    def test_every_tick_matches_a_recount(self, workload):
+        specs = generate_workload(workload_by_name(workload), seed=3)
+        scheduler = MaxScheduler(specs, LATENCY, seed=3)
+        assert _step_and_check(scheduler) >= 5
+
+    def test_degraded_queries_are_counted(self):
+        specs = generate_workload(workload_by_name("steady"), seed=3)
+        scheduler = MaxScheduler(
+            specs,
+            LATENCY,
+            seed=3,
+            config=ServiceConfig(max_round_attempts=2),
+            fault_profile=FaultProfile(drop_prob=0.5),
+        )
+        assert _step_and_check(scheduler) >= 5
+        assert _recount(scheduler._results)[1] > 0
+
+    def test_a_restored_run_matches_a_recount(self, tmp_path):
+        specs = generate_workload(workload_by_name("steady"), seed=3)
+        path = tmp_path / "run.jsonl"
+        journal = SchedulerJournal.create(path)
+        victim = MaxScheduler(specs, LATENCY, seed=3, journal=journal)
+        for _ in range(6):
+            victim.step()
+        journal.close()
+        recovered = recover_scheduler(path)
+        assert recovered._results
+        assert recovered._tally == type(recovered._tally).of(recovered._results)
+        assert _step_and_check(recovered) > 0
+        recovered.journal.close()
 
 
 class TestPlanCacheIntegration:
