@@ -18,6 +18,13 @@ adaptive runs on the simulated platform (clean, lossy, and lossy with
 retries, repetition and worker error).  Any change to the round loop of
 either engine shows up here.
 
+:class:`~repro.engine.topk.TopKEngine` (every selector on the oracle, and
+one lossy, noisy platform with retries) and
+:class:`~repro.engine.adversarial.AdversarialMaxEngine` (every mode ×
+selector) pin only the ``result`` digest: their results were pinned
+before they moved onto the shared round loop, which gave them the batch
+engines' trace events and ``engine.*`` counters.
+
 To regenerate the snapshot after an *intentional* behaviour change::
 
     PYTHONPATH=src python tests/integration/test_engine_golden.py
@@ -41,11 +48,20 @@ from repro.core.latency import LinearLatency
 from repro.core.registry import allocator_by_name, available_allocators
 from repro.core.tdp import TDPAllocator
 from repro.crowd.error_models import UniformError
-from repro.crowd.faults import RetryPolicy, fault_profile_by_name
+from repro.crowd.faults import FaultyPlatform, RetryPolicy, fault_profile_by_name
 from repro.crowd.ground_truth import GroundTruth
+from repro.crowd.platform import SimulatedPlatform
+from repro.crowd.rwl import ReliableWorkerLayer
 from repro.engine.adaptive import AdaptiveMaxEngine
-from repro.engine.max_engine import AnswerSource, MaxEngine, OracleAnswerSource
+from repro.engine.adversarial import AdversarialMaxEngine
+from repro.engine.max_engine import (
+    AnswerSource,
+    MaxEngine,
+    OracleAnswerSource,
+    PlatformAnswerSource,
+)
 from repro.engine.simulation import run_once_on_platform
+from repro.engine.topk import TopKEngine
 from repro.obs import get_registry
 from repro.obs.tracer import RecordingTracer, use_tracer
 from repro.selection.registry import available_selectors, selector_by_name
@@ -59,6 +75,9 @@ LATENCY = LinearLatency(delta=529.0, alpha=251.0)
 #: Registry counters each case reports next to its digests, so tests can
 #: assert the case really takes the path it is named after.
 WATCHED_COUNTERS = ("engine.degraded_rounds", "engine.replans")
+
+#: Case-name prefixes whose entries pin the ``result`` digest alone.
+RESULT_ONLY = ("topk/", "adversarial/")
 
 
 class LossyOracleSource(AnswerSource):
@@ -164,8 +183,61 @@ def _platform(adaptive, stack, n_elements=24, budget=50, seed=3):
     return run
 
 
+def _oracle_topk(selector, n_elements=16, k=3, budget=40, seed=7):
+    def run():
+        rng = np.random.default_rng(seed)
+        truth = GroundTruth.random(n_elements, rng)
+        engine = TopKEngine(
+            selector_by_name(selector),
+            OracleAnswerSource(truth, LATENCY),
+            LATENCY,
+            rng,
+        )
+        return engine.run(truth, k, budget)
+
+    return run
+
+
+def _platform_topk(stack, n_elements=24, k=3, budget=60, seed=3):
+    def run():
+        options = _PLATFORM_STACKS[stack]
+        rng = np.random.default_rng((seed, 0))
+        truth = GroundTruth.random(n_elements, rng)
+        platform = FaultyPlatform(
+            SimulatedPlatform(truth, rng, error_model=options["error_model"]),
+            options["fault_profile"],
+            np.random.default_rng((seed, 1)),
+        )
+        rwl = ReliableWorkerLayer(
+            platform,
+            rng,
+            repetition=options["repetition"],
+            retry_policy=options["retry_policy"],
+        )
+        engine = TopKEngine(
+            TournamentFormation(), PlatformAnswerSource(rwl), LATENCY, rng
+        )
+        return engine.run(truth, k, budget)
+
+    return run
+
+
+def _adversarial(mode, selector, n_elements=24, budget=60, seed=7):
+    def run():
+        allocation = TDPAllocator().allocate(n_elements, budget, LATENCY)
+        engine = AdversarialMaxEngine(
+            selector_by_name(selector),
+            LATENCY,
+            np.random.default_rng(seed),
+            mode=mode,
+        )
+        return engine.run(n_elements, allocation)
+
+    return run
+
+
 def _cases():
-    """name -> zero-argument callable returning a MaxRunResult."""
+    """name -> zero-argument callable returning a run's result."""
     cases = {}
     for allocator in available_allocators():
         for selector in available_selectors():
@@ -181,6 +253,16 @@ def _cases():
     for engine, adaptive in (("static", False), ("adaptive", True)):
         for stack in _PLATFORM_STACKS:
             cases[f"platform/{engine}/{stack}"] = _platform(adaptive, stack)
+    for selector in available_selectors():
+        cases[f"topk/{selector}"] = _oracle_topk(selector)
+    cases["topk/platform_lossy_retry_noisy"] = _platform_topk(
+        "lossy_retry_noisy"
+    )
+    for mode in ("exact", "greedy"):
+        for selector in available_selectors():
+            cases[f"adversarial/{mode}/{selector}"] = _adversarial(
+                mode, selector
+            )
     return cases
 
 
@@ -218,6 +300,8 @@ def run_case(name):
     tracer = RecordingTracer(clock=lambda: 0.0)
     with use_tracer(tracer):
         result = _cases()[name]()
+    if name.startswith(RESULT_ONLY):
+        return {"result": _sha256([repr(result)])}
     return {
         "result": _sha256([repr(result)]),
         "trace": _sha256(_trace_lines(tracer)),
