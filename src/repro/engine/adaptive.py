@@ -30,10 +30,34 @@ import numpy as np
 from repro.core.latency import LatencyFunction
 from repro.core.tdp import solve_min_latency
 from repro.crowd.ground_truth import GroundTruth
-from repro.engine.max_engine import AnswerSource, _run_rounds
+from repro.engine.max_engine import AnswerSource, RoundPlan, _run_rounds
 from repro.engine.results import MaxRunResult
 from repro.errors import InvalidParameterError
 from repro.selection.base import QuestionSelector
+
+
+def replan_each_round(latency: LatencyFunction, budget: int) -> RoundPlan:
+    """Each round's budget: the first round of a fresh tDP plan for the
+    current (candidates, remaining of *budget*) state.
+
+    The run ends once the leftover budget cannot guarantee further
+    progress (Theorem 1).  Every round spends at least one question, so
+    *budget* also bounds the number of rounds.
+    """
+
+    def plan_round(
+        round_index: int, n_candidates: int, spent: int
+    ) -> Optional[Tuple[int, int]]:
+        remaining = budget - spent
+        if remaining < n_candidates - 1:
+            return None
+        plan = solve_min_latency(n_candidates, remaining, latency)
+        # The current plan's horizon; selectors that split rounds into
+        # phases (CT25) see a consistent total.
+        horizon = max(plan.rounds, round_index + 1)
+        return plan.questions_for_first_round(), horizon
+
+    return plan_round
 
 
 class AdaptiveMaxEngine:
@@ -44,8 +68,6 @@ class AdaptiveMaxEngine:
         source: answer source (oracle or platform).
         latency: the latency model tDP plans against.
         rng: randomness source.
-        max_rounds: safety bound on re-planning iterations (a correct
-            selector terminates long before this).
     """
 
     def __init__(
@@ -54,15 +76,11 @@ class AdaptiveMaxEngine:
         source: AnswerSource,
         latency: LatencyFunction,
         rng: np.random.Generator,
-        max_rounds: int = 10_000,
     ) -> None:
-        if max_rounds < 1:
-            raise InvalidParameterError(f"max_rounds must be >= 1: {max_rounds}")
         self.selector = selector
         self.source = source
         self.latency = latency
         self._rng = rng
-        self.max_rounds = max_rounds
 
     def run(self, truth: GroundTruth, budget: int) -> MaxRunResult:
         """Find the MAX of *truth*'s collection within *budget* questions.
@@ -75,27 +93,13 @@ class AdaptiveMaxEngine:
             raise InvalidParameterError(
                 f"budget {budget} < c0 - 1 = {truth.n_elements - 1} (Theorem 1)"
             )
-
-        def plan_round(
-            round_index: int, n_candidates: int, spent: int
-        ) -> Optional[Tuple[int, int]]:
-            remaining = budget - spent
-            if round_index >= self.max_rounds or remaining < n_candidates - 1:
-                # Out of iterations, or the leftover budget cannot
-                # guarantee further progress (Theorem 1).
-                return None
-            plan = solve_min_latency(n_candidates, remaining, self.latency)
-            # The current plan's horizon; selectors that split rounds into
-            # phases (CT25) see a consistent total.
-            horizon = max(plan.rounds, round_index + 1)
-            return plan.questions_for_first_round(), horizon
-
         # A lossy round needs no special recovery: the next round re-plans
         # from the actual survivors anyway.
         return _run_rounds(
             self,
-            truth,
-            plan_round,
+            replan_each_round(self.latency, budget),
+            tuple(range(truth.n_elements)),
+            true_max=truth.max_element,
             budget=budget,
             allocation=None,
             skip_empty=False,

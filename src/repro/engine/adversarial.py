@@ -17,19 +17,18 @@ latency is a lower bound on the true worst case).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.core.latency import LatencyFunction
-from repro.engine.results import MaxRunResult, RoundRecord
+from repro.engine.max_engine import AnswerSource, MaxEngine
+from repro.engine.results import MaxRunResult
 from repro.errors import InvalidParameterError
-from repro.graphs.answer_graph import AnswerGraph
 from repro.graphs.candidates import max_independent_set, worst_case_answers
-from repro.selection.base import QuestionSelector, SelectionContext, select_round
-from repro.selection.scoring import best_scored
-from repro.types import Element, Question
+from repro.selection.base import QuestionSelector
+from repro.types import Answer, Element, Question
 
 
 def greedy_independent_set(
@@ -58,7 +57,38 @@ def greedy_independent_set(
     return chosen
 
 
-class AdversarialMaxEngine:
+class WorstCaseAnswerSource(AnswerSource):
+    """Answers each round so that its maxRC set survives (Theorem 2).
+
+    The adversary follows its own :attr:`candidates`: each round keeps an
+    independent set of the round's question graph over them (exact or
+    greedy, see :class:`AdversarialMaxEngine`) and every other questioned
+    candidate loses.  A round is priced at ``latency(questions posted)``.
+    """
+
+    def __init__(self, latency: LatencyFunction, mode: str) -> None:
+        if mode not in ("exact", "greedy"):
+            raise InvalidParameterError(
+                f"mode must be 'exact' or 'greedy', got {mode!r}"
+            )
+        self.latency = latency
+        self.mode = mode
+        self.candidates: Tuple[Element, ...] = ()
+
+    def resolve(
+        self, questions: Sequence[Question]
+    ) -> Tuple[List[Answer], float]:
+        if self.mode == "exact":
+            survivors = max_independent_set(self.candidates, questions)
+        else:
+            survivors = greedy_independent_set(self.candidates, questions)
+        answers = worst_case_answers(self.candidates, questions, survivors)
+        lost = {answer.loser for answer in answers}
+        self.candidates = tuple(c for c in self.candidates if c not in lost)
+        return answers, self.latency(len(questions))
+
+
+class AdversarialMaxEngine(MaxEngine):
     """Run an allocation against worst-case (maxRC) answers.
 
     Args:
@@ -69,6 +99,8 @@ class AdversarialMaxEngine:
             (heuristic adversary; lower-bounds the worst case).
     """
 
+    source: WorstCaseAnswerSource
+
     def __init__(
         self,
         selector: QuestionSelector,
@@ -76,14 +108,7 @@ class AdversarialMaxEngine:
         rng: np.random.Generator,
         mode: str = "greedy",
     ) -> None:
-        if mode not in ("exact", "greedy"):
-            raise InvalidParameterError(
-                f"mode must be 'exact' or 'greedy', got {mode!r}"
-            )
-        self.selector = selector
-        self.latency = latency
-        self.mode = mode
-        self._rng = rng
+        super().__init__(selector, WorstCaseAnswerSource(latency, mode), rng)
 
     def run(self, n_elements: int, allocation: Allocation) -> MaxRunResult:
         """Execute *allocation* with the adversary answering every round.
@@ -100,57 +125,6 @@ class AdversarialMaxEngine:
             raise InvalidParameterError(
                 f"n_elements must be >= 1, got {n_elements}"
             )
-        evidence = AnswerGraph(range(n_elements))
-        candidates: Tuple[Element, ...] = tuple(range(n_elements))
-        records: List[RoundRecord] = []
-        total_latency = 0.0
-        total_questions = 0
-        for round_index, budget in enumerate(allocation.round_budgets):
-            if len(candidates) <= 1:
-                break
-            context = SelectionContext(
-                budget=budget,
-                candidates=candidates,
-                evidence=evidence,
-                round_index=round_index,
-                total_rounds=allocation.rounds,
-                rng=self._rng,
-            )
-            questions = select_round(self.selector, context)
-            if not questions:
-                continue
-            survivors = self._adversary_survivors(candidates, questions)
-            answers = worst_case_answers(candidates, questions, survivors)
-            evidence.record_all(answers)
-            next_candidates = tuple(sorted(evidence.remaining_candidates()))
-            records.append(
-                RoundRecord(
-                    round_index=round_index,
-                    budget=budget,
-                    candidates_before=len(candidates),
-                    questions_posted=len(questions),
-                    latency=self.latency(len(questions)),
-                    candidates_after=len(next_candidates),
-                )
-            )
-            total_latency += self.latency(len(questions))
-            total_questions += len(questions)
-            candidates = next_candidates
-        singleton = len(candidates) == 1
-        winner = candidates[0] if singleton else best_scored(evidence)
-        return MaxRunResult(
-            winner=winner,
-            true_max=winner,  # the adversary never committed to an order
-            singleton_termination=singleton,
-            total_latency=total_latency,
-            total_questions=total_questions,
-            records=tuple(records),
-            allocation=allocation,
-        )
-
-    def _adversary_survivors(
-        self, candidates: Tuple[Element, ...], questions: List[Question]
-    ) -> Set[Element]:
-        if self.mode == "exact":
-            return max_independent_set(candidates, questions)
-        return greedy_independent_set(candidates, questions)
+        candidates = tuple(range(n_elements))
+        self.source.candidates = candidates
+        return self._run(candidates, allocation)

@@ -126,6 +126,16 @@ class MaxEngine:
         final round, the highest-scoring one is declared the MAX — a
         non-singleton termination.
         """
+        return self._run(
+            tuple(range(truth.n_elements)), allocation, truth.max_element
+        )
+
+    def _run(
+        self,
+        candidates: Tuple[Element, ...],
+        allocation: Allocation,
+        true_max: Optional[Element] = None,
+    ) -> MaxRunResult:
         # _replan_remaining rewrites the tail of this list in place, and
         # plan_round reads it live, so a re-plan takes effect next round.
         budgets = list(allocation.round_budgets)
@@ -137,8 +147,9 @@ class MaxEngine:
 
         return _run_rounds(
             self,
-            truth,
             plan_round,
+            candidates,
+            true_max=true_max,
             budget=allocation.total_questions,
             allocation=allocation,
             skip_empty=True,
@@ -187,27 +198,33 @@ RoundPlan = Callable[[int, int, int], Optional[Tuple[int, int]]]
 
 def _run_rounds(
     engine,
-    truth: GroundTruth,
     plan_round: RoundPlan,
+    candidates: Tuple[Element, ...],
     *,
+    evidence: Optional[AnswerGraph] = None,
+    true_max: Optional[Element] = None,
     budget: int,
     allocation: Optional[Allocation],
     skip_empty: bool,
     on_lossy: Optional[Callable[[int, int], None]] = None,
 ) -> MaxRunResult:
-    """The round loop shared by the batch MAX engines.
+    """The round loop of every batch MAX engine.
 
     *engine* supplies ``selector``, ``source`` and ``_rng``; events go to the
-    ambient tracer (:func:`repro.obs.current_tracer`).
+    ambient tracer (:func:`repro.obs.current_tracer`), named after
+    *engine*'s class.  The run starts from *candidates* and *evidence*
+    (default: a fresh graph over *candidates*); each round drops its
+    answers' losers from the candidates.
     Runs until one candidate remains or *plan_round* returns ``None``.  A
     round whose selector returns nothing is skipped (*skip_empty*) or ends
     the run; a lossy round (fewer answers than distinct questions) calls
-    ``on_lossy(round_index, n_candidates)``.  *budget* and *allocation*
-    only describe the run, in ``RunStarted`` and the result.
+    ``on_lossy(round_index, n_candidates)``.  A missing *true_max* reports
+    the winner as the true MAX.  *budget* and *allocation* only describe
+    the run, in ``RunStarted`` and the result.
     """
-    n_elements = truth.n_elements
-    evidence = AnswerGraph(range(n_elements))
-    candidates: Tuple[Element, ...] = tuple(range(n_elements))
+    n_elements = len(candidates)
+    if evidence is None:
+        evidence = AnswerGraph(candidates)
     records: List[RoundRecord] = []
     total_latency = 0.0
     total_questions = 0
@@ -287,7 +304,8 @@ def _run_rounds(
         with span_scope(round_span, base_time=total_latency):
             answers, latency = engine.source.resolve(questions)
         evidence.record_all(answers)
-        next_candidates = tuple(sorted(evidence.remaining_candidates()))
+        lost = {answer.loser for answer in answers}
+        next_candidates = tuple(c for c in candidates if c not in lost)
         if tracer.enabled:
             close_span(tracer, round_span, end=total_latency + latency)
             tracer.emit(
@@ -375,7 +393,7 @@ def _run_rounds(
         close_span(tracer, run_span, end=total_latency)
     return MaxRunResult(
         winner=winner,
-        true_max=truth.max_element,
+        true_max=winner if true_max is None else true_max,
         singleton_termination=singleton,
         total_latency=total_latency,
         total_questions=total_questions,

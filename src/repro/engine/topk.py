@@ -23,14 +23,13 @@ from typing import List, Set, Tuple
 import numpy as np
 
 from repro.core.latency import LatencyFunction
-from repro.core.questions import min_feasible_budget
-from repro.core.tdp import solve_min_latency
 from repro.crowd.ground_truth import GroundTruth
-from repro.engine.max_engine import AnswerSource
+from repro.engine.adaptive import replan_each_round
+from repro.engine.max_engine import AnswerSource, _run_rounds
 from repro.engine.results import RoundRecord
 from repro.errors import InvalidParameterError
 from repro.graphs.answer_graph import AnswerGraph
-from repro.selection.base import QuestionSelector, SelectionContext, select_round
+from repro.selection.base import QuestionSelector
 from repro.types import Element
 
 
@@ -115,17 +114,22 @@ class TopKEngine:
         total_questions = 0
         phase_records: List[Tuple[RoundRecord, ...]] = []
         for _ in range(k):
-            candidates = _phase_candidates(evidence, set(found))
-            records, latency_spent, questions_spent, winner = self._max_phase(
-                evidence, candidates, remaining_budget
+            phase = _run_rounds(
+                self,
+                replan_each_round(self.latency, remaining_budget),
+                _phase_candidates(evidence, set(found)),
+                evidence=evidence,
+                budget=remaining_budget,
+                allocation=None,
+                skip_empty=False,
             )
-            total_latency += latency_spent
-            total_questions += questions_spent
-            remaining_budget -= questions_spent
-            phase_records.append(records)
-            if winner is None:
+            total_latency += phase.total_latency
+            total_questions += phase.total_questions
+            remaining_budget -= phase.total_questions
+            phase_records.append(phase.records)
+            if not phase.singleton_termination:
                 break  # budget exhausted before the phase could finish
-            found.append(winner)
+            found.append(phase.winner)
         true_ranking = tuple(
             sorted(range(n_elements), key=truth.rank)[: len(found)]
         )
@@ -136,56 +140,6 @@ class TopKEngine:
             total_questions=total_questions,
             phase_records=tuple(phase_records),
         )
-
-    def _max_phase(
-        self,
-        evidence: AnswerGraph,
-        candidates: Tuple[Element, ...],
-        budget: int,
-    ):
-        """One adaptive MAX over *candidates*; returns (records, latency,
-        questions, winner-or-None)."""
-        records: List[RoundRecord] = []
-        latency_spent = 0.0
-        questions_spent = 0
-        round_index = 0
-        while len(candidates) > 1:
-            if budget - questions_spent < min_feasible_budget(len(candidates)):
-                return tuple(records), latency_spent, questions_spent, None
-            plan = solve_min_latency(
-                len(candidates), budget - questions_spent, self.latency
-            )
-            context = SelectionContext(
-                budget=plan.questions_for_first_round(),
-                candidates=candidates,
-                evidence=evidence,
-                round_index=round_index,
-                total_rounds=max(plan.rounds, round_index + 1),
-                rng=self._rng,
-            )
-            questions = select_round(self.selector, context)
-            if not questions:
-                return tuple(records), latency_spent, questions_spent, None
-            answers, round_latency = self.source.resolve(questions)
-            evidence.record_all(answers)
-            # Survivors: candidates that did not lose to another candidate.
-            survivors = _surviving_candidates(evidence, candidates)
-            records.append(
-                RoundRecord(
-                    round_index=round_index,
-                    budget=context.budget,
-                    candidates_before=len(candidates),
-                    questions_posted=len(questions),
-                    latency=round_latency,
-                    candidates_after=len(survivors),
-                )
-            )
-            latency_spent += round_latency
-            questions_spent += len(questions)
-            candidates = survivors
-            round_index += 1
-        winner = candidates[0] if candidates else None
-        return tuple(records), latency_spent, questions_spent, winner
 
 
 def _phase_candidates(
@@ -201,14 +155,3 @@ def _phase_candidates(
         )
     )
 
-
-def _surviving_candidates(
-    evidence: AnswerGraph, candidates: Tuple[Element, ...]
-) -> Tuple[Element, ...]:
-    """Candidates that have not lost to any other current candidate."""
-    candidate_set = set(candidates)
-    return tuple(
-        element
-        for element in candidates
-        if not (evidence.winners_over(element) & candidate_set)
-    )

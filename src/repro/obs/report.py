@@ -37,14 +37,18 @@ def render_trace_report(records: Sequence[TraceRecord]) -> str:
     """Render a full trace as a multi-section text report."""
     sections: List[str] = []
 
-    runs = [r for r in records if r.event.kind == "RunStarted"]
-    finishes = [r for r in records if r.event.kind == "RunFinished"]
-    if runs:
-        start = runs[0].event
+    starts = [i for i, r in enumerate(records) if r.event.kind == "RunStarted"]
+    if not starts:
+        sections.append(_round_table(records))
+    # One header and round table per run (a top-k run is one per phase).
+    for begin, stop in zip(starts, starts[1:] + [len(records)]):
+        run = records[begin:stop]
+        start = run[0].event
         header = (
             f"run: {start.engine}, c0={start.n_elements}, "
             f"budget={start.budget}"
         )
+        finishes = [r for r in run if r.event.kind == "RunFinished"]
         if finishes:
             end = finishes[-1].event
             status = "singleton" if end.singleton else "ambiguous"
@@ -54,8 +58,7 @@ def render_trace_report(records: Sequence[TraceRecord]) -> str:
                 f"{end.total_latency:.1f} s simulated"
             )
         sections.append(header)
-
-    sections.append(_round_table(records))
+        sections.append(_round_table(run))
 
     dp_rows = [
         [

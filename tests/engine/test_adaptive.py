@@ -7,7 +7,7 @@ from repro.core.latency import LinearLatency
 from repro.core.tdp import TDPAllocator, solve_min_latency
 from repro.crowd.ground_truth import GroundTruth
 from repro.engine.adaptive import AdaptiveMaxEngine
-from repro.engine.max_engine import MaxEngine, OracleAnswerSource
+from repro.engine.max_engine import AnswerSource, MaxEngine, OracleAnswerSource
 from repro.errors import InvalidParameterError
 from repro.selection.ct import ct25
 from repro.selection.tournament import TournamentFormation
@@ -105,17 +105,27 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             engine.run(truth, 8)
 
-    def test_max_rounds_validation(self):
+    def test_budget_bounds_the_rounds_when_every_answer_is_lost(self):
+        """No answer ever arrives, so the candidates never shrink; every
+        round still spends at least one question, so the run stops within
+        budget and declares a non-singleton winner."""
+
+        class LosesEverything(AnswerSource):
+            def resolve(self, questions):
+                return [], LATENCY(len(questions))
+
         rng = np.random.default_rng(0)
         truth = GroundTruth.random(10, rng)
-        with pytest.raises(InvalidParameterError):
-            AdaptiveMaxEngine(
-                TournamentFormation(),
-                OracleAnswerSource(truth, LATENCY),
-                LATENCY,
-                rng,
-                max_rounds=0,
-            )
+        budget = 60
+        engine = AdaptiveMaxEngine(
+            TournamentFormation(), LosesEverything(), LATENCY, rng
+        )
+        result = engine.run(truth, budget)
+        assert not result.singleton_termination
+        assert result.total_questions <= budget
+        assert 1 <= result.rounds_run <= budget
+        assert all(r.questions_posted >= 1 for r in result.records)
+        assert all(r.candidates_after == 10 for r in result.records)
 
     def test_single_element_collection(self):
         rng = np.random.default_rng(0)

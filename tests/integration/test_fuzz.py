@@ -15,10 +15,17 @@ from hypothesis import strategies as st
 from repro.core.latency import LinearLatency, PowerLawLatency
 from repro.core.registry import allocator_by_name, available_allocators
 from repro.crowd.ground_truth import GroundTruth
+from repro.engine.adaptive import AdaptiveMaxEngine
+from repro.engine.adversarial import AdversarialMaxEngine
 from repro.engine.max_engine import MaxEngine, OracleAnswerSource
-from repro.engine.validation import validate_run, validate_selection
+from repro.engine.topk import TopKEngine
+from repro.engine.validation import (
+    ContractViolation,
+    validate_run,
+    validate_selection,
+)
 from repro.graphs.answer_graph import AnswerGraph
-from repro.selection.base import SelectionContext
+from repro.selection.base import QuestionSelector, SelectionContext
 from repro.selection.registry import available_selectors, selector_by_name
 
 
@@ -127,3 +134,114 @@ def test_every_selector_honours_the_contract(
     )
     questions = selector_by_name(selector_name).select(context)
     validate_selection(context, questions)
+
+
+class ContractChecked(QuestionSelector):
+    """Wraps a selector and validates its output on every round."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.rounds_checked = 0
+        # Round 0 of a run that starts from old evidence and a subset of
+        # the elements: a top-k phase after the first.
+        self.later_phase_starts = 0
+
+    def select(self, ctx):
+        questions = self.inner.select(ctx)
+        validate_selection(ctx, questions)
+        self.rounds_checked += 1
+        if ctx.round_index == 0 and len(ctx.candidates) < len(
+            ctx.evidence.elements
+        ):
+            self.later_phase_starts += 1
+        return questions
+
+
+CONTRACT_LATENCY = LinearLatency(100, 0.5)
+
+
+def _static(selector, truth, rng):
+    allocation = allocator_by_name("tDP").allocate(
+        truth.n_elements, 60, CONTRACT_LATENCY
+    )
+    MaxEngine(
+        selector, OracleAnswerSource(truth, CONTRACT_LATENCY), rng
+    ).run(truth, allocation)
+
+
+def _adaptive(selector, truth, rng):
+    AdaptiveMaxEngine(
+        selector, OracleAnswerSource(truth, CONTRACT_LATENCY),
+        CONTRACT_LATENCY, rng,
+    ).run(truth, 60)
+
+
+def _topk(selector, truth, rng):
+    result = TopKEngine(
+        selector, OracleAnswerSource(truth, CONTRACT_LATENCY),
+        CONTRACT_LATENCY, rng,
+    ).run(truth, 3, 50)
+    assert len(result.ranking) == 3
+
+
+def _adversarial(selector, truth, rng):
+    for mode in ("exact", "greedy"):
+        allocation = allocator_by_name("tDP").allocate(
+            truth.n_elements, 60, CONTRACT_LATENCY
+        )
+        AdversarialMaxEngine(
+            selector, CONTRACT_LATENCY, rng, mode=mode
+        ).run(truth.n_elements, allocation)
+
+
+@pytest.mark.parametrize(
+    "drive", [_static, _adaptive, _topk, _adversarial],
+    ids=["MaxEngine", "AdaptiveMaxEngine", "TopKEngine", "AdversarialMaxEngine"],
+)
+@pytest.mark.parametrize("selector_name", available_selectors())
+def test_every_selector_honours_the_contract_in_every_round(
+    drive, selector_name
+):
+    """The round loop drops only each round's losers from the candidates;
+    that equals "elements that never lost" only while every round's
+    questions stay between current candidates.  Checked on every round of
+    real runs, including top-k phases that start from old evidence and a
+    subset of the elements."""
+    rng = np.random.default_rng(11)
+    truth = GroundTruth.random(24, rng)
+    selector = ContractChecked(selector_by_name(selector_name))
+    drive(selector, truth, rng)
+    assert selector.rounds_checked >= 2
+
+
+def test_topk_contract_runs_reach_later_phases():
+    """Phases two and three select from old evidence and a subset of the
+    elements (GREEDY leaves them a single candidate, so only the other
+    selectors reach them)."""
+    rng = np.random.default_rng(11)
+    truth = GroundTruth.random(24, rng)
+    selector = ContractChecked(selector_by_name("Tournament"))
+    _topk(selector, truth, rng)
+    assert selector.later_phase_starts == 2
+
+
+def test_the_contract_check_catches_a_non_candidate_pair():
+    class PairsTheFallen(QuestionSelector):
+        """Tournament rounds whose last question, after round one, pairs a
+        candidate with an element that already lost."""
+
+        name = "PAIRS-THE-FALLEN"
+
+        def select(self, ctx):
+            questions = selector_by_name("Tournament").select(ctx)
+            fallen = set(ctx.evidence.elements) - set(ctx.candidates)
+            if fallen and questions:
+                pair = tuple(sorted((min(fallen), ctx.candidates[0])))
+                questions = questions[:-1] + [pair]
+            return questions
+
+    rng = np.random.default_rng(11)
+    truth = GroundTruth.random(24, rng)
+    with pytest.raises(ContractViolation, match="non-candidates"):
+        _adaptive(ContractChecked(PairsTheFallen()), truth, rng)

@@ -17,13 +17,17 @@ from repro.crowd.error_models import UniformError
 from repro.crowd.ground_truth import GroundTruth
 from repro.crowd.platform import SimulatedPlatform
 from repro.crowd.rwl import ReliableWorkerLayer
+from repro.engine.adversarial import AdversarialMaxEngine
 from repro.engine.max_engine import (
     MaxEngine,
     OracleAnswerSource,
     PlatformAnswerSource,
 )
+from repro.engine.topk import TopKEngine
 from repro.obs.export import read_jsonl
 from repro.obs.metrics import get_registry
+from repro.obs.report import render_trace_report
+from repro.obs.spans import assemble_spans
 from repro.obs.tracer import NULL_TRACER, RecordingTracer, use_tracer
 from repro.selection.tournament import TournamentFormation
 
@@ -106,6 +110,62 @@ class TestEngineTracing:
         with use_tracer(tracer):
             result = _oracle_run()
         assert len(tracer.events("RoundPosted")) == result.rounds_run
+
+
+class TestTopKAndAdversaryTracing:
+    """Top-k and the worst-case adversary run on the shared round loop, so
+    they emit the batch engines' run lifecycle under their own names."""
+
+    def test_topk_emits_one_run_per_phase(self):
+        rng = np.random.default_rng(3)
+        truth = GroundTruth.random(30, rng)
+        engine = TopKEngine(
+            TournamentFormation(), OracleAnswerSource(truth, LATENCY),
+            LATENCY, rng,
+        )
+        tracer = RecordingTracer()
+        with use_tracer(tracer):
+            result = engine.run(truth, 3, 120)
+        phases = len(result.phase_records)
+        assert phases == 3
+        started = tracer.events("RunStarted")
+        finished = tracer.events("RunFinished")
+        assert [e.engine for e in started] == ["TopKEngine"] * phases
+        assert [e.winner for e in finished] == list(result.ranking)
+        assert [e.rounds_run for e in finished] == [
+            len(records) for records in result.phase_records
+        ]
+        run_spans = [
+            span for span in assemble_spans(tracer.records).values()
+            if span.name == "run"
+        ]
+        assert len(run_spans) == phases
+        assert all(span.parent_id is None for span in run_spans)
+        report = render_trace_report(tracer.records)
+        assert report.count("run: TopKEngine") == phases
+        assert report.count("per-round breakdown:") == phases
+        for winner in result.ranking:
+            assert f"MAX={winner} (singleton)" in report
+
+    def test_adversary_emits_one_named_run(self):
+        allocation = TDPAllocator().allocate(24, 60, LATENCY)
+        engine = AdversarialMaxEngine(
+            TournamentFormation(), LATENCY, np.random.default_rng(0),
+            mode="exact",
+        )
+        tracer = RecordingTracer()
+        with use_tracer(tracer):
+            result = engine.run(24, allocation)
+        (started,) = tracer.events("RunStarted")
+        (finished,) = tracer.events("RunFinished")
+        assert started.engine == "AdversarialMaxEngine"
+        assert started.rounds_planned == allocation.rounds
+        assert finished.winner == result.winner
+        assert finished.total_latency == pytest.approx(result.total_latency)
+        assert len(tracer.events("RoundPosted")) == result.rounds_run
+        report = render_trace_report(tracer.records)
+        assert "run: AdversarialMaxEngine, c0=24, budget=" in report
+        assert f"MAX={result.winner} (singleton)" in report
 
 
 class TestAllocatorInstrumentation:
