@@ -10,7 +10,7 @@ import pytest
 from repro.core.questions import tournament_questions
 from repro.crowd.ground_truth import GroundTruth
 from repro.graphs.answer_graph import AnswerGraph
-from repro.graphs.tournaments import form_tournaments, tournament_question_graph
+from repro.graphs.tournaments import tournament_graph
 from repro.selection.scoring import score_candidates
 
 
@@ -28,8 +28,7 @@ def bench_tournament_formation_500(benchmark):
     rng = np.random.default_rng(0)
 
     def build():
-        groups = form_tournaments(list(range(500)), 50, rng)
-        return tournament_question_graph(groups)
+        return tournament_graph(rng.permutation(500), 50)
 
     questions = benchmark(build)
     assert len(questions) == tournament_questions(500, 50)
@@ -39,10 +38,8 @@ def bench_answer_graph_ingest(benchmark):
     """Recording one full round of answers (2250 questions, 500 elements)."""
     rng = np.random.default_rng(1)
     truth = GroundTruth.random(500, rng)
-    groups = form_tournaments(list(range(500)), 50, rng)
-    answers = [
-        truth.answer(a, b) for a, b in tournament_question_graph(groups)
-    ]
+    questions = tournament_graph(rng.permutation(500), 50).tolist()
+    answers = [truth.answer(a, b) for a, b in questions]
 
     def ingest():
         graph = AnswerGraph(range(500))
@@ -58,9 +55,8 @@ def bench_scoring_function(benchmark):
     rng = np.random.default_rng(2)
     truth = GroundTruth.random(500, rng)
     graph = AnswerGraph(range(500))
-    groups = form_tournaments(list(range(500)), 50, rng)
-    for a, b in tournament_question_graph(groups):
-        graph.record(truth.answer(a, b))
+    questions = tournament_graph(rng.permutation(500), 50).tolist()
+    graph.record_all([truth.answer(a, b) for a, b in questions])
 
     scores = benchmark(lambda: score_candidates(graph))
     assert sum(scores.values()) == pytest.approx(1.0)

@@ -1,0 +1,133 @@
+"""Scale ladder: per-tick scheduler work bounded by the active set.
+
+Drains the service's ``burst`` shape (every query arrives at t = 0, at
+most 64 active) at 10^3 and 10^4 queries and reports queries/s at each
+size.  Wall time alone cannot show that a tick's cost is independent of
+the run's length, so the bench also counts, per tick, the scheduler
+state it walks: the backlog entries and results it reads plus the
+queries in its active and waiting lists.  That count is deterministic,
+and it must not grow with the query count: a tick that rescans every
+result, as ``_sample_tick`` once did, makes the drain quadratic.
+"""
+
+from __future__ import annotations
+
+import statistics
+import time
+from collections import deque
+from typing import Dict, List
+
+from repro.core.latency import mturk_car_latency
+from repro.service import MaxScheduler, ServiceConfig, WorkloadConfig, generate_workload
+
+SIZES = (1_000, 10_000)
+SEED = 0
+
+
+class _CountingBacklog(deque):
+    """The scheduler's backlog, counting every entry read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        for spec in super().__iter__():
+            self.reads += 1
+            yield spec
+
+    def popleft(self):
+        self.reads += 1
+        return super().popleft()
+
+
+class _CountingResults(list):
+    """The scheduler's results, counting every result read from them."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        value = super().__getitem__(index)
+        self.reads += len(value) if isinstance(index, slice) else 1
+        return value
+
+    def __iter__(self):
+        for result in super().__iter__():
+            self.reads += 1
+            yield result
+
+
+def _burst(n_queries: int) -> MaxScheduler:
+    mix = WorkloadConfig(
+        n_queries=n_queries,
+        mean_interarrival=0.0,
+        sizes=(12, 20, 32),
+        budget_factors=(4.0, 6.0),
+        priorities=(0, 1, 2),
+    )
+    return MaxScheduler(
+        generate_workload(mix, SEED),
+        mturk_car_latency(),
+        SEED,
+        config=ServiceConfig(max_active_queries=64),
+    )
+
+
+def _counted(scheduler: MaxScheduler) -> List[int]:
+    """Drain *scheduler*; returns the state it walked on each tick."""
+    backlog = scheduler._backlog = _CountingBacklog(scheduler._backlog)
+    results = scheduler._results = _CountingResults(scheduler._results)
+    per_tick: List[int] = []
+    while True:
+        ticks, reads = scheduler.ticks, backlog.reads + results.reads
+        if not scheduler.step():
+            break
+        if scheduler.ticks > ticks:
+            per_tick.append(
+                backlog.reads + results.reads - reads
+                + len(scheduler._active) + len(scheduler._waiting)
+            )
+    return per_tick
+
+
+def _throughput(n_queries: int) -> float:
+    scheduler = _burst(n_queries)
+    start = time.perf_counter()
+    report = scheduler.run()
+    elapsed = time.perf_counter() - start
+    assert report.n_queries == n_queries
+    assert report.accuracy == 1.0
+    return n_queries / elapsed
+
+
+def bench_scale_ladder(benchmark):
+    """Per-tick work stays flat from 10^3 to 10^4 queries."""
+
+    def ladder() -> Dict[int, Dict[str, float]]:
+        rows = {}
+        for n_queries in SIZES:
+            per_tick = _counted(_burst(n_queries))
+            rows[n_queries] = {
+                "qps": _throughput(n_queries),
+                "ticks": len(per_tick),
+                "work_mean": statistics.fmean(per_tick),
+                "work_max": max(per_tick),
+            }
+        return rows
+
+    rows = benchmark.pedantic(ladder, rounds=1, iterations=1)
+    print()
+    print("-- scale ladder / burst shape, 64 active --")
+    print(f"{'queries':>8} {'queries/s':>10} {'ticks':>6} "
+          f"{'work/tick mean':>15} {'max':>5}")
+    for n_queries, row in rows.items():
+        print(f"{n_queries:>8} {row['qps']:>10.0f} {row['ticks']:>6} "
+              f"{row['work_mean']:>15.1f} {row['work_max']:>5}")
+    small, large = rows[SIZES[0]], rows[SIZES[-1]]
+    # Deterministic counts: a tick that walked the backlog or the results
+    # would grow tenfold here.  The slack covers the ramp-up and drain-out
+    # ticks, which weigh more in a short run.
+    assert large["work_mean"] <= 1.1 * small["work_mean"]
+    assert large["work_max"] <= 1.1 * small["work_max"]

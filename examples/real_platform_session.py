@@ -74,14 +74,14 @@ def main() -> None:
 
     checkpoint = Path(tempfile.gettempdir()) / "max_session.json"
     while not session.done:
-        # The round's questions not answered yet: all of them on the first
-        # pass, then the stragglers.
+        # The round's questions not answered yet, as a (k, 2) int array of
+        # (lo, hi) rows: all of them on the first pass, then the stragglers.
         pending = session.pending_questions()
         print(
             f"round {session.round_index}: posting {len(pending)} questions "
             f"over {len(session.candidates)} candidates"
         )
-        tasks = service.post_comparison_tasks(pending)
+        tasks = service.post_comparison_tasks(pending.tolist())
         answers = service.wait_for_results(tasks)
         session.submit([Answer(a.winner, a.loser) for a in answers])
         # Long-running deployments checkpoint as they go; a session

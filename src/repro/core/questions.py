@@ -15,6 +15,7 @@ equation (2) of the paper:
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
 from repro.errors import InvalidParameterError
@@ -89,6 +90,7 @@ def max_useful_budget(n_elements: int) -> int:
     return _pairs(n_elements)
 
 
+@functools.lru_cache(maxsize=4096)
 def fewest_tournaments_within(c_prev: int, budget: int) -> int:
     """Smallest ``c_next`` with ``Q(c_prev, c_next) <= budget``.
 
@@ -100,6 +102,9 @@ def fewest_tournaments_within(c_prev: int, budget: int) -> int:
         InfeasibleBudgetError-like :class:`InvalidParameterError` if even
         ``c_next = c_prev`` (zero questions) would not fit, which can only
         happen for a negative budget.
+
+    Memoized: a pure function of two ints, asked once per tournament
+    round.  Invalid arguments raise on every call (errors are not cached).
     """
     if c_prev < 1:
         raise InvalidParameterError(f"c_prev must be >= 1, got {c_prev}")

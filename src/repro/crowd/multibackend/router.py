@@ -55,7 +55,7 @@ from repro.obs.metrics import get_registry, labeled_name
 from repro.obs.spans import current_span, emit_span, span_scope
 from repro.obs.stats import percentile
 from repro.obs.tracer import current_tracer
-from repro.types import Question
+from repro.types import Question, Questions, as_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -308,7 +308,7 @@ class CapacityAwareRouter:
     # ------------------------------------------------------------------
     def post_round(
         self,
-        units: Sequence[Tuple[int, Sequence[Question]]],
+        units: Sequence[Tuple[int, Questions]],
         *,
         now: float,
         tick: int,
@@ -319,7 +319,8 @@ class CapacityAwareRouter:
 
         Args:
             units: ``(query_id, questions)`` blocks, scheduler policy
-                order; the router keeps each block whole when it can.
+                order, each a ``(k, 2)`` int array (or a sequence of
+                pairs); the router keeps each block whole when it can.
             now: the simulated clock at round start (gates sustained
                 outage windows and anchors backend spans).
             tick: the scheduler tick (span ids, decision log).
@@ -374,7 +375,7 @@ class CapacityAwareRouter:
         scope = current_span() if tracer.enabled else None
         for backend in self.backends:
             sub_batch = assignment[backend.index]
-            if not sub_batch:
+            if not len(sub_batch):
                 continue
             posted_any = True
             probe = decisions[backend.index] is RoundDecision.PROBE
@@ -402,7 +403,7 @@ class CapacityAwareRouter:
                     outaged.append(backend.name)
                 continue
             # Hedged pair: mirror the sub-batch, first answer wins.
-            hedged_questions.update(sub_batch)
+            hedged_questions.update(map(tuple, sub_batch.tolist()))
             self.hedges += 1
             registry.counter("hedge.posts").inc()
             mirror_result = self._execute_sub_batch(
@@ -483,7 +484,7 @@ class CapacityAwareRouter:
     def _execute_sub_batch(
         self,
         backend: Backend,
-        sub_batch: List[Question],
+        sub_batch: np.ndarray,
         registry,
         tracer,
         scope,
@@ -579,7 +580,7 @@ class CapacityAwareRouter:
     def _post_backend(
         self,
         backend: Backend,
-        sub_batch: List[Question],
+        sub_batch: np.ndarray,
         span_id: Optional[str],
         scope,
         *,
@@ -643,7 +644,7 @@ class CapacityAwareRouter:
 
     def _plan_hedges(
         self,
-        assignment: Dict[int, List[Question]],
+        assignment: Dict[int, np.ndarray],
         remaining: Dict[int, int],
         decisions: Dict[int, RoundDecision],
     ) -> Dict[int, Backend]:
@@ -664,7 +665,7 @@ class CapacityAwareRouter:
         mirrors: Dict[int, Backend] = {}
         for backend in self.backends:
             sub_batch = assignment[backend.index]
-            if not sub_batch:
+            if not len(sub_batch):
                 continue
             if decisions[backend.index] is not RoundDecision.POST:
                 continue
@@ -779,12 +780,12 @@ class CapacityAwareRouter:
 
     def _assign(
         self,
-        units: Sequence[Tuple[int, Sequence[Question]]],
+        units: Sequence[Tuple[int, Questions]],
         decisions: Dict[int, RoundDecision],
         budgets: Optional[Dict[int, float]] = None,
-    ) -> Tuple[Dict[int, List[Question]], List[Question], Dict[int, int]]:
-        """Place every unit; returns (per-backend batches, unposted,
-        remaining per-backend capacity).
+    ) -> Tuple[Dict[int, np.ndarray], List[Question], Dict[int, int]]:
+        """Place every unit; returns (per-backend ``(k, 2)`` batches,
+        unposted questions, remaining per-backend capacity).
 
         Phase 1 keeps units whole on the policy-preferred backend with
         room; phase 2 splits units that fit nowhere whole across the
@@ -796,51 +797,44 @@ class CapacityAwareRouter:
         predicted-fastest candidate instead — near-deadline queries
         trade price/load preferences for speed.
         """
-        assignment: Dict[int, List[Question]] = {
-            b.index: [] for b in self.backends
-        }
+        blocks: Dict[int, List[np.ndarray]] = {b.index: [] for b in self.backends}
+        load: Dict[int, int] = {b.index: 0 for b in self.backends}
         remaining: Dict[int, int] = {
             b.index: self._round_capacity(b, decisions[b.index])
             for b in self.backends
         }
         unposted: List[Question] = []
         for query_id, questions in units:
-            block = list(questions)
+            block = as_pairs(questions)
+            size = len(block)
             candidates = [
                 b
                 for b in self.backends
-                if remaining[b.index] >= len(block) and block
+                if remaining[b.index] >= size and size
             ]
             if candidates:
                 best = min(
                     candidates,
-                    key=lambda b: self._placement_key(
-                        b, len(assignment[b.index]), len(block)
-                    ),
+                    key=lambda b: self._placement_key(b, load[b.index], size),
                 )
                 if budgets is not None:
                     budget = budgets.get(query_id)
                     if budget is not None and (
-                        self._predicted(
-                            best, len(assignment[best.index]) + len(block)
-                        )
-                        > budget
+                        self._predicted(best, load[best.index] + size) > budget
                     ):
                         best = min(
                             candidates,
                             key=lambda b: (
-                                self._predicted(
-                                    b,
-                                    len(assignment[b.index]) + len(block),
-                                ),
+                                self._predicted(b, load[b.index] + size),
                                 b.index,
                             ),
                         )
                         get_registry().counter(
                             "router.budget_overrides"
                         ).inc()
-                assignment[best.index].extend(block)
-                remaining[best.index] -= len(block)
+                blocks[best.index].append(block)
+                load[best.index] += size
+                remaining[best.index] -= size
                 continue
             # Phase 2: no single backend fits the whole block — carve it
             # over the remaining slack, biggest slot first (fewest seams).
@@ -852,13 +846,18 @@ class CapacityAwareRouter:
             cursor = 0
             for backend in spill:
                 slack = remaining[backend.index]
-                if slack <= 0 or cursor >= len(block):
+                if slack <= 0 or cursor >= size:
                     continue
                 chunk = block[cursor : cursor + slack]
-                assignment[backend.index].extend(chunk)
+                blocks[backend.index].append(chunk)
+                load[backend.index] += len(chunk)
                 remaining[backend.index] -= len(chunk)
                 cursor += len(chunk)
-            unposted.extend(block[cursor:])
+            unposted.extend(map(tuple, block[cursor:].tolist()))
+        assignment = {
+            index: np.concatenate(placed) if placed else np.empty((0, 2), np.int64)
+            for index, placed in blocks.items()
+        }
         return assignment, unposted, remaining
 
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ import heapq
 import logging
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -32,17 +32,9 @@ from repro.errors import InvalidParameterError, PlatformError
 from repro.obs.events import WorkerServiced
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import current_tracer
-from repro.types import Question
+from repro.types import Questions, as_pairs
 
 logger = logging.getLogger(__name__)
-
-#: What ``post_batch`` accepts: an ``(n, 2)`` int array or a sequence of pairs.
-Questions = Union[np.ndarray, Sequence[Question]]
-
-
-def as_pairs(questions: Questions) -> np.ndarray:
-    """*questions* as an ``(n, 2)`` int64 array (empty input included)."""
-    return np.asarray(questions, dtype=np.int64).reshape(-1, 2)
 
 
 def columns_equal(self, other: object) -> bool:

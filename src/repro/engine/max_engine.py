@@ -268,7 +268,10 @@ def _run_rounds(
             total_rounds=total_rounds,
             rng=engine._rng,
         )
-        questions = select_round(engine.selector, context)
+        # Answer sources take canonical pairs of Python ints.
+        questions = list(
+            map(tuple, select_round(engine.selector, context).tolist())
+        )
         if not questions:
             # Nothing to post; the round costs no latency.
             logger.debug(

@@ -24,7 +24,6 @@ included, with :mod:`repro.persistence`.
 
 from __future__ import annotations
 
-from itertools import chain, compress
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -34,7 +33,7 @@ from repro.errors import InvalidParameterError, ReproError
 from repro.graphs.answer_graph import AnswerGraph
 from repro.selection.base import QuestionSelector, SelectionContext, select_round
 from repro.selection.scoring import best_scored
-from repro.types import Answer, Element, Question
+from repro.types import Answer, Element, Question, as_pairs
 
 
 class SessionStateError(ReproError):
@@ -75,10 +74,11 @@ class MaxSession:
         self.evidence = AnswerGraph(range(n_elements))
         self._candidates: Tuple[Element, ...] = tuple(range(n_elements))
         self._round_index = 0
-        self._pending: Optional[List[Question]] = None
-        #: The open round as columns: the sorted canonical keys
-        #: ``lo * n_elements + hi`` of its questions, the selection index
-        #: of each sorted key, and which selected questions are answered.
+        #: The open round as columns: its ``(k, 2)`` selected questions, the
+        #: sorted canonical keys ``lo * n_elements + hi`` of those, the
+        #: selection index of each sorted key, and which selected questions
+        #: are answered.
+        self._pending: Optional[np.ndarray] = None
         self._keys = np.empty(0, np.int64)
         self._key_order = np.empty(0, np.int64)
         self._answered = np.zeros(0, bool)
@@ -161,7 +161,9 @@ class MaxSession:
         questions without re-running the selector.  Unlike
         :meth:`pending_questions` this never selects.
         """
-        return list(self._pending) if self._pending is not None else None
+        if self._pending is None:
+            return None
+        return list(map(tuple, self._pending.tolist()))
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -220,7 +222,7 @@ class MaxSession:
         session._pending = None
         session._advance_past_empty_rounds()
         if pending is not None:
-            pending_list = [(int(a), int(b)) for a, b in pending]
+            pending_rows = as_pairs(list(pending))
             if round_index >= allocation.rounds:
                 raise InvalidParameterError(
                     f"pending questions recorded for round {round_index}, "
@@ -234,16 +236,16 @@ class MaxSession:
                     f"pending questions recorded for round {round_index}, "
                     f"but that round has zero budget"
                 )
-            if len(pending_list) > allocation.round_budgets[round_index]:
+            if len(pending_rows) > allocation.round_budgets[round_index]:
                 raise InvalidParameterError(
-                    f"{len(pending_list)} pending questions exceed round "
+                    f"{len(pending_rows)} pending questions exceed round "
                     f"{round_index}'s budget of "
                     f"{allocation.round_budgets[round_index]}"
                 )
             answered = np.array(
                 [
                     evidence.direct_result(a, b) is not None
-                    for a, b in pending_list
+                    for a, b in pending_rows.tolist()
                 ],
                 dtype=bool,
             )
@@ -252,14 +254,15 @@ class MaxSession:
                     "a mid-round checkpoint must leave at least one pending "
                     "question unanswered"
                 )
-            session._open_round(pending_list, answered)
+            session._open_round(pending_rows, answered)
         return session
 
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
-    def pending_questions(self) -> List[Question]:
-        """The current round's unanswered questions, in selection order.
+    def pending_questions(self) -> np.ndarray:
+        """The current round's unanswered questions, in selection order, as
+        a read-only ``(k, 2)`` int64 array of canonical ``(lo, hi)`` rows.
 
         The round is selected on the first call; later calls return what
         :meth:`submit` has not answered yet.  Raises
@@ -277,7 +280,7 @@ class MaxSession:
                 rng=self._rng,
             )
             questions = select_round(self.selector, context)
-            if not questions:
+            if not len(questions):
                 # Nothing askable this round; skip it transparently.
                 self._round_index += 1
                 self._advance_past_empty_rounds()
@@ -286,15 +289,13 @@ class MaxSession:
                 raise SessionStateError("the session has finished")
             self._open_round(questions, np.zeros(len(questions), bool))
         if not self._n_answered:
-            return list(self._pending)
-        return list(compress(self._pending, (~self._answered).tolist()))
+            return self._pending
+        return self._pending[~self._answered]
 
-    def _open_round(
-        self, questions: List[Question], answered: np.ndarray
-    ) -> None:
-        """Hand out *questions* as the round, *answered* of them already."""
-        flat = np.fromiter(chain.from_iterable(questions), np.int64)
-        a, b = flat[0::2], flat[1::2]
+    def _open_round(self, questions: np.ndarray, answered: np.ndarray) -> None:
+        """Hand out the ``(k, 2)`` *questions* as the round, *answered* of
+        them already."""
+        a, b = questions[:, 0], questions[:, 1]
         keys = np.minimum(a, b) * len(self.evidence) + np.maximum(a, b)
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
@@ -303,6 +304,7 @@ class MaxSession:
                 "a round's questions must be distinct pairs of distinct "
                 "elements"
             )
+        questions.flags.writeable = False
         self._pending = questions
         self._keys = keys
         self._key_order = order
@@ -349,7 +351,7 @@ class MaxSession:
                 f"round; foreign, repeated or already answered "
                 f"(unknown: {rows[~known][:5].tolist()})"
             )
-        self.evidence.record_pairs(rows)
+        self.evidence.record_pairs(rows, validated=True)
         self._answered, self._n_answered = answered, n_answered
         if len(rows):
             lost = set(losers.tolist())

@@ -9,22 +9,19 @@ consistent.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.engine.results import MaxRunResult
 from repro.errors import ReproError
 from repro.selection.base import SelectionContext
-from repro.types import Question
+from repro.types import Questions, as_pairs
 
 
 class ContractViolation(ReproError):
     """A selector or run trace broke a documented invariant."""
 
 
-def validate_selection(
-    ctx: SelectionContext, questions: Sequence[Question]
-) -> None:
-    """Check one round's selector output against the selector contract.
+def validate_selection(ctx: SelectionContext, questions: Questions) -> None:
+    """Check one round's selector output (pairs or a ``(k, 2)`` int
+    array) against the selector contract.
 
     Raises:
         ContractViolation: listing the first violated rule.
@@ -35,7 +32,7 @@ def validate_selection(
         )
     seen = set()
     candidate_set = set(ctx.candidates)
-    for question in questions:
+    for question in map(tuple, as_pairs(questions).tolist()):
         a, b = question
         if a >= b:
             raise ContractViolation(
@@ -48,7 +45,7 @@ def validate_selection(
         if question in seen:
             raise ContractViolation(f"duplicate question {question}")
         seen.add(question)
-    if len(ctx.candidates) < 2 and questions:
+    if len(ctx.candidates) < 2 and len(questions):
         raise ContractViolation(
             "questions selected although fewer than two candidates remain"
         )

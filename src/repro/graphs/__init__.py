@@ -7,10 +7,7 @@ from repro.graphs.candidates import (
     max_remaining_candidates,
     worst_case_answers,
 )
-from repro.graphs.tournaments import (
-    form_tournaments,
-    tournament_question_graph,
-)
+from repro.graphs.tournaments import tournament_graph, tournament_template
 
 __all__ = [
     "AnswerGraph",
@@ -18,6 +15,6 @@ __all__ = [
     "max_remaining_candidates",
     "expected_remaining_candidates",
     "worst_case_answers",
-    "form_tournaments",
-    "tournament_question_graph",
+    "tournament_graph",
+    "tournament_template",
 ]

@@ -9,12 +9,24 @@ and are still candidates for the MAX.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.errors import InconsistentAnswersError, InvalidParameterError
-from repro.types import Answer, Element, Question, normalize_question
+from repro.types import (
+    Answer,
+    Element,
+    Question,
+    Questions,
+    as_pairs,
+    normalize_question,
+)
+
+
+#: Each element's set of neighbours in one direction of the win relation.
+Adjacency = Dict[Element, Set[Element]]
 
 
 class AnswerGraph:
@@ -24,20 +36,36 @@ class AnswerGraph:
     cannot be answered both ways); full acyclicity — which the Reliable
     Worker Layer guarantees for its output — can be checked explicitly with
     :meth:`validate_acyclic`.
+
+    Answers are recorded a column at a time: each is a directed key
+    ``winner * n + loser`` over element positions, and each loser is
+    marked in a lost mask.  The per-element adjacency sets that the
+    structural readers walk are built from the recorded rows, in
+    recording order, only when a reader first asks.
     """
 
     def __init__(self, elements: Iterable[Element]) -> None:
         self._elements: FrozenSet[Element] = frozenset(elements)
         if not self._elements:
             raise InvalidParameterError("an answer graph needs at least one element")
-        #: winners of each element: x -> set of elements that beat x
-        #: (the out-neighbors of x in the paper's loser -> winner orientation).
-        self._beaten_by: Dict[Element, Set[Element]] = {
-            e: set() for e in self._elements
-        }
-        #: losers of each element: x -> set of elements x beat.
-        self._beat: Dict[Element, Set[Element]] = {e: set() for e in self._elements}
-        self._n_answers = 0
+        n = self._n = len(self._elements)
+        #: Position of each element, or ``None`` when the elements are
+        #: ``0 .. n-1`` and an element is its own position.
+        self._position: Optional[Dict[Element, int]] = None
+        if min(self._elements) != 0 or max(self._elements) != n - 1:
+            self._position = {e: i for i, e in enumerate(sorted(self._elements))}
+        #: Directed keys ``winner * n + loser`` of the recorded answers.
+        self._keys: Set[int] = set()
+        #: Whether each position has lost a comparison.
+        self._lost = np.zeros(n, bool)
+        #: Accepted ``(winner, loser)`` rows, in order, until the adjacency
+        #: sets exist; afterwards new rows go straight into them.
+        self._log: List[np.ndarray] = []
+        #: losers of each element (x -> set of elements x beat) and winners
+        #: of each (x -> set of elements that beat x, the out-neighbors of
+        #: x in the paper's loser -> winner orientation).
+        self._beat: Optional[Adjacency] = None
+        self._beaten_by: Optional[Adjacency] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -48,13 +76,21 @@ class AnswerGraph:
 
     def record_all(self, answers: Iterable[Answer]) -> None:
         """Record a batch of answers (see :meth:`record_pairs`)."""
-        self.record_pairs([(answer.winner, answer.loser) for answer in answers])
+        rows = [(answer.winner, answer.loser) for answer in answers]
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, 2 * len(rows))
+        self.record_pairs(flat.reshape(-1, 2))
 
-    def record_pairs(self, pairs: Iterable[Tuple[Element, Element]]) -> None:
+    def record_pairs(
+        self, pairs: Questions, *, validated: bool = False
+    ) -> None:
         """Record ``(winner, loser)`` rows in order, e.g. a ``(k, 2)`` int
         array.  Duplicate identical answers are idempotent.
 
-        Rows before a rejected one stay recorded.
+        Rows before a rejected one stay recorded.  With *validated* the
+        caller vouches that every row pairs two distinct known elements
+        and that no two rows share a pair (what
+        :meth:`repro.engine.session.MaxSession.submit` checks); only the
+        check against earlier answers runs.
 
         Raises:
             InvalidParameterError: if an element is unknown or a row
@@ -62,35 +98,93 @@ class AnswerGraph:
             InconsistentAnswersError: if the same pair was previously
                 answered in the opposite direction.
         """
-        if isinstance(pairs, np.ndarray):
-            pairs = zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())
-        beat, beaten_by = self._beat, self._beaten_by
-        added = 0
-        try:
-            for winner, loser in pairs:
+        rows = as_pairs(pairs)
+        winners, losers = rows[:, 0], rows[:, 1]
+        if self._position is not None or not validated:
+            winners, losers = self._positions(winners), self._positions(losers)
+        if not validated:
+            bad = (winners == losers) | (winners < 0) | (losers < 0)
+            if bad.any():
+                first = int(bad.argmax())
+                self._commit(rows[:first], winners[:first], losers[:first], True)
+                winner, loser = rows[first].tolist()
                 if winner == loser:
                     raise InvalidParameterError(
                         f"answer ({winner} > {loser}) compares an element "
                         f"with itself"
                     )
-                if winner in beat[loser]:
-                    raise InconsistentAnswersError(
-                        f"pair ({winner}, {loser}) already answered in the "
-                        f"opposite direction; the Reliable Worker Layer "
-                        f"must resolve conflicts"
-                    )
-                losers = beat[winner]
-                if loser not in losers:  # else an idempotent repeat
-                    losers.add(loser)
-                    beaten_by[loser].add(winner)
-                    added += 1
-        except KeyError:
-            raise InvalidParameterError(
-                f"answer ({winner} > {loser}) involves elements outside the "
-                f"collection"
-            ) from None
-        finally:
-            self._n_answers += added
+                raise InvalidParameterError(
+                    f"answer ({winner} > {loser}) involves elements outside "
+                    f"the collection"
+                )
+        self._commit(rows, winners, losers, not validated)
+
+    def _positions(self, column: np.ndarray) -> np.ndarray:
+        """Each element's position; ``-1`` for an unknown element."""
+        if self._position is None:
+            return np.where(column < self._n, column, -1)
+        get = self._position.get
+        return np.array([get(e, -1) for e in column.tolist()], np.int64)
+
+    def _commit(
+        self,
+        rows: np.ndarray,
+        winners: np.ndarray,
+        losers: np.ndarray,
+        may_repeat_pairs: bool,
+    ) -> None:
+        """Record the known-element rows, stopping at an opposite answer."""
+        n, keys = self._n, self._keys
+        forward = (winners * n + losers).tolist()
+        reverse = (losers * n + winners).tolist()
+        if not keys.isdisjoint(reverse) or (
+            may_repeat_pairs and not set(forward).isdisjoint(reverse)
+        ):
+            earlier = set()
+            for first, (key, back) in enumerate(zip(forward, reverse)):
+                if back in keys or back in earlier:
+                    break
+                earlier.add(key)
+            self._commit(rows[:first], winners[:first], losers[:first], False)
+            winner, loser = rows[first].tolist()
+            raise InconsistentAnswersError(
+                f"pair ({winner}, {loser}) already answered in the "
+                f"opposite direction; the Reliable Worker Layer "
+                f"must resolve conflicts"
+            )
+        before = len(keys)
+        keys.update(forward)
+        if len(keys) == before:
+            return  # empty, or only idempotent repeats
+        self._lost[losers] = True
+        if self._beat is None:
+            self._log.append(rows.copy())
+        else:
+            self._link(rows)
+
+    def _link(self, rows: np.ndarray) -> None:
+        """Add *rows* to the adjacency sets, in order."""
+        beat, beaten_by = self._beat, self._beaten_by
+        for winner, loser in rows.tolist():
+            losers = beat[winner]
+            if loser not in losers:  # else an idempotent repeat
+                losers.add(loser)
+                beaten_by[loser].add(winner)
+
+    def _adjacency(self) -> Tuple[Adjacency, Adjacency]:
+        """``(beat, beaten_by)``: each element's losers and winners.
+
+        Built on first use by replaying the recorded rows in order, so the
+        sets hold the same elements in the same insertion order as if each
+        answer had been linked when it was recorded.
+        """
+        if self._beat is None:
+            self._beat = {e: set() for e in self._elements}
+            self._beaten_by = {e: set() for e in self._elements}
+            for rows in self._log:
+                self._link(rows)
+            self._log = []
+        return self._beat, self._beaten_by
 
     # ------------------------------------------------------------------
     # Queries
@@ -103,7 +197,7 @@ class AnswerGraph:
     @property
     def n_answers(self) -> int:
         """Number of distinct answered pairs."""
-        return self._n_answers
+        return len(self._keys)
 
     def remaining_candidates(self) -> Set[Element]:
         """The RC set (Definition 5): elements with no outgoing edges.
@@ -111,21 +205,31 @@ class AnswerGraph:
         These are exactly the elements that never lost a comparison, hence
         the surviving candidates for the MAX.
         """
-        return {e for e, winners in self._beaten_by.items() if not winners}
+        if self._position is None:
+            return set(np.flatnonzero(~self._lost).tolist())
+        lost, position = self._lost, self._position
+        return {e for e in self._elements if not lost[position[e]]}
 
     def winners_over(self, element: Element) -> FrozenSet[Element]:
         """Elements that directly beat *element*."""
-        return frozenset(self._beaten_by[element])
+        return frozenset(self._adjacency()[1][element])
 
     def losers_to(self, element: Element) -> FrozenSet[Element]:
         """Elements that *element* directly beat."""
-        return frozenset(self._beat[element])
+        return frozenset(self._adjacency()[0][element])
 
     def direct_result(self, a: Element, b: Element) -> Optional[Element]:
         """The recorded winner of the pair ``(a, b)``, or ``None`` if unasked."""
-        if b in self._beat[a]:
+        n = self._n
+        if self._position is not None:
+            i, j = self._position[a], self._position[b]
+        elif 0 <= a < n and 0 <= b < n:
+            i, j = a, b
+        else:
+            raise KeyError((a, b))
+        if i * n + j in self._keys:
             return a
-        if a in self._beat[b]:
+        if j * n + i in self._keys:
             return b
         return None
 
@@ -133,13 +237,13 @@ class AnswerGraph:
         """All distinct pairs with a recorded answer, in canonical form."""
         return {
             normalize_question(winner, loser)
-            for winner, losers in self._beat.items()
+            for winner, losers in self._adjacency()[0].items()
             for loser in losers
         }
 
     def iter_answers(self) -> Iterator[Answer]:
         """Iterate all recorded answers."""
-        for winner, losers in self._beat.items():
+        for winner, losers in self._adjacency()[0].items():
             for loser in losers:
                 yield Answer(winner=winner, loser=loser)
 
@@ -156,13 +260,14 @@ class AnswerGraph:
         # Kahn's algorithm on the loser -> winner orientation: sources are
         # elements whose every comparison was a loss... more precisely,
         # elements with no *incoming* edges, i.e. that never beat anyone.
-        in_degree = {e: len(self._beat[e]) for e in self._elements}
+        beat, beaten_by = self._adjacency()
+        in_degree = {e: len(beat[e]) for e in self._elements}
         frontier = [e for e, d in in_degree.items() if d == 0]
         order: List[Element] = []
         while frontier:
             node = frontier.pop()
             order.append(node)
-            for winner in self._beaten_by[node]:
+            for winner in beaten_by[node]:
                 in_degree[winner] -= 1
                 if in_degree[winner] == 0:
                     frontier.append(winner)
@@ -187,9 +292,10 @@ class AnswerGraph:
         # union over direct losers u of ({u} | beaten(u)).
         index = {element: i for i, element in enumerate(order)}
         beaten_mask: Dict[Element, int] = {}
+        beat = self._adjacency()[0]
         for element in order:
             mask = 0
-            for loser in self._beat[element]:
+            for loser in beat[element]:
                 mask |= beaten_mask[loser] | (1 << index[loser])
             beaten_mask[element] = mask
         return {e: bin(mask).count("1") for e, mask in beaten_mask.items()}
@@ -201,12 +307,15 @@ class AnswerGraph:
         if unknown:
             raise InvalidParameterError(f"unknown elements: {sorted(unknown)}")
         sub = AnswerGraph(keep)
-        for winner, losers in self._beat.items():
-            if winner not in keep:
-                continue
-            for loser in losers:
-                if loser in keep:
-                    sub.record(Answer(winner=winner, loser=loser))
+        sub.record_pairs(
+            [
+                (winner, loser)
+                for winner, losers in self._adjacency()[0].items()
+                if winner in keep
+                for loser in losers
+                if loser in keep
+            ]
+        )
         return sub
 
     def __len__(self) -> int:
@@ -215,7 +324,7 @@ class AnswerGraph:
     def __repr__(self) -> str:
         return (
             f"AnswerGraph(|elements|={len(self._elements)}, "
-            f"answers={self._n_answers}, "
+            f"answers={self.n_answers}, "
             f"|RC|={len(self.remaining_candidates())})"
         )
 

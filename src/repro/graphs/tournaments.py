@@ -1,63 +1,73 @@
 """Constructing concrete tournament graphs ``G_T(c_prev, c_next)``.
 
 The core modules reason about tournament *counts*; this module materializes
-the actual cliques over concrete elements, with the random assignment of
-elements to tournaments that the paper prescribes (Section 2.1: "we assume a
-random assignment of the advancing elements to the tournaments").
+the actual cliques over concrete elements as one ``(Q, 2)`` question array.
+The random assignment of elements to tournaments that the paper prescribes
+(Section 2.1: "we assume a random assignment of the advancing elements to
+the tournaments") is a random permutation of the elements: position ``p`` of
+the permutation joins the tournament that position ``p`` belongs to.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import functools
 
 import numpy as np
 
-from repro.core.questions import tournament_sizes
-from repro.errors import InvalidParameterError
-from repro.types import Element, Question, normalize_question
+from repro.core.questions import tournament_questions
+
+#: Position templates of at most this many questions are kept for reuse;
+#: a larger one is rebuilt per round, its cost spread over its questions.
+CACHED_TEMPLATE_ROWS = 1024
 
 
-def form_tournaments(
-    elements: Sequence[Element],
-    n_tournaments: int,
-    rng: np.random.Generator,
-) -> List[List[Element]]:
-    """Randomly partition *elements* into ``n_tournaments`` near-equal groups.
+def tournament_template(c_prev: int, c_next: int) -> np.ndarray:
+    """The questions of ``G_T(c_prev, c_next)`` over positions ``0..c_prev-1``.
 
-    Group sizes follow Definition 1: ``len(elements) mod n_tournaments``
-    groups of the ceiling size, the rest of the floor size.
-
-    Args:
-        elements: the candidate elements to partition.
-        n_tournaments: number of tournaments (``1 <= n <= len(elements)``).
-        rng: randomness source for the assignment.
+    Positions are dealt to the ``c_next`` tournaments in order, larger
+    tournaments first (the sizes of Definition 1); each tournament
+    contributes its complete clique as ``(i, j)`` rows with ``i < j`` in
+    row-major order, so the row count is Definition 2's ``Q``.
 
     Returns:
-        The list of tournaments (each a list of elements).
+        A read-only ``(Q, 2)`` intp array of position pairs.
     """
-    if not elements:
-        raise InvalidParameterError("cannot form tournaments over no elements")
-    sizes = tournament_sizes(len(elements), n_tournaments)
-    shuffled = list(elements)
-    rng.shuffle(shuffled)
-    groups: List[List[Element]] = []
-    start = 0
-    for size in sizes:
-        groups.append(shuffled[start : start + size])
-        start += size
-    return groups
+    if tournament_questions(c_prev, c_next) <= CACHED_TEMPLATE_ROWS:
+        return _cached_template(c_prev, c_next)
+    return _build_template(c_prev, c_next)
 
 
-def tournament_question_graph(groups: Sequence[Sequence[Element]]) -> List[Question]:
-    """All intra-tournament pairs: the edges of the tournament graph.
+def tournament_graph(elements: np.ndarray, c_next: int) -> np.ndarray:
+    """All intra-tournament questions of ``c_next`` tournaments over
+    *elements*, dealt in the order given.
 
-    Each group contributes its complete clique, matching Definition 2's
-    question count ``Q``.
+    Returns:
+        A ``(Q, 2)`` int64 array of canonical ``(lo, hi)`` questions.
     """
-    questions: List[Question] = []
-    for group in groups:
-        members = list(group)
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                questions.append(normalize_question(a, b))
+    questions = np.asarray(elements, np.int64)[
+        tournament_template(len(elements), c_next)
+    ]
+    questions.sort(axis=1)
     return questions
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_template(c_prev: int, c_next: int) -> np.ndarray:
+    return _build_template(c_prev, c_next)
+
+
+def _build_template(c_prev: int, c_next: int) -> np.ndarray:
+    small, extra = divmod(c_prev, c_next)
+    blocks = []
+    start = 0
+    for size, count in ((small + 1, extra), (small, c_next - extra)):
+        if size > 1 and count:
+            clique = np.stack(np.triu_indices(size, 1), axis=1)
+            offsets = start + size * np.arange(count)
+            blocks.append((offsets[:, None, None] + clique).reshape(-1, 2))
+        start += size * count
+    template = (
+        np.concatenate(blocks) if blocks else np.empty((0, 2), np.intp)
+    )
+    template.flags.writeable = False
+    return template

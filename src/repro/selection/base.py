@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.graphs.answer_graph import AnswerGraph
-from repro.types import Element, Question
+from repro.types import Element, Question, Questions, as_pairs
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,8 @@ class QuestionSelector(ABC):
 
     Contract for :meth:`select`:
 
-    * returns at most ``ctx.budget`` questions;
+    * returns at most ``ctx.budget`` questions, as a sequence of pairs or
+      a ``(k, 2)`` int array;
     * questions are distinct, in canonical ``(min, max)`` form, and only
       involve current candidates;
     * with fewer than two candidates, returns no questions.
@@ -73,7 +74,7 @@ class QuestionSelector(ABC):
     name: str = "selector"
 
     @abstractmethod
-    def select(self, ctx: SelectionContext) -> List[Question]:
+    def select(self, ctx: SelectionContext) -> Questions:
         """Pick the questions to post for this round."""
 
     def __repr__(self) -> str:
@@ -82,14 +83,16 @@ class QuestionSelector(ABC):
 
 def select_round(
     selector: QuestionSelector, ctx: SelectionContext
-) -> List[Question]:
+) -> np.ndarray:
     """Run *selector* for one round, enforcing its ``ctx.budget`` contract.
+
+    Returns the round's questions as one ``(k, 2)`` int64 array.
 
     Raises:
         InvalidParameterError: if the selector returned more questions than
             the round budget allows.
     """
-    questions = selector.select(ctx)
+    questions = as_pairs(selector.select(ctx))
     if len(questions) > ctx.budget:
         raise InvalidParameterError(
             f"selector {selector.name} returned {len(questions)} "

@@ -12,12 +12,14 @@ previous rounds play no role (the paper's Section 5.2 description).
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import List
 
-from repro.core.questions import fewest_tournaments_within
-from repro.graphs.tournaments import form_tournaments, tournament_question_graph
+import numpy as np
+
+from repro.core.questions import fewest_tournaments_within, tournament_sizes
+from repro.graphs.tournaments import tournament_graph
 from repro.selection.base import QuestionSelector, SelectionContext
-from repro.types import Question, normalize_question
+from repro.types import Element, Question, normalize_question
 
 
 class TournamentFormation(QuestionSelector):
@@ -36,43 +38,54 @@ class TournamentFormation(QuestionSelector):
     def __init__(self, spend_leftover: bool = True) -> None:
         self.spend_leftover = spend_leftover
 
-    def select(self, ctx: SelectionContext) -> List[Question]:
+    def select(self, ctx: SelectionContext) -> np.ndarray:
+        """The round's questions as one ``(k, 2)`` int64 array: the
+        tournaments' cliques in tournament order, then any extras."""
         candidates = ctx.candidates
         if len(candidates) < 2 or ctx.budget == 0:
-            return []
+            return np.empty((0, 2), np.int64)
         n_tournaments = fewest_tournaments_within(len(candidates), ctx.budget)
-        groups = form_tournaments(list(candidates), n_tournaments, ctx.rng)
-        questions = tournament_question_graph(groups)
+        members = ctx.rng.permutation(candidates)
+        questions = tournament_graph(members, n_tournaments)
         leftover = ctx.budget - len(questions)
         if self.spend_leftover and leftover > 0 and n_tournaments > 1:
-            questions.extend(
-                _cross_tournament_extras(groups, leftover, set(questions), ctx)
+            extras = _cross_tournament_extras(
+                members.tolist(), n_tournaments, leftover, ctx.rng
+            )
+            questions = np.concatenate(
+                (questions, np.array(extras, np.int64).reshape(-1, 2))
             )
         return questions
 
 
 def _cross_tournament_extras(
-    groups: List[List[int]],
+    members: List[Element],
+    n_tournaments: int,
     leftover: int,
-    already: Set[Question],
-    ctx: SelectionContext,
+    rng: np.random.Generator,
 ) -> List[Question]:
-    """Random distinct questions between elements of different tournaments."""
-    group_of = {
-        element: index for index, group in enumerate(groups) for element in group
-    }
-    members = [element for group in groups for element in group]
+    """Random distinct questions between elements of different tournaments.
+
+    *members* are the elements in the order they were dealt to the
+    tournaments.  A cross pair is never a tournament question, so only
+    the extras themselves can repeat.
+    """
+    group_of = [
+        index
+        for index, size in enumerate(tournament_sizes(len(members), n_tournaments))
+        for _ in range(size)
+    ]
+    already = set()
     extras: List[Question] = []
     # Rejection-sample random cross pairs; fall back to enumeration when the
     # leftover is a large fraction of the available cross pairs.
     attempts_left = 20 * leftover
     while leftover > 0 and attempts_left > 0:
-        a, b = ctx.rng.choice(len(members), size=2, replace=False)
-        first, second = members[a], members[b]
-        if group_of[first] == group_of[second]:
+        a, b = rng.choice(len(members), size=2, replace=False)
+        if group_of[a] == group_of[b]:
             attempts_left -= 1
             continue
-        pair = normalize_question(first, second)
+        pair = normalize_question(members[a], members[b])
         if pair in already:
             attempts_left -= 1
             continue
@@ -84,10 +97,10 @@ def _cross_tournament_extras(
         remaining = [
             normalize_question(a, b)
             for i, a in enumerate(members)
-            for b in members[i + 1 :]
-            if group_of[a] != group_of[b]
+            for j, b in enumerate(members[i + 1 :], i + 1)
+            if group_of[i] != group_of[j]
             and normalize_question(a, b) not in already
         ]
-        ctx.rng.shuffle(remaining)
+        rng.shuffle(remaining)
         extras.extend(remaining[:leftover])
     return extras

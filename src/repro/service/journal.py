@@ -374,7 +374,8 @@ def restore_scheduler_state(
                 f"snapshot backlog of {backlog} exceeds the header's "
                 f"{len(scheduler._backlog)} specs"
             )
-        scheduler._backlog = scheduler._backlog[len(scheduler._backlog) - backlog:]
+        while len(scheduler._backlog) > backlog:
+            scheduler._backlog.popleft()
         scheduler._waiting = [_active_query_from_dict(d) for d in snapshot["waiting"]]
         scheduler._active = [_active_query_from_dict(d) for d in snapshot["active"]]
         scheduler._results = [_result_from_dict(d) for d in snapshot["results"]]

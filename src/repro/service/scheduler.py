@@ -32,6 +32,7 @@ import dataclasses
 import logging
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import takewhile
 from pathlib import Path
 from typing import (
     Any,
@@ -230,9 +231,13 @@ class ResultTally:
             self.deadline_breached += 1
 
 
-@dataclass
+@dataclass(eq=False)
 class ActiveQuery:
-    """Scheduler-internal state of one admitted query."""
+    """Scheduler-internal state of one admitted query.
+
+    Queries compare by identity: the scheduler finds and removes them in
+    its active and waiting lists, and no two admitted queries are equal.
+    """
 
     spec: QuerySpec
     seq: int  # admission order, the universal deterministic tie-break
@@ -242,9 +247,12 @@ class ActiveQuery:
     state: QueryState = QueryState.QUEUED
     admitted_time: float = 0.0
     first_scheduled_time: Optional[float] = None
-    #: Global-ID questions of the open round unanswered when the tick
-    #: began; rebuilt from the session every tick, so never journaled.
-    unanswered: List[Question] = field(default_factory=list)
+    #: Global-ID ``(k, 2)`` questions of the open round unanswered when
+    #: the tick began; rebuilt from the session every tick, so never
+    #: journaled.
+    unanswered: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 2), np.int64)
+    )
     times_scheduled: int = 0
     round_attempts: int = 0
     #: Absolute sim time the query's latency budget expires (None = none).
@@ -256,7 +264,13 @@ class ActiveQuery:
         The crowd never saw such a query's round, so it spends no round
         attempt and its tick is attributed as ``stall``.
         """
-        return all(q in unposted for q in self.unanswered)
+        return self.count_in(unposted) == len(self.unanswered)
+
+    def count_in(self, questions: FrozenSet[Question]) -> int:
+        """How many unanswered questions are in the set *questions*."""
+        if not questions:
+            return 0
+        return sum(q in questions for q in map(tuple, self.unanswered.tolist()))
 
 
 class MaxScheduler:
@@ -341,8 +355,8 @@ class MaxScheduler:
         self._allocator = allocator_by_name(self.config.allocator)
         self._admission = AdmissionController(self.config.admission_config())
         # Arrival order (query_id as tie-break) is the admission offer order.
-        self._backlog: List[QuerySpec] = sorted(
-            specs, key=lambda s: (s.arrival_time, s.query_id)
+        self._backlog: Deque[QuerySpec] = deque(
+            sorted(specs, key=lambda s: (s.arrival_time, s.query_id))
         )
         # Element-space slicing: each query gets a disjoint global range,
         # assigned in arrival order so offsets are workload-deterministic.
@@ -654,7 +668,7 @@ class MaxScheduler:
                     component = "outage"
                 elif query.round_attempts > 0:
                     component = "retry"
-                elif hedged and any(q in hedged for q in query.unanswered):
+                elif query.count_in(hedged):
                     component = "hedge"
                 else:
                     component = "round_post"
@@ -716,7 +730,7 @@ class MaxScheduler:
                 and self._brownout.shed_low_priority
                 and self._backlog[0].priority <= 0
             ):
-                spec = self._backlog.pop(0)
+                spec = self._backlog.popleft()
                 self._shed(
                     spec,
                     reason=(
@@ -730,7 +744,7 @@ class MaxScheduler:
             )
             if decision is AdmissionDecision.DEFER:
                 return  # stays in the backlog; re-offered next tick
-            spec = self._backlog.pop(0)
+            spec = self._backlog.popleft()
             if decision is AdmissionDecision.SHED:
                 self._shed(spec)
             else:
@@ -825,10 +839,12 @@ class MaxScheduler:
         waits = [
             max(0.0, self._now - q.spec.arrival_time) for q in self._waiting
         ]
+        # The backlog is in arrival order: the due arrivals are its head.
         waits.extend(
-            max(0.0, self._now - spec.arrival_time)
-            for spec in self._backlog
-            if spec.arrival_time <= self._now
+            self._now - spec.arrival_time
+            for spec in takewhile(
+                lambda spec: spec.arrival_time <= self._now, self._backlog
+            )
         )
         return queue_wait_p95(waits)
 
@@ -1215,8 +1231,7 @@ class MaxScheduler:
             # Selecting emptied the remaining rounds; the session is done.
             self._finalize(query, QueryState.COMPLETED)
             return False
-        offset = query.offset
-        query.unanswered = [(a + offset, b + offset) for a, b in pending]
+        query.unanswered = pending + query.offset
         tracer = current_tracer()
         if opening and tracer.enabled:
             query_id = query.spec.query_id
@@ -1242,13 +1257,13 @@ class MaxScheduler:
         no round attempt — the crowd never saw them.
         """
         scheduled: List[ActiveQuery] = []
-        batch: List[Question] = []
+        n_batch = 0
         for query in self._policy.order(runnable):
             size = len(query.unanswered)
-            if batch and len(batch) + size > self.config.max_inflight_questions:
+            if n_batch and n_batch + size > self.config.max_inflight_questions:
                 continue  # backpressure: whole rounds only; retry next tick
             scheduled.append(query)
-            batch.extend(query.unanswered)
+            n_batch += size
         registry = get_registry()
         tracer = current_tracer()
         for query in scheduled:
@@ -1272,7 +1287,7 @@ class MaxScheduler:
             self._ticks,
             self._now,
             len(scheduled),
-            len(batch),
+            n_batch,
         )
         tick_span = f"t{self._ticks}"
         tick_start = self._now
@@ -1282,7 +1297,7 @@ class MaxScheduler:
                 tick_span,
                 "tick",
                 start=tick_start,
-                detail=f"{len(scheduled)} queries, {len(batch)} questions",
+                detail=f"{len(scheduled)} queries, {n_batch} questions",
             )
         units = [(query.spec.query_id, query.unanswered) for query in scheduled]
         # The span scope hands the tick's id and clock anchor down to the
@@ -1373,7 +1388,7 @@ class MaxScheduler:
         if lost:
             # An unposted question is never answered, so the lost ones
             # were all unposted exactly when `lost` of the round were.
-            if not unposted or sum(q in unposted for q in query.unanswered) < lost:
+            if query.count_in(unposted) < lost:
                 self._bump_round_attempts(query, lost)
             return
         query.round_attempts = 0

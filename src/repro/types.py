@@ -8,7 +8,9 @@ held separately by :class:`repro.crowd.ground_truth.GroundTruth`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple, Union
+
+import numpy as np
 
 #: An element of the input collection.
 Element = int
@@ -16,6 +18,14 @@ Element = int
 #: An unordered pairwise comparison question between two elements.
 #: By convention questions are normalized so that ``question[0] < question[1]``.
 Question = Tuple[Element, Element]
+
+#: Questions in bulk: an ``(n, 2)`` int array or a sequence of pairs.
+Questions = Union[np.ndarray, Sequence[Question]]
+
+
+def as_pairs(questions: Questions) -> np.ndarray:
+    """*questions* as an ``(n, 2)`` int64 array (empty input included)."""
+    return np.asarray(questions, dtype=np.int64).reshape(-1, 2)
 
 
 def normalize_question(a: Element, b: Element) -> Question:

@@ -145,6 +145,18 @@ class TestFewestTournaments:
         with pytest.raises(InvalidParameterError):
             fewest_tournaments_within(5, -1)
 
+    def test_memoized_without_caching_errors(self):
+        fewest_tournaments_within.cache_clear()
+        assert fewest_tournaments_within(24, 46) == 5
+        assert fewest_tournaments_within(24, 46) == 5
+        info = fewest_tournaments_within.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError):
+                fewest_tournaments_within(0, 3)
+            with pytest.raises(InvalidParameterError):
+                fewest_tournaments_within(5, -1)
+
 
 class TestHalving:
     def test_even_count(self):

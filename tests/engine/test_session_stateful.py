@@ -47,9 +47,12 @@ class SessionMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.session.done)
     @rule()
     def read_pending(self):
-        batch = self.session.pending_questions()
+        batch = self._pending()
         assert batch, "a pending round must have questions"
-        assert self.session.pending_questions() == batch  # stable
+        assert self._pending() == batch  # stable
+
+    def _pending(self):
+        return list(map(tuple, self.session.pending_questions().tolist()))
 
     def _submit(self, questions):
         round_size = len(self.session.pending)
@@ -65,7 +68,7 @@ class SessionMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.session.done)
     @rule(data=st.data())
     def answer_part_of_pending(self, data):
-        batch = self.session.pending_questions()
+        batch = self._pending()
         part = data.draw(
             st.lists(
                 st.sampled_from(batch), min_size=1, max_size=len(batch),
@@ -75,7 +78,7 @@ class SessionMachine(RuleBasedStateMachine):
         self._submit(part)
         if len(part) < len(batch):
             rest = [q for q in batch if q not in part]
-            assert self.session.pending_questions() == rest
+            assert self._pending() == rest
 
     @precondition(lambda self: self.session.done)
     @rule()

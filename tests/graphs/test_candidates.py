@@ -16,7 +16,7 @@ from repro.graphs.candidates import (
     max_remaining_candidates,
     worst_case_answers,
 )
-from repro.graphs.tournaments import tournament_question_graph
+from tests.graphs.tournament_oracle import tournament_question_graph
 
 
 def random_graph(n, data):

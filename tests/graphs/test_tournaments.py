@@ -1,13 +1,30 @@
-"""Tests for concrete tournament-graph construction."""
+"""Tests for concrete tournament-graph construction.
+
+``TestFormTournaments`` and ``TestQuestionGraph`` pin the list oracle; the
+array construction in :mod:`repro.graphs.tournaments` and the selector are
+checked against it.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.questions import tournament_questions, tournament_sizes
+from repro.core.questions import (
+    fewest_tournaments_within,
+    tournament_questions,
+    tournament_sizes,
+)
 from repro.errors import InvalidParameterError
-from repro.graphs.tournaments import form_tournaments, tournament_question_graph
+from repro.graphs.answer_graph import AnswerGraph
+from repro.graphs.tournaments import CACHED_TEMPLATE_ROWS, tournament_template
+from repro.selection.base import SelectionContext
+from repro.selection.tournament import TournamentFormation
+from tests.graphs.tournament_oracle import (
+    form_tournaments,
+    reference_select,
+    tournament_question_graph,
+)
 
 
 class TestFormTournaments:
@@ -74,3 +91,98 @@ class TestQuestionGraph:
         group_of = {e: i for i, g in enumerate(groups) for e in g}
         for a, b in tournament_question_graph(groups):
             assert group_of[a] == group_of[b]
+
+
+class TestArrayTemplate:
+    """The array construction reproduces the list oracle row for row."""
+
+    @given(st.integers(1, 60), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_template_matches_list_cliques(self, c_prev, data):
+        c_next = data.draw(st.integers(1, c_prev))
+        groups = form_tournaments(list(range(c_prev)), c_next, _NoShuffle())
+        expected = tournament_question_graph(groups)
+        template = tournament_template(c_prev, c_next)
+        assert template.shape == (len(expected), 2)
+        assert list(map(tuple, template.tolist())) == expected
+        assert not template.flags.writeable
+
+    def test_large_templates_are_built_not_cached(self):
+        big = tournament_template(200, 2)
+        assert len(big) > CACHED_TEMPLATE_ROWS
+        assert big is not tournament_template(200, 2)
+        small = tournament_template(20, 5)
+        assert small is tournament_template(20, 5)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 50, 200])
+    def test_permutation_draws_match_list_shuffle(self, n):
+        for seed in range(20):
+            shuffled = list(range(n))
+            np.random.default_rng(seed).shuffle(shuffled)
+            permuted = np.random.default_rng(seed).permutation(tuple(range(n)))
+            assert permuted.tolist() == shuffled
+
+
+class TestSelectorMatchesReference:
+    """TournamentFormation equals form_tournaments + tournament_question_graph
+    (+ the list extras) question for question, and leaves the RNG in the
+    same state."""
+
+    @given(
+        st.integers(2, 60),
+        st.data(),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rounds_equal_the_list_reference(self, c_prev, data, seed, spend):
+        n_tournaments = data.draw(st.integers(1, c_prev), label="n_tournaments")
+        base = tournament_questions(c_prev, n_tournaments)
+        # Every budget below the next-fewer tournaments' Q forms exactly
+        # n_tournaments; the top of the range leaves the densest leftover.
+        ceiling = (
+            tournament_questions(c_prev, n_tournaments - 1) - 1
+            if n_tournaments > 1
+            else base + 3
+        )
+        budget = data.draw(st.integers(base, ceiling), label="budget")
+        assert fewest_tournaments_within(c_prev, budget) == n_tournaments
+        candidates = tuple(
+            sorted(data.draw(st.sets(st.integers(0, 500), min_size=c_prev, max_size=c_prev)))
+        )
+        self._check(candidates, budget, seed, spend)
+
+    @pytest.mark.parametrize("c_prev", [2, 5, 17, 60])
+    @pytest.mark.parametrize("spend", [True, False])
+    def test_every_tournament_count(self, c_prev, spend):
+        for n_tournaments in range(1, c_prev + 1):
+            base = tournament_questions(c_prev, n_tournaments)
+            for budget in {base, base + 1, base + 2 * c_prev}:
+                if fewest_tournaments_within(c_prev, budget) != n_tournaments:
+                    continue
+                for seed in range(3):
+                    self._check(tuple(range(c_prev)), budget, seed, spend)
+
+    def _check(self, candidates, budget, seed, spend):
+        array_rng = np.random.default_rng(seed)
+        list_rng = np.random.default_rng(seed)
+        context = SelectionContext(
+            budget=budget,
+            candidates=candidates,
+            evidence=AnswerGraph(candidates),
+            round_index=0,
+            total_rounds=1,
+            rng=array_rng,
+        )
+        got = TournamentFormation(spend_leftover=spend).select(context)
+        expected = reference_select(candidates, budget, list_rng, spend)
+        assert got.dtype == np.int64 and got.shape == (len(expected), 2)
+        assert list(map(tuple, got.tolist())) == expected
+        assert array_rng.bit_generator.state == list_rng.bit_generator.state
+
+
+class _NoShuffle:
+    """An RNG stand-in that leaves the order alone."""
+
+    def shuffle(self, items):
+        pass

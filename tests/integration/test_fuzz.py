@@ -234,7 +234,7 @@ def test_the_contract_check_catches_a_non_candidate_pair():
         name = "PAIRS-THE-FALLEN"
 
         def select(self, ctx):
-            questions = selector_by_name("Tournament").select(ctx)
+            questions = selector_by_name("Tournament").select(ctx).tolist()
             fallen = set(ctx.evidence.elements) - set(ctx.candidates)
             if fallen and questions:
                 pair = tuple(sorted((min(fallen), ctx.candidates[0])))

@@ -114,7 +114,7 @@ def _record_placement(scheduler):
         outcome = post_round(units, tick=tick, **kwargs)
         for query_id, questions in units:
             placed[(tick, query_id)] = any(
-                q not in outcome.unposted for q in questions
+                q not in outcome.unposted for q in map(tuple, questions.tolist())
             )
         return outcome
 

@@ -270,7 +270,7 @@ class TestProbeOutage:
         }
         spared = 0
         for query in scheduler._active:
-            posted = set(query.unanswered) - outcome.unposted
+            posted = set(map(tuple, query.unanswered.tolist())) - outcome.unposted
             assert query.round_attempts == (1 if posted else 0)
             spared += not posted
         assert spared

@@ -1,5 +1,7 @@
 """End-to-end tests of the multi-query MAX scheduler."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.latency import LinearLatency
@@ -77,6 +79,23 @@ class TestHappyPath:
         specs = [spec(i, n=10, budget=50) for i in range(6)]
         report = run_workload(specs)
         assert report.shared_rounds < sum(r.rounds for r in report.results)
+
+
+class TestActiveQueryIdentity:
+    def test_equal_fields_stay_distinct_in_the_active_list(self):
+        """Queries compare by identity: finalizing one of two queries whose
+        fields are all equal removes that one, not its twin."""
+        scheduler = MaxScheduler(
+            [spec(0, n=40, budget=80), spec(1, n=40, budget=80)], LATENCY, seed=0
+        )
+        scheduler.step()
+        query = scheduler._active[0]
+        twin = dataclasses.replace(query)
+        assert twin != query
+        scheduler._active = [twin, query]
+        scheduler._finalize(query, QueryState.DEGRADED)
+        assert len(scheduler._active) == 1
+        assert scheduler._active[0] is twin
 
 
 class TestValidation:
