@@ -7,7 +7,9 @@ quadratically in the collection size.
 
 ``bench_tdp_plan_distinct_shapes`` times the other side of the solver: a
 service planning many distinct query shapes under one latency model, which
-one ``TDPAllocator`` answers from a single growing frontier table.
+one ``TDPAllocator`` answers from a single growing frontier table.  Its
+work count is gated too: every frontier row is built once, whatever the
+budgets, so the 357 shapes build rows 2..400 and no more.
 """
 
 import random
@@ -16,6 +18,7 @@ from _harness import SCALE
 from repro.core.latency import LinearLatency
 from repro.core.tdp import TDPAllocator
 from repro.experiments import fig15
+from repro.obs.profiling import profiled
 
 #: Every (c0, budget) shape of a service mix with c0 in 100..400 and
 #: budgets of 2-6x c0, in a fixed shuffled arrival order.
@@ -37,11 +40,14 @@ def bench_tdp_plan_distinct_shapes(benchmark):
 
     def plan_all():
         tdp = TDPAllocator()
-        return [tdp.plan(c0, budget, latency) for c0, budget in DISTINCT_SHAPES]
+        with profiled(publish=False) as profiler:
+            plans = [tdp.plan(c0, budget, latency) for c0, budget in DISTINCT_SHAPES]
+        return plans, profiler.snapshot()["frontier.rows"]
 
-    plans = benchmark(plan_all)
+    plans, rows = benchmark(plan_all)
     assert len(plans) == len(DISTINCT_SHAPES) == 357
     assert all(
         plan.sequence[0] == c0 and plan.questions_used <= budget
         for plan, (c0, budget) in zip(plans, DISTINCT_SHAPES)
     )
+    assert rows == 399

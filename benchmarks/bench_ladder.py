@@ -2,12 +2,15 @@
 
 Drains the service's ``burst`` shape (every query arrives at t = 0, at
 most 64 active) at 10^3 and 10^4 queries and reports queries/s at each
-size.  Wall time alone cannot show that a tick's cost is independent of
-the run's length, so the bench also counts, per tick, the scheduler
-state it walks: the backlog entries and results it reads plus the
-queries in its active and waiting lists.  That count is deterministic,
-and it must not grow with the query count: a tick that rescans every
-result, as ``_sample_tick`` once did, makes the drain quadratic.
+size, plain and armed (SLO engine and brownout on, so every tick reads
+the live queue-wait p95 while the whole burst is due).  Wall time alone
+cannot show that a tick's cost is independent of the run's length, so
+the bench also counts, per tick, the scheduler state it walks: the
+backlog entries and results it reads plus the queries in its active and
+waiting lists.  That count is deterministic, and it must not grow with
+the query count: a tick that rescans every result, as ``_sample_tick``
+once did, makes the drain quadratic; so does a p95 that reads every due
+arrival.
 """
 
 from __future__ import annotations
@@ -15,10 +18,17 @@ from __future__ import annotations
 import statistics
 import time
 from collections import deque
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.core.latency import mturk_car_latency
-from repro.service import MaxScheduler, ServiceConfig, WorkloadConfig, generate_workload
+from repro.obs.slo import default_slo_config
+from repro.service import (
+    BrownoutConfig,
+    MaxScheduler,
+    ServiceConfig,
+    WorkloadConfig,
+    generate_workload,
+)
 
 SIZES = (1_000, 10_000)
 SEED = 0
@@ -59,19 +69,27 @@ class _CountingResults(list):
             yield result
 
 
-def _burst(n_queries: int) -> MaxScheduler:
+def _burst(n_queries: int, armed: bool) -> MaxScheduler:
     mix = WorkloadConfig(
         n_queries=n_queries,
         mean_interarrival=0.0,
         sizes=(12, 20, 32),
         budget_factors=(4.0, 6.0),
-        priorities=(0, 1, 2),
+        # Armed, the brownout sheds priority-0 arrivals without a tick, so
+        # a longer burst (a longer brownout) would pack more sheds into
+        # each tick: per-query work, not a scan.  Only 1 and 2 keep every
+        # query on a tick.
+        priorities=(1, 2) if armed else (0, 1, 2),
     )
     return MaxScheduler(
         generate_workload(mix, SEED),
         mturk_car_latency(),
         SEED,
-        config=ServiceConfig(max_active_queries=64),
+        config=ServiceConfig(
+            max_active_queries=64,
+            brownout=BrownoutConfig() if armed else None,
+            slo=default_slo_config() if armed else None,
+        ),
     )
 
 
@@ -92,8 +110,8 @@ def _counted(scheduler: MaxScheduler) -> List[int]:
     return per_tick
 
 
-def _throughput(n_queries: int) -> float:
-    scheduler = _burst(n_queries)
+def _throughput(n_queries: int, armed: bool) -> float:
+    scheduler = _burst(n_queries, armed)
     start = time.perf_counter()
     report = scheduler.run()
     elapsed = time.perf_counter() - start
@@ -105,29 +123,32 @@ def _throughput(n_queries: int) -> float:
 def bench_scale_ladder(benchmark):
     """Per-tick work stays flat from 10^3 to 10^4 queries."""
 
-    def ladder() -> Dict[int, Dict[str, float]]:
+    def ladder() -> Dict[Tuple[bool, int], Dict[str, float]]:
         rows = {}
-        for n_queries in SIZES:
-            per_tick = _counted(_burst(n_queries))
-            rows[n_queries] = {
-                "qps": _throughput(n_queries),
-                "ticks": len(per_tick),
-                "work_mean": statistics.fmean(per_tick),
-                "work_max": max(per_tick),
-            }
+        for armed in (False, True):
+            for n_queries in SIZES:
+                per_tick = _counted(_burst(n_queries, armed))
+                rows[armed, n_queries] = {
+                    "qps": _throughput(n_queries, armed),
+                    "ticks": len(per_tick),
+                    "work_mean": statistics.fmean(per_tick),
+                    "work_max": max(per_tick),
+                }
         return rows
 
     rows = benchmark.pedantic(ladder, rounds=1, iterations=1)
     print()
     print("-- scale ladder / burst shape, 64 active --")
-    print(f"{'queries':>8} {'queries/s':>10} {'ticks':>6} "
+    print(f"{'shape':>6} {'queries':>8} {'queries/s':>10} {'ticks':>6} "
           f"{'work/tick mean':>15} {'max':>5}")
-    for n_queries, row in rows.items():
-        print(f"{n_queries:>8} {row['qps']:>10.0f} {row['ticks']:>6} "
+    for (armed, n_queries), row in rows.items():
+        print(f"{'armed' if armed else 'plain':>6} {n_queries:>8} "
+              f"{row['qps']:>10.0f} {row['ticks']:>6} "
               f"{row['work_mean']:>15.1f} {row['work_max']:>5}")
-    small, large = rows[SIZES[0]], rows[SIZES[-1]]
-    # Deterministic counts: a tick that walked the backlog or the results
-    # would grow tenfold here.  The slack covers the ramp-up and drain-out
-    # ticks, which weigh more in a short run.
-    assert large["work_mean"] <= 1.1 * small["work_mean"]
-    assert large["work_max"] <= 1.1 * small["work_max"]
+    for armed in (False, True):
+        small, large = rows[armed, SIZES[0]], rows[armed, SIZES[-1]]
+        # Deterministic counts: a tick that walked the backlog or the
+        # results would grow tenfold here.  The slack covers the ramp-up
+        # and drain-out ticks, which weigh more in a short run.
+        assert large["work_mean"] <= 1.1 * small["work_mean"]
+        assert large["work_max"] <= 1.1 * small["work_max"]

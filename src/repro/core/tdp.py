@@ -17,20 +17,21 @@ latency)`` pairs achievable by tournament sequences from ``c`` down to 1:
 The optimal allocation for budget ``b`` is the frontier point of ``P(c_0)``
 with the lowest latency among those with ``cost <= b`` — by construction the
 last such point of the (cost-ascending, latency-strictly-descending) frontier.
-Points costing more than the build budget are pruned during construction,
-which keeps frontiers tiny; for a linear ``L`` the frontier of ``c`` has at
-most ``ceil(log2 c)`` points (one per useful round count).
+The frontiers are built complete, with no budget cut, and stay small: a
+tournament sequence from ``c`` never asks a pair twice, so it costs at most
+``C(c, 2)``, and for a linear ``L`` the frontier of ``c`` has at most
+``ceil(log2 c)`` points (one per useful round count).
 
 The frontiers depend only on ``L``, never on the query, and whether a point
-survives depends on the build budget ``B`` only through ``cost <= B``: step
+survives a budget cut ``b`` depends on ``b`` only through ``cost <= b``: step
 costs are non-negative and the Pareto sweep is prefix-consistent.  So the
-frontiers built at ``B``, cut at any ``b <= B``, *are* the frontiers built at
-``b``, point for point and parent for parent.  :class:`TDPTable` exploits
-this: it holds the frontiers of one latency model, grows them on demand
-(new rows for a larger ``c_0``; a rebuild at ``max(b, 2B)`` for a larger
-budget) and answers every ``(c_0, b)`` by lookup.  :class:`TDPAllocator`
-keeps one table per latency model; :func:`solve_min_latency` and
-:func:`solve_min_cost` are a fresh table plus one lookup (a cold solve).
+complete frontiers cut at any ``b`` *are* the frontiers built at ``b``,
+point for point and parent for parent.  :class:`TDPTable` exploits this: it
+holds the complete frontiers of one latency model, builds each row once, the
+first time a lookup needs it, and answers every ``(c_0, b)`` by cutting the
+rows at ``b``.  :class:`TDPAllocator` keeps one table per latency model;
+:func:`solve_min_latency` and :func:`solve_min_cost` are a fresh table plus
+one lookup (a cold solve).
 
 The literal top-down memoization of Algorithm 1 is also available as
 :class:`repro.core.tdp_memo.MemoizedTDPAllocator` and is used to
@@ -41,7 +42,8 @@ makes the large-``c_0`` experiments of Section 6 practical in pure Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -196,24 +198,16 @@ class _FrontierTable:
 
 
 class TDPTable:
-    """The Pareto frontiers of one latency model, grown on demand.
+    """The complete Pareto frontiers of one latency model, grown on demand.
 
-    Rows ``P(1) .. P(n)`` hold every frontier point with ``cost <= B``,
-    the table's budget cap.  :meth:`plan` and :meth:`cheapest` answer any
-    ``(c_0, b)`` by lookup in the frontiers cut at ``b`` (exactly the
-    frontiers a build at ``b`` would produce), growing the table first when
-    it does not cover the shape yet:
-
-    * ``c_0 > n``: rows ``n + 1 .. c_0`` are appended at cap ``B``;
-    * ``b > B``: every row is rebuilt at cap ``max(b, 2B)``, so a run of
-      rising budgets costs only logarithmically many rebuilds.
-
-    Nothing is built before the first lookup, which builds at exactly
-    ``(c_0, b)``: a fresh table plus one lookup is a cold solve.  Every
-    lookup reports like one — a ``tdp.solve`` span, one
-    :class:`~repro.obs.events.DPTableBuilt` whose ``states`` counts the
-    frontier points cut at ``b``, and the ``tdp.*`` counters — so a warm
-    lookup is observably identical to the cold solve it replaces.
+    Rows ``P(1) .. P(n)`` hold every frontier point, with no budget cut,
+    and each is built once: a lookup at ``(c_0, b)`` first appends rows
+    ``n + 1 .. c_0`` if ``c_0 > n``, then cuts the rows at ``b`` (exactly
+    the frontiers a build at ``b`` would produce).  A fresh table plus one
+    lookup is a cold solve, and every lookup reports like one — a
+    ``tdp.solve`` span, one :class:`~repro.obs.events.DPTableBuilt` whose
+    ``states`` counts the frontier points cut at ``b``, and the ``tdp.*``
+    counters — so a warm lookup is observably identical to a cold solve.
 
     Args:
         latency: the latency model ``L`` every transition is priced under.
@@ -221,10 +215,8 @@ class TDPTable:
 
     def __init__(self, latency: LatencyFunction) -> None:
         self.latency = latency
-        #: Largest candidate count with a built row (0: nothing built).
-        self.n_elements = 0
-        #: Budget every row was built at (-1: nothing built).
-        self.budget_cap = -1
+        #: Largest candidate count with a built row; row 1 is ``P(1)``.
+        self.n_elements = 1
         self._rows = _FrontierTable(1)
 
     def plan(self, n_elements: int, budget: int) -> TDPPlan:
@@ -235,7 +227,7 @@ class TDPTable:
                 (Theorem 1: the problem has no solution).
         """
         sizes = self._lookup(n_elements, budget)
-        return _plan_from_point(self._rows, n_elements, int(sizes[-1]) - 1, sizes)
+        return _plan_from_point(repeat(self._rows), n_elements, int(sizes[-1]) - 1, sizes)
 
     def cheapest(self, n_elements: int, budget: int, deadline: float) -> TDPPlan:
         """The first (cheapest) point of ``P(c_0)`` within *budget* whose
@@ -253,26 +245,13 @@ class TDPTable:
                 f"no tournament sequence finishes within {deadline:g} s; the "
                 f"fastest achievable latency is {float(latencies[-1]):g} s"
             )
-        return _plan_from_point(self._rows, n_elements, int(meeting[0]), sizes)
+        return _plan_from_point(repeat(self._rows), n_elements, int(meeting[0]), sizes)
 
     def _lookup(self, n_elements: int, budget: int) -> np.ndarray:
-        """Grow to cover ``(n_elements, budget)``; per-row sizes cut at it."""
-        if n_elements < 1:
-            raise InvalidParameterError(
-                f"n_elements must be >= 1, got {n_elements}"
-            )
-        if budget < n_elements - 1:
-            raise InvalidParameterError(
-                f"budget {budget} < c0 - 1 = {n_elements - 1}: MinLatency is "
-                f"infeasible (Theorem 1)"
-            )
+        """Grow to cover *n_elements*; per-row sizes cut at *budget*."""
+        _check_shape(n_elements, budget)
         with timed("tdp.solve") as span:
-            if budget > self.budget_cap:
-                self._build(
-                    max(n_elements, self.n_elements),
-                    max(budget, 2 * self.budget_cap),
-                )
-            elif n_elements > self.n_elements:
+            if n_elements > self.n_elements:
                 self._extend(n_elements)
             # Rows are cost-ascending and padded with int64 max, so the
             # count of costs within the budget is the size of the cut row.
@@ -284,19 +263,23 @@ class TDPTable:
         )
         return sizes
 
-    def _build(self, n_elements: int, budget_cap: int) -> None:
-        """Rebuild every row up to *n_elements* at *budget_cap*."""
-        self._rows = _FrontierTable(n_elements)
-        self.n_elements = 1
-        self.budget_cap = budget_cap
-        self._extend(n_elements)
-
     def _extend(self, n_elements: int) -> None:
-        """Append rows ``n + 1 .. n_elements`` at the current cap."""
+        """Append the complete rows ``n + 1 .. n_elements``."""
         self._rows.add_rows(n_elements)
         for c in range(self.n_elements + 1, n_elements + 1):
-            _build_frontier(self._rows, c, self.budget_cap, self.latency)
+            _build_frontier(self._rows, c, self.latency)
         self.n_elements = n_elements
+
+
+def _check_shape(n_elements: int, budget: int) -> None:
+    """Reject a ``(c_0, b)`` outside MinLatency's domain."""
+    if n_elements < 1:
+        raise InvalidParameterError(f"n_elements must be >= 1, got {n_elements}")
+    if budget < n_elements - 1:
+        raise InvalidParameterError(
+            f"budget {budget} < c0 - 1 = {n_elements - 1}: MinLatency is "
+            f"infeasible (Theorem 1)"
+        )
 
 
 def solve_min_latency(
@@ -358,18 +341,17 @@ def solve_min_cost(
 def _build_frontier(
     table: _FrontierTable,
     c: int,
-    budget: int,
     latency: LatencyFunction,
+    budget: Optional[int] = None,
     source: Optional[_FrontierTable] = None,
-) -> bool:
+) -> None:
     """Compute P(c) from the frontiers of all smaller candidate counts.
 
-    *source* is the table transitions read continuation frontiers from; by
-    default the same table (the unbounded recursion).  The bounded-rounds
-    solver passes the previous round-count's table instead.
-
-    Returns ``True`` when at least one feasible point was found; ``False``
-    leaves the row empty (possible only in the bounded-rounds DP).
+    *budget*, when given, drops every point costing more; by default the
+    row is complete.  *source* is the table transitions read continuation
+    frontiers from; by default the same table (the unbounded recursion).
+    The bounded-rounds solver passes both: its budget and the previous
+    round-count's table, and a row with no point within both stays empty.
     """
     if source is None:
         source = table
@@ -378,22 +360,16 @@ def _build_frontier(
     width = source.width
     # Candidate points: every frontier point of every reachable c', extended
     # by one round c -> c'.  Shapes are (c-1, width); row j is c' = j + 1.
-    cand_cost = step_cost[:, None] + source.cost[1:c, :]
-    cand_lat = step_lat[:, None] + source.lat[1:c, :]
-    flat_cost = cand_cost.ravel()
-    flat_lat = cand_lat.ravel()
-    valid = np.flatnonzero(
-        (flat_lat != np.inf) & (flat_cost >= 0) & (flat_cost <= budget)
-    )
+    flat_cost = (step_cost[:, None] + source.cost[1:c, :]).ravel()
+    flat_lat = (step_lat[:, None] + source.lat[1:c, :]).ravel()
     # flat_cost >= 0 guards against int64 overflow of the +inf cost padding;
     # padded entries also carry lat == inf, so both filters agree.
-    if valid.size == 0:
-        if source is table:  # pragma: no cover - needs budget >= c - 1
-            raise InvalidParameterError(
-                f"no feasible transition from {c} candidates within "
-                f"budget {budget}"
-            )
-        return False
+    mask = (flat_lat != np.inf) & (flat_cost >= 0)
+    if budget is not None:
+        mask &= flat_cost <= budget
+    valid = np.flatnonzero(mask)
+    if valid.size == 0:  # only under a budget: c -> 1 is always feasible
+        return
     order = valid[np.lexsort((flat_lat[valid], flat_cost[valid]))]
     lat_sorted = flat_lat[order]
     # Strict Pareto sweep: keep a point only when it improves the best
@@ -418,7 +394,6 @@ def _build_frontier(
         parent_c=(chosen // width + 1).astype(np.int32),
         parent_i=(chosen % width).astype(np.int32),
     )
-    return True
 
 
 def solve_min_latency_bounded_rounds(
@@ -452,12 +427,7 @@ def solve_min_latency_bounded_rounds(
             the round cap (e.g. ``max_rounds = 1`` with a budget below the
             complete tournament ``C(c_0, 2)``).
     """
-    if n_elements < 1:
-        raise InvalidParameterError(f"n_elements must be >= 1, got {n_elements}")
-    if budget < n_elements - 1:
-        raise InvalidParameterError(
-            f"budget {budget} < c0 - 1 = {n_elements - 1} (Theorem 1)"
-        )
+    _check_shape(n_elements, budget)
     if max_rounds < 1:
         raise InvalidParameterError(f"max_rounds must be >= 1, got {max_rounds}")
     if n_elements == 1:
@@ -468,7 +438,7 @@ def solve_min_latency_bounded_rounds(
         for _ in range(max_rounds):
             current = _FrontierTable(n_elements)
             for c in range(2, n_elements + 1):
-                _build_frontier(current, c, budget, latency, source=tables[-1])
+                _build_frontier(current, c, latency, budget, source=tables[-1])
             tables.append(current)
     _record_dp_build(
         "frontier-bounded",
@@ -477,36 +447,30 @@ def solve_min_latency_bounded_rounds(
         span.seconds,
         int(sum(int(t.size.sum()) for t in tables[1:])),
     )
-    final = tables[max_rounds]
-    count = int(final.size[n_elements])
+    count = int(tables[-1].size[n_elements])
     if count == 0:
         raise InvalidParameterError(
             f"no tournament sequence reaches the MAX of {n_elements} "
             f"elements within {max_rounds} round(s) and {budget} questions"
         )
-    index = count - 1  # min latency: last point of the frontier
-    sequence: List[int] = [n_elements]
-    c, i, r = n_elements, index, max_rounds
-    while c != 1:
-        parent_c = int(tables[r].parent_c[c, i])
-        parent_i = int(tables[r].parent_i[c, i])
-        c, i, r = parent_c, parent_i, r - 1
-        sequence.append(c)
-    return TDPPlan(
-        sequence=tuple(sequence),
-        total_latency=float(final.lat[n_elements, index]),
-        questions_used=int(final.cost[n_elements, index]),
-        frontier_sizes=tuple(int(s) for s in final.size[1:]),
-    )
+    # Min latency is the last point of the frontier; a state r rounds from
+    # the end reads its parents from P_r.
+    return _plan_from_point(reversed(tables), n_elements, count - 1, tables[-1].size[1:])
 
 
 def _plan_from_point(
-    table: _FrontierTable, n_elements: int, index: int, sizes: np.ndarray
+    tables: Iterable[_FrontierTable],
+    n_elements: int,
+    index: int,
+    sizes: np.ndarray,
 ) -> TDPPlan:
     """Reconstruct the plan behind one frontier point of P(c_0).
 
+    *tables* gives the table each state of the walk reads, ``c_0`` first.
     *sizes* are the per-row frontier sizes the plan reports (rows 1..c_0).
     """
+    tables = iter(tables)
+    table = next(tables)
     total_latency = float(table.lat[n_elements, index])
     questions_used = int(table.cost[n_elements, index])
     sequence: List[int] = [n_elements]
@@ -514,6 +478,7 @@ def _plan_from_point(
     while c != 1:
         c, i = int(table.parent_c[c, i]), int(table.parent_i[c, i])
         sequence.append(c)
+        table = next(tables)
     return TDPPlan(
         sequence=tuple(sequence),
         total_latency=total_latency,

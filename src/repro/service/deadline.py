@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
 
@@ -240,3 +240,44 @@ def queue_wait_p95(waits: Sequence[float]) -> float:
     if not waits:
         return 0.0
     return float(percentile(waits, 95.0))
+
+
+def backlog_queue_wait_p95(
+    now: float, waiting: Sequence[float], n_backlog: int, arrival: Callable[[int], float]
+) -> float:
+    """:func:`queue_wait_p95` of the waiting queries and the due backlog.
+
+    *waiting* are the waiting queries' arrival times; ``arrival(j)`` is the
+    ``j``-th backlog arrival time, ascending in ``j``.  The due arrivals are
+    the backlog's head, so their waits descend: the ``k`` largest waits (the
+    nearest-rank p95 is the ``k``-th) are the ``i`` largest waiting ones and
+    the first ``k - i`` due ones, for a split ``i`` a binary search finds.
+    This reads ``O(log n)`` arrivals (one to size an all-due head), never
+    the whole backlog.
+    """
+    from repro.obs.stats import nearest_rank
+
+    n_due = n_backlog
+    if n_due and arrival(n_due - 1) > now:
+        n_due = _first_false(0, n_due - 1, lambda j: arrival(j) <= now)
+    ranked = sorted((max(0.0, now - a) for a in waiting), reverse=True)
+    n = len(ranked) + n_due
+    if n == 0:
+        return 0.0
+    k = n - nearest_rank(n, 95.0) + 1
+    split = _first_false(
+        max(0, k - n_due), min(k, len(ranked)), lambda i: now - arrival(k - i - 1) < ranked[i]
+    )
+    top = ranked[split - 1] if split else math.inf
+    return float(min(top, now - arrival(k - split - 1)) if split < k else top)
+
+
+def _first_false(lo: int, hi: int, holds: Callable[[int], bool]) -> int:
+    """First index of ``[lo, hi)`` where *holds*, true then false, fails."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo

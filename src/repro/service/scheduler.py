@@ -32,7 +32,6 @@ import dataclasses
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import takewhile
 from pathlib import Path
 from typing import (
     Any,
@@ -98,7 +97,7 @@ from repro.service.deadline import (
     BrownoutConfig,
     BrownoutController,
     LatencyBudget,
-    queue_wait_p95,
+    backlog_queue_wait_p95,
 )
 from repro.service.plan_cache import PlanCache, PlanKey
 from repro.service.policies import policy_by_name
@@ -724,13 +723,13 @@ class MaxScheduler:
     # ------------------------------------------------------------------
     def _admit_due(self) -> None:
         """Offer every arrival whose time has come to admission control."""
-        while self._backlog and self._backlog[0].arrival_time <= self._now:
+        while self._backlog and (spec := self._backlog[0]).arrival_time <= self._now:
             if (
                 self._brownout is not None
                 and self._brownout.shed_low_priority
-                and self._backlog[0].priority <= 0
+                and spec.priority <= 0
             ):
-                spec = self._backlog.popleft()
+                self._backlog.popleft()
                 self._shed(
                     spec,
                     reason=(
@@ -744,7 +743,7 @@ class MaxScheduler:
             )
             if decision is AdmissionDecision.DEFER:
                 return  # stays in the backlog; re-offered next tick
-            spec = self._backlog.popleft()
+            self._backlog.popleft()
             if decision is AdmissionDecision.SHED:
                 self._shed(spec)
             else:
@@ -836,17 +835,11 @@ class MaxScheduler:
     # ------------------------------------------------------------------
     def _queue_wait_p95(self) -> float:
         """Live queue-wait p95 over waiting queries and due arrivals."""
-        waits = [
-            max(0.0, self._now - q.spec.arrival_time) for q in self._waiting
-        ]
-        # The backlog is in arrival order: the due arrivals are its head.
-        waits.extend(
-            self._now - spec.arrival_time
-            for spec in takewhile(
-                lambda spec: spec.arrival_time <= self._now, self._backlog
-            )
+        backlog = self._backlog
+        waiting = [q.spec.arrival_time for q in self._waiting]
+        return backlog_queue_wait_p95(
+            self._now, waiting, len(backlog), lambda j: backlog[j].arrival_time
         )
-        return queue_wait_p95(waits)
 
     def _update_brownout(self) -> None:
         """Feed the live queue-wait p95 into the brownout controller."""

@@ -9,16 +9,26 @@ from repro.core.latency import LinearLatency, PowerLawLatency
 from repro.core.questions import tournament_questions
 from repro.core.tdp import (
     TDPTable,
+    _build_frontier,
     _FrontierTable,
     _transition_questions,
 )
+from repro.obs.profiling import profiled
 
 
-def _frontiers(n, budget, latency):
-    """The rows of a cold table built at exactly ``(n, budget)``."""
+def _complete(n, latency):
+    """The complete rows ``P(1) .. P(n)`` of a table grown to *n*."""
     table = TDPTable(latency)
-    table.plan(n, budget)
+    table.plan(n, n - 1)
     return table._rows
+
+
+def _capped(n, budget, latency):
+    """The rows built with every point costing more than *budget* dropped."""
+    rows = _FrontierTable(n)
+    for c in range(2, n + 1):
+        _build_frontier(rows, c, latency, budget)
+    return rows
 
 
 class TestTransitionQuestions:
@@ -72,7 +82,16 @@ class TestFrontierInvariants:
     def test_frontiers_are_strict_pareto_sets(self, n, data, delta, alpha, p):
         budget = data.draw(st.integers(n - 1, n * (n - 1) // 2))
         latency = PowerLawLatency(delta, max(alpha, 1e-9), p)
-        table = _frontiers(n, budget, latency)
+        capped = _capped(n, budget, latency)
+        for table in (_complete(n, latency), capped):
+            self._check_rows(table, n)
+        assert all(
+            capped.cost[c, int(capped.size[c]) - 1] <= budget
+            for c in range(1, n + 1)
+        )
+
+    @staticmethod
+    def _check_rows(table, n):
         for c in range(1, n + 1):
             count = int(table.size[c])
             assert count >= 1
@@ -81,14 +100,14 @@ class TestFrontierInvariants:
             # Cost strictly ascending, latency strictly descending.
             assert all(b > a for a, b in zip(costs, costs[1:]))
             assert all(b < a for a, b in zip(lats, lats[1:]))
-            # Every point respects the global budget.
-            assert costs[-1] <= budget
-            # Theorem 1 lower bound per candidate count.
+            # Theorem 1 lower bound per candidate count, and no sequence
+            # asks a pair twice, so none costs more than C(c, 2).
             assert costs[0] >= c - 1
+            assert costs[-1] <= c * (c - 1) // 2
 
     def test_parents_reference_valid_points(self):
         latency = LinearLatency(239, 0.06)
-        table = _frontiers(50, 400, latency)
+        table = _complete(50, latency)
         for c in range(2, 51):
             for i in range(int(table.size[c])):
                 parent_c = int(table.parent_c[c, i])
@@ -110,19 +129,27 @@ class TestTDPTable:
 
     def test_nothing_is_built_before_the_first_lookup(self):
         table = TDPTable(self.LATENCY)
-        assert (table.n_elements, table.budget_cap) == (0, -1)
-        table.plan(30, 90)
-        assert (table.n_elements, table.budget_cap) == (30, 90)
+        assert table.n_elements == 1
+        assert table._rows.size.tolist() == [0, 1]
+        plan = table.plan(30, 29)
+        assert table.n_elements == 30
+        # Rows are complete, not cut at the first lookup's budget.
+        assert plan.frontier_sizes[-1] == 1
+        assert table._rows.cost[30, int(table._rows.size[30]) - 1] > 29
 
     def test_growth_policy(self):
         table = TDPTable(self.LATENCY)
-        table.plan(30, 90)
-        table.plan(50, 60)  # more rows, same cap
-        assert (table.n_elements, table.budget_cap) == (50, 90)
-        table.plan(20, 100)  # budget past the cap: rebuild at 2B
-        assert (table.n_elements, table.budget_cap) == (50, 180)
-        table.plan(10, 500)  # past 2B: rebuild at b
-        assert (table.n_elements, table.budget_cap) == (50, 500)
+        with profiled(publish=False) as profiler:
+            table.plan(30, 90)
+            rows = table._rows.cost.copy()
+            table.plan(20, 400)  # larger budget, fewer rows: no build
+            table.plan(30, 30)
+            assert profiler.snapshot()["frontier.rows"] == 29
+            np.testing.assert_array_equal(table._rows.cost[:31], rows)
+            table.plan(50, 60)  # more rows: only 31..50 are built
+            assert table.n_elements == 50
+            assert profiler.snapshot()["frontier.rows"] == 49
+        np.testing.assert_array_equal(table._rows.cost[:31, : rows.shape[1]], rows)
 
     @given(
         shapes=st.lists(
@@ -136,8 +163,10 @@ class TestTDPTable:
         table = TDPTable(self.LATENCY)
         for n, extra in shapes:
             budget = n - 1 + extra
-            table.plan(n, budget)
-            cold = _frontiers(n, budget, self.LATENCY)
+            plan = table.plan(n, budget)
+            cold = _capped(n, budget, self.LATENCY)
+            assert plan.frontier_sizes == tuple(cold.size[1 : n + 1].tolist())
+            assert plan.questions_used == cold.cost[n, int(cold.size[n]) - 1]
             rows = table._rows
             for c in range(1, n + 1):
                 count = int(cold.size[c])
@@ -147,3 +176,20 @@ class TestTDPTable:
                         getattr(rows, name)[c, :count],
                         getattr(cold, name)[c, :count],
                     )
+
+    @given(
+        shapes=st.lists(
+            st.tuples(st.integers(1, 60), st.integers(0, 200)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_each_row_is_built_once(self, shapes):
+        table = TDPTable(self.LATENCY)
+        with profiled(publish=False) as profiler:
+            for n, extra in shapes:
+                table.plan(n, n - 1 + extra)
+        counts = profiler.snapshot()
+        assert counts.get("frontier.rows", 0) == max(n for n, _ in shapes) - 1
+        assert counts["frontier.solves"] == len(shapes)

@@ -6,7 +6,11 @@ shedding low-priority admissions, widening repetition reduction and
 suspending hedging — restored in reverse order as the queue drains.
 """
 
+from itertools import takewhile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.latency import LinearLatency
 from repro.errors import InvalidParameterError
@@ -20,7 +24,7 @@ from repro.service import (
     QueryState,
     ServiceConfig,
 )
-from repro.service.deadline import queue_wait_p95
+from repro.service.deadline import backlog_queue_wait_p95, queue_wait_p95
 
 LATENCY = LinearLatency(239, 0.06)
 
@@ -97,6 +101,29 @@ class TestBrownoutController:
         assert queue_wait_p95([]) == 0.0
         waits = [float(i) for i in range(1, 101)]
         assert queue_wait_p95(waits) == 95.0
+
+    TIMES = st.lists(
+        st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 1e6)),
+        max_size=200,
+    )
+
+    @given(waiting=TIMES, backlog=TIMES, now=st.floats(0.0, 1e6))
+    @settings(max_examples=300, deadline=None)
+    def test_backlog_p95_equals_the_full_list(self, waiting, backlog, now):
+        backlog.sort()
+        reads = []
+
+        def arrival(j):
+            reads.append(j)
+            return backlog[j]
+
+        waits = [max(0.0, now - a) for a in waiting]
+        waits += [now - a for a in takewhile(lambda a: a <= now, backlog)]
+        p95 = backlog_queue_wait_p95(now, waiting, len(backlog), arrival)
+        assert p95 == queue_wait_p95(waits)
+        # Never the whole backlog: two binary searches and two reads.
+        bound = len(backlog).bit_length() + len(waiting).bit_length() + 2
+        assert len(reads) <= bound
 
 
 class TestBrownoutScheduling:
@@ -180,6 +207,33 @@ class TestBrownoutScheduling:
         assert all(c.queue_wait_p95 >= 0.0 for c in changes)
         # The tick stream carries the live level for the dashboard.
         assert any(s.brownout_level > 0 for s in scheduler.tick_history)
+
+    def test_live_p95_equals_the_full_due_head(self):
+        # Staggered arrivals with ties, a queue and a growing due head.
+        config = ServiceConfig(
+            max_active_queries=2,
+            max_queue_depth=6,
+            brownout=BrownoutConfig(queue_wait_threshold=300.0),
+        )
+        specs = [
+            spec(i, n=12, budget=60, priority=i % 3,
+                 arrival_time=40.0 * (i // 2))
+            for i in range(40)
+        ]
+        scheduler = MaxScheduler(specs, LATENCY, seed=0, config=config)
+        while True:
+            now = scheduler._now
+            waits = [
+                max(0.0, now - q.spec.arrival_time) for q in scheduler._waiting
+            ] + [
+                now - s.arrival_time
+                for s in scheduler._backlog
+                if s.arrival_time <= now
+            ]
+            assert scheduler._queue_wait_p95() == queue_wait_p95(waits)
+            if not scheduler.step():
+                break
+        assert scheduler.brownout.transitions > 0
 
     def test_brownout_off_keeps_results_identical(self):
         plain = self._congested(None).run()
