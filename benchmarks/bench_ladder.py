@@ -11,6 +11,12 @@ waiting lists.  That count is deterministic, and it must not grow with
 the query count: a tick that rescans every result, as ``_sample_tick``
 once did, makes the drain quadratic; so does a p95 that reads every due
 arrival.
+
+The same drain counts the session passes (``PROFILER``'s
+``session.open_passes`` and ``session.submit_passes``): the scheduler
+opens and resolves every query's round in one pass each per tick, so
+neither may exceed the tick count, while per-query calls would count
+rounds, tens per tick.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from collections import deque
 from typing import Dict, List, Tuple
 
 from repro.core.latency import mturk_car_latency
+from repro.obs.profiling import profiled
 from repro.obs.slo import default_slo_config
 from repro.service import (
     BrownoutConfig,
@@ -127,12 +134,17 @@ def bench_scale_ladder(benchmark):
         rows = {}
         for armed in (False, True):
             for n_queries in SIZES:
-                per_tick = _counted(_burst(n_queries, armed))
+                with profiled(publish=False) as profiler:
+                    per_tick = _counted(_burst(n_queries, armed))
+                    passes = profiler.snapshot()
                 rows[armed, n_queries] = {
                     "qps": _throughput(n_queries, armed),
                     "ticks": len(per_tick),
                     "work_mean": statistics.fmean(per_tick),
                     "work_max": max(per_tick),
+                    "open_passes": passes["session.open_passes"],
+                    "submit_passes": passes["session.submit_passes"],
+                    "rounds": passes["session.rounds_opened"],
                 }
         return rows
 
@@ -140,11 +152,14 @@ def bench_scale_ladder(benchmark):
     print()
     print("-- scale ladder / burst shape, 64 active --")
     print(f"{'shape':>6} {'queries':>8} {'queries/s':>10} {'ticks':>6} "
-          f"{'work/tick mean':>15} {'max':>5}")
+          f"{'work/tick mean':>15} {'max':>5} {'open':>6} {'submit':>6} "
+          f"{'rounds':>7}")
     for (armed, n_queries), row in rows.items():
         print(f"{'armed' if armed else 'plain':>6} {n_queries:>8} "
               f"{row['qps']:>10.0f} {row['ticks']:>6} "
-              f"{row['work_mean']:>15.1f} {row['work_max']:>5}")
+              f"{row['work_mean']:>15.1f} {row['work_max']:>5} "
+              f"{row['open_passes']:>6} {row['submit_passes']:>6} "
+              f"{row['rounds']:>7}")
     for armed in (False, True):
         small, large = rows[armed, SIZES[0]], rows[armed, SIZES[-1]]
         # Deterministic counts: a tick that walked the backlog or the
@@ -152,3 +167,8 @@ def bench_scale_ladder(benchmark):
         # and drain-out ticks, which weigh more in a short run.
         assert large["work_mean"] <= 1.1 * small["work_mean"]
         assert large["work_max"] <= 1.1 * small["work_max"]
+        # Deterministic counts: one open and one submit pass per tick at
+        # most, whatever the number of queries sharing it.
+        for row in (small, large):
+            assert row["open_passes"] <= row["ticks"]
+            assert row["submit_passes"] <= row["ticks"]

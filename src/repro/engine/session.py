@@ -20,6 +20,14 @@ one arrives.  It takes them as :class:`~repro.types.Answer` s or as a
 ``(k, 2)`` int array of ``(winner, loser)`` rows, the form a shared crowd
 round already has.  Sessions are checkpointable at any point, mid-round
 included, with :mod:`repro.persistence`.
+
+A service driving many sessions at once opens and resolves their rounds
+in two array passes: :func:`open_rounds` selects every closed session's
+next round (each with its own RNG) and keys them all together, and
+:func:`submit_rounds` validates and records one shared round's answers
+for all of them.  The single-session methods are these functions over
+one session.  A batch is all-or-nothing: a bad row in any session raises
+before any session records anything.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ import numpy as np
 
 from repro.core.allocation import Allocation
 from repro.errors import InvalidParameterError, ReproError
-from repro.graphs.answer_graph import AnswerGraph
+from repro.graphs.answer_graph import AnswerGraph, directed_keys
+from repro.obs.profiling import PROFILER
 from repro.selection.base import QuestionSelector, SelectionContext, select_round
 from repro.selection.scoring import best_scored
 from repro.types import Answer, Element, Question, as_pairs
@@ -254,7 +263,7 @@ class MaxSession:
                     "a mid-round checkpoint must leave at least one pending "
                     "question unanswered"
                 )
-            session._open_round(pending_rows, answered)
+            _hand_out([session], [pending_rows], [answered])
         return session
 
     # ------------------------------------------------------------------
@@ -264,13 +273,40 @@ class MaxSession:
         """The current round's unanswered questions, in selection order, as
         a read-only ``(k, 2)`` int64 array of canonical ``(lo, hi)`` rows.
 
-        The round is selected on the first call; later calls return what
-        :meth:`submit` has not answered yet.  Raises
-        :class:`SessionStateError` when the session is finished.
+        The round is selected on the first call (:func:`open_rounds`);
+        later calls return what :meth:`submit` has not answered yet.
+        Raises :class:`SessionStateError` when the session is finished.
         """
-        if self.done:
-            raise SessionStateError("the session has finished")
         if self._pending is None:
+            open_rounds([self])
+            if self._pending is None:
+                raise SessionStateError("the session has finished")
+        if not self._n_answered:
+            return self._pending
+        return self._pending[~self._answered]
+
+    def submit(self, answers: Union[np.ndarray, Sequence[Answer]]) -> None:
+        """Record answers to any subset of the unanswered questions.
+
+        *answers* is a ``(k, 2)`` int array of ``(winner, loser)`` rows, or
+        a sequence of :class:`~repro.types.Answer` s (converted to one on
+        entry).  The answers enter the evidence graph (and
+        :attr:`candidates`) at once; the round resolves when its last
+        question is answered.  This is :func:`submit_rounds` over one
+        session.
+
+        Raises:
+            SessionStateError: if no round is pending, or if an answer is
+                foreign to the round, repeated, already given or compares
+                an element with itself — nothing is recorded then, as
+                accepting it would silently corrupt the evidence graph.
+        """
+        submit_rounds([self], answers, [len(answers)])
+
+    def _select(self) -> Optional[np.ndarray]:
+        """Select the next round with questions, skipping rounds that
+        select none; ``None`` once the session is done."""
+        while not self.done:
             context = SelectionContext(
                 budget=self.allocation.round_budgets[self._round_index],
                 candidates=self._candidates,
@@ -280,84 +316,16 @@ class MaxSession:
                 rng=self._rng,
             )
             questions = select_round(self.selector, context)
-            if not len(questions):
-                # Nothing askable this round; skip it transparently.
-                self._round_index += 1
-                self._advance_past_empty_rounds()
-                if not self.done:
-                    return self.pending_questions()
-                raise SessionStateError("the session has finished")
-            self._open_round(questions, np.zeros(len(questions), bool))
-        if not self._n_answered:
-            return self._pending
-        return self._pending[~self._answered]
+            if len(questions):
+                return questions
+            # Nothing askable this round; skip it transparently.
+            self._round_index += 1
+            self._advance_past_empty_rounds()
+        return None
 
-    def _open_round(self, questions: np.ndarray, answered: np.ndarray) -> None:
-        """Hand out the ``(k, 2)`` *questions* as the round, *answered* of
-        them already."""
-        a, b = questions[:, 0], questions[:, 1]
-        keys = np.minimum(a, b) * len(self.evidence) + np.maximum(a, b)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        if np.count_nonzero(a == b) or np.count_nonzero(keys[1:] == keys[:-1]):
-            raise InvalidParameterError(
-                "a round's questions must be distinct pairs of distinct "
-                "elements"
-            )
-        questions.flags.writeable = False
-        self._pending = questions
-        self._keys = keys
-        self._key_order = order
-        self._answered = answered
-        self._n_answered = int(np.count_nonzero(answered))
-
-    def submit(self, answers: Union[np.ndarray, Sequence[Answer]]) -> None:
-        """Record answers to any subset of the unanswered questions.
-
-        *answers* is a ``(k, 2)`` int array of ``(winner, loser)`` rows, or
-        a sequence of :class:`~repro.types.Answer` s (converted to one on
-        entry).  The answers enter the evidence graph (and
-        :attr:`candidates`) at once; the round resolves when its last
-        question is answered.
-
-        Raises:
-            SessionStateError: if no round is pending, or if an answer is
-                foreign to the round, repeated, already given or compares
-                an element with itself — nothing is recorded then, as
-                accepting it would silently corrupt the evidence graph.
-        """
-        if self._pending is None:
-            raise SessionStateError(
-                "no pending questions; call pending_questions() first"
-            )
-        rows = _answer_rows(answers)
-        winners, losers = rows[:, 0], rows[:, 1]
-        lo, hi = np.minimum(winners, losers), np.maximum(winners, losers)
-        n = len(self.evidence)
-        keys = lo * n + hi
-        slots = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        known = (self._keys[slots] == keys) & (lo >= 0) & (lo < hi) & (hi < n)
-        # Every row names a question of the round, and marking them adds
-        # one answer per row: no row repeats another or an earlier answer.
-        answered = self._answered.copy()
-        answered[self._key_order[slots]] = True
-        n_answered = int(np.count_nonzero(answered))
-        if (
-            np.count_nonzero(known) < len(rows)
-            or n_answered - self._n_answered < len(rows)
-        ):
-            raise SessionStateError(
-                f"answers must match distinct unanswered questions of the "
-                f"round; foreign, repeated or already answered "
-                f"(unknown: {rows[~known][:5].tolist()})"
-            )
-        self.evidence.record_pairs(rows, validated=True)
-        self._answered, self._n_answered = answered, n_answered
-        if len(rows):
-            lost = set(losers.tolist())
-            self._candidates = tuple(
-                [c for c in self._candidates if c not in lost]
-            )
+    def _resolve(self, answers: np.ndarray, n_answered: int) -> None:
+        """Adopt the round's *answers* mask; close the round when full."""
+        self._answered, self._n_answered = answers, n_answered
         if n_answered < len(self._pending):
             return
         self._questions_posted += len(self._pending)
@@ -375,6 +343,190 @@ class MaxSession:
             and budgets[self._round_index] == 0
         ):
             self._round_index += 1
+
+
+def open_rounds(sessions: Sequence[MaxSession]) -> None:
+    """Open the next round of every session in *sessions* that has none.
+
+    Each closed, unfinished session selects with its own RNG, skipping
+    rounds that select nothing; then one pass keys and checks all the
+    selected rounds.
+    Sessions with a round open, and finished ones, are left as they are.
+
+    Raises:
+        InvalidParameterError: if a selector overspent its round budget,
+            or a selected round does not hold distinct pairs of distinct
+            elements; no round is opened then.
+    """
+    opened: List[MaxSession] = []
+    rounds: List[np.ndarray] = []
+    for session in sessions:
+        if session._pending is None:
+            questions = session._select()
+            if questions is not None:
+                opened.append(session)
+                rounds.append(questions)
+    if opened:
+        _hand_out(opened, rounds, [np.zeros(len(q), bool) for q in rounds])
+
+
+def _hand_out(
+    sessions: Sequence[MaxSession],
+    rounds: Sequence[np.ndarray],
+    answered: Sequence[np.ndarray],
+) -> None:
+    """Open ``rounds[i]`` as ``sessions[i]``'s round, ``answered[i]`` of
+    it already answered.
+
+    One pass keys every question (see :func:`_key_space`), so one stable
+    argsort sorts each session's keys in its own slice.
+    """
+    sizes, bases = _key_space(sessions)
+    lengths = [len(questions) for questions in rounds]
+    starts = np.cumsum(lengths) - lengths
+    questions = np.concatenate(rounds)
+    row_sizes = np.repeat(sizes, lengths)
+    row_bases = np.repeat(bases, lengths)
+    a, b = questions[:, 0], questions[:, 1]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keys = lo * row_sizes + hi + row_bases
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if (
+        np.count_nonzero((lo < 0) | (lo == hi) | (hi >= row_sizes))
+        or np.count_nonzero(keys[1:] == keys[:-1])
+    ):
+        raise InvalidParameterError(
+            "a round's questions must be distinct pairs of distinct "
+            "elements of its collection"
+        )
+    # The bases keep each session's keys in its own slice of the sort.
+    keys -= row_bases
+    order -= np.repeat(starts, lengths)
+    masks = np.concatenate(answered)
+    n_answered = np.add.reduceat(masks, starts, dtype=np.int64).tolist()
+    for session, pending, first, length, n in zip(
+        sessions, rounds, starts.tolist(), lengths, n_answered
+    ):
+        end = first + length
+        pending.flags.writeable = False
+        session._pending = pending
+        session._keys = keys[first:end]
+        session._key_order = order[first:end]
+        session._answered = masks[first:end]
+        session._n_answered = n
+    if PROFILER.enabled:
+        PROFILER.add("session.open_passes")
+        PROFILER.add("session.rounds_opened", len(sessions))
+
+
+def submit_rounds(
+    sessions: Sequence[MaxSession],
+    rows: Union[np.ndarray, Sequence[Answer]],
+    counts: Sequence[int],
+) -> None:
+    """Record one shared round's answers for several sessions at once.
+
+    *rows* is a ``(k, 2)`` int array of local ``(winner, loser)`` rows, or
+    a sequence of :class:`~repro.types.Answer` s, grouped by session: the
+    first ``counts[0]`` answer ``sessions[0]``'s open round, the next
+    ``counts[1]`` ``sessions[1]``'s, and so on.  The sessions must be
+    distinct and each must have a round open; its rows may answer any
+    subset of that round's unanswered questions, and a session whose
+    round becomes fully answered resolves it, exactly as
+    :meth:`MaxSession.submit`.
+
+    The batch is all-or-nothing: one validation pass checks every row of
+    every session before any session records anything.
+
+    Raises:
+        SessionStateError: if a session has no round open, or a row is
+            foreign to its session's round, repeated, already answered or
+            compares an element with itself; nothing is recorded then.
+        InvalidParameterError: if *rows* is not ``(k, 2)`` int, a
+            session is listed twice, or *counts* does not split *rows*
+            into one slice per session.
+        InconsistentAnswersError: if a row contradicts an earlier answer
+            in its session's evidence (the sessions before it stay
+            recorded, as with one :meth:`MaxSession.submit` per session).
+    """
+    if any(session._pending is None for session in sessions):
+        raise SessionStateError(
+            "no pending questions; call pending_questions() first"
+        )
+    rows = _answer_rows(rows)
+    if (
+        len(counts) != len(sessions)
+        or sum(counts) != len(rows)
+        or min(counts, default=0) < 0
+    ):
+        raise InvalidParameterError(
+            f"counts must give one row count per session, summing to the "
+            f"{len(rows)} rows"
+        )
+    if len({id(session) for session in sessions}) < len(sessions):
+        raise InvalidParameterError("a session is listed twice")
+    if not sessions:
+        return
+    sizes, bases = _key_space(sessions)
+    lengths = [len(session._keys) for session in sessions]
+    starts = np.cumsum(lengths) - lengths
+    round_keys = np.concatenate([session._keys for session in sessions])
+    round_keys += np.repeat(bases, lengths)
+    key_order = np.concatenate([session._key_order for session in sessions])
+    key_order += np.repeat(starts, lengths)
+    answered = np.concatenate([session._answered for session in sessions])
+    row_sizes = np.repeat(sizes, counts)
+    winners, losers = rows[:, 0], rows[:, 1]
+    lo, hi = np.minimum(winners, losers), np.maximum(winners, losers)
+    keys = lo * row_sizes + hi + np.repeat(bases, counts)
+    slots = np.minimum(np.searchsorted(round_keys, keys), len(round_keys) - 1)
+    known = (round_keys[slots] == keys) & (lo >= 0) & (lo < hi) & (hi < row_sizes)
+    # Every row names a question of its session's round, and marking them
+    # adds one answer per row: no row repeats another or an earlier answer.
+    answered[key_order[slots]] = True
+    n_answered = np.add.reduceat(answered, starts, dtype=np.int64)
+    before = np.array([session._n_answered for session in sessions])
+    if np.count_nonzero(known) < len(rows) or not np.array_equal(
+        n_answered - before, counts
+    ):
+        raise SessionStateError(
+            f"answers must match distinct unanswered questions of the "
+            f"round; foreign, repeated or already answered "
+            f"(unknown: {rows[~known][:5].tolist()})"
+        )
+    forward, reverse = directed_keys(winners, losers, row_sizes)
+    lost_all = losers.tolist()
+    start = 0
+    for session, count, first, length, total in zip(
+        sessions, counts, starts.tolist(), lengths, n_answered.tolist()
+    ):
+        end = start + count
+        if count:
+            session.evidence.record_keyed(
+                rows[start:end], losers[start:end],
+                forward[start:end], reverse[start:end],
+            )
+            lost = set(lost_all[start:end])
+            session._candidates = tuple(
+                [c for c in session._candidates if c not in lost]
+            )
+        session._resolve(answered[first:first + length], total)
+        start = end
+    if PROFILER.enabled:
+        PROFILER.add("session.submit_passes")
+
+
+def _key_space(sessions: Sequence[MaxSession]) -> Tuple[np.ndarray, np.ndarray]:
+    """Each session's collection size ``n`` and key base.
+
+    A question ``(lo, hi)`` of a session is keyed ``base + lo * n + hi``,
+    where ``base`` is the sum of ``n**2`` over the sessions before it, so
+    the keys of different sessions never meet and sort session by session.
+    """
+    sizes = np.array([len(session.evidence) for session in sessions], np.int64)
+    squares = sizes * sizes
+    return sizes, np.cumsum(squares) - squares
 
 
 def _answer_rows(answers: Union[np.ndarray, Sequence[Answer]]) -> np.ndarray:

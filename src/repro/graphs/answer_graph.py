@@ -10,7 +10,7 @@ and are still candidates for the MAX.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class AnswerGraph:
         Rows before a rejected one stay recorded.  With *validated* the
         caller vouches that every row pairs two distinct known elements
         and that no two rows share a pair (what
-        :meth:`repro.engine.session.MaxSession.submit` checks); only the
+        :func:`repro.engine.session.submit_rounds` checks); only the
         check against earlier answers runs.
 
         Raises:
@@ -106,7 +106,11 @@ class AnswerGraph:
             bad = (winners == losers) | (winners < 0) | (losers < 0)
             if bad.any():
                 first = int(bad.argmax())
-                self._commit(rows[:first], winners[:first], losers[:first], True)
+                winners, losers = winners[:first], losers[:first]
+                self.record_keyed(
+                    rows[:first], losers, *directed_keys(winners, losers, self._n),
+                    may_repeat_pairs=True,
+                )
                 winner, loser = rows[first].tolist()
                 if winner == loser:
                     raise InvalidParameterError(
@@ -117,7 +121,10 @@ class AnswerGraph:
                     f"answer ({winner} > {loser}) involves elements outside "
                     f"the collection"
                 )
-        self._commit(rows, winners, losers, not validated)
+        self.record_keyed(
+            rows, losers, *directed_keys(winners, losers, self._n),
+            may_repeat_pairs=not validated,
+        )
 
     def _positions(self, column: np.ndarray) -> np.ndarray:
         """Each element's position; ``-1`` for an unknown element."""
@@ -126,17 +133,28 @@ class AnswerGraph:
         get = self._position.get
         return np.array([get(e, -1) for e in column.tolist()], np.int64)
 
-    def _commit(
+    def record_keyed(
         self,
         rows: np.ndarray,
-        winners: np.ndarray,
         losers: np.ndarray,
-        may_repeat_pairs: bool,
+        forward: List[int],
+        reverse: List[int],
+        *,
+        may_repeat_pairs: bool = False,
     ) -> None:
-        """Record the known-element rows, stopping at an opposite answer."""
-        n, keys = self._n, self._keys
-        forward = (winners * n + losers).tolist()
-        reverse = (losers * n + winners).tolist()
+        """Record ``(winner, loser)`` rows of known, distinct elements in
+        order, stopping at an opposite answer.
+
+        *losers* holds the rows' loser positions, and *forward* /
+        *reverse* their :func:`directed_keys` over this graph's size.
+        Unless *may_repeat_pairs*, no two rows may share a pair.
+
+        Raises:
+            InconsistentAnswersError: if a pair was answered the other
+                way, earlier or (with *may_repeat_pairs*) in these rows;
+                the rows before it stay recorded.
+        """
+        keys = self._keys
         if not keys.isdisjoint(reverse) or (
             may_repeat_pairs and not set(forward).isdisjoint(reverse)
         ):
@@ -145,7 +163,9 @@ class AnswerGraph:
                 if back in keys or back in earlier:
                     break
                 earlier.add(key)
-            self._commit(rows[:first], winners[:first], losers[:first], False)
+            self.record_keyed(
+                rows[:first], losers[:first], forward[:first], reverse[:first]
+            )
             winner, loser = rows[first].tolist()
             raise InconsistentAnswersError(
                 f"pair ({winner}, {loser}) already answered in the "
@@ -327,6 +347,18 @@ class AnswerGraph:
             f"answers={self.n_answers}, "
             f"|RC|={len(self.remaining_candidates())})"
         )
+
+
+def directed_keys(
+    winners: np.ndarray, losers: np.ndarray, n: Union[int, np.ndarray]
+) -> Tuple[List[int], List[int]]:
+    """The directed keys ``winner * n + loser`` of ``(winner, loser)``
+    position rows and their reverses ``loser * n + winner``, as int lists.
+
+    *n* is the graph size, or one size per row when the rows belong to
+    several graphs, so a batch over many graphs is keyed in one pass.
+    """
+    return (winners * n + losers).tolist(), (losers * n + winners).tolist()
 
 
 def undirected_question_graph(

@@ -64,7 +64,7 @@ from repro.crowd.multibackend import (
     resolve_fleet,
 )
 from repro.crowd.workers import WorkerPoolConfig
-from repro.engine.session import MaxSession, SessionStateError
+from repro.engine.session import MaxSession, open_rounds, submit_rounds
 from repro.errors import InvalidParameterError
 from repro.obs.attribution import component_metric, summarize_attribution
 from repro.obs.events import (
@@ -350,6 +350,8 @@ class MaxScheduler:
             breaker_config=breaker_config,
         )
         self.plan_cache = PlanCache()
+        # Selectors keep no state past __init__, so every session shares one.
+        self._selector = selector_by_name(self.config.selector)
         self._policy = policy_by_name(self.config.policy)
         self._allocator = allocator_by_name(self.config.allocator)
         self._admission = AdmissionController(self.config.admission_config())
@@ -516,10 +518,13 @@ class MaxScheduler:
         # Snapshot: _refresh_round and _apply_deadline both finalize (and
         # remove from _active) queries that are done or out of budget, and
         # removal mid-iteration would silently skip the next query.
+        active = list(self._active)
+        opening = [not q.session.awaiting_answers for q in active]
+        open_rounds([q.session for q in active])
         runnable = [
             q
-            for q in list(self._active)
-            if self._refresh_round(q) and self._apply_deadline(q)
+            for q, opened in zip(active, opening)
+            if self._refresh_round(q, opened) and self._apply_deadline(q)
         ]
         if not runnable:
             if self._backlog:
@@ -753,7 +758,7 @@ class MaxScheduler:
         allocation, cache_hit = self._plan(spec)
         session = MaxSession(
             allocation,
-            selector_by_name(self.config.selector),
+            self._selector,
             spec.n_elements,
             np.random.default_rng((self.seed, 4, self._next_seq)),
         )
@@ -1208,25 +1213,21 @@ class MaxScheduler:
     # ------------------------------------------------------------------
     # Tick execution
     # ------------------------------------------------------------------
-    def _refresh_round(self, query: ActiveQuery) -> bool:
+    def _refresh_round(self, query: ActiveQuery, opened: bool) -> bool:
         """Load *query*'s unanswered questions; finalize when done.
 
-        Returns ``True`` when the query has questions to post this tick.
+        *opened* says whether this step's :func:`open_rounds` pass opened
+        the query's round.  Returns ``True`` when the query has questions
+        to post this tick.
         """
         session = query.session
-        opening = not session.awaiting_answers
         if session.done:
             self._finalize(query, QueryState.COMPLETED)
             return False
-        try:
-            pending = session.pending_questions()
-        except SessionStateError:
-            # Selecting emptied the remaining rounds; the session is done.
-            self._finalize(query, QueryState.COMPLETED)
-            return False
+        pending = session.pending_questions()
         query.unanswered = pending + query.offset
         tracer = current_tracer()
-        if opening and tracer.enabled:
+        if opened and tracer.enabled:
             query_id = query.spec.query_id
             open_span(
                 tracer,
@@ -1351,42 +1352,26 @@ class MaxScheduler:
         rows = np.argsort(owner, kind="stable")
         local = np.stack((winners, questions.sum(axis=1) - winners), axis=1)
         local = (local - offsets[owner][:, None])[rows]
-        bounds = np.bincount(owner, minlength=len(scheduled)).cumsum().tolist()
-        start = 0
-        for query, end in zip(scheduled, bounds):
-            self._collect(query, local[start:end], unposted=outcome.unposted)
-            start = end
-
-    def _collect(
-        self,
-        query: ActiveQuery,
-        answers: np.ndarray,
-        unposted: FrozenSet[Question],
-    ) -> None:
-        """Submit *query*'s ``(k, 2)`` local winner/loser rows of a shared
-        round to its session."""
-        lost = len(query.unanswered) - len(answers)  # re-posted next tick
-        session = query.session
-        tracer = current_tracer()
-        if not lost and tracer.enabled:
-            # Before submit advances round_index, so the id matches the
-            # open emitted by _refresh_round.
-            close_span(
-                tracer,
-                f"q{query.spec.query_id}/r{session.round_index}",
-                end=self._now,
-            )
-        if len(answers):
-            session.submit(answers)
-        if lost:
-            # An unposted question is never answered, so the lost ones
-            # were all unposted exactly when `lost` of the round were.
-            if query.count_in(unposted) < lost:
-                self._bump_round_attempts(query, lost)
-            return
-        query.round_attempts = 0
-        if session.done:
-            self._finalize(query, QueryState.COMPLETED)
+        counts = np.bincount(owner, minlength=len(scheduled))
+        # Before submit advances round_index, so each closed span's id
+        # matches the open emitted by _refresh_round.
+        rounds = [query.session.round_index for query in scheduled]
+        submit_rounds([query.session for query in scheduled], local, counts)
+        for query, count, round_index in zip(scheduled, counts.tolist(), rounds):
+            lost = len(query.unanswered) - count  # re-posted next tick
+            if lost:
+                # An unposted question is never answered, so the lost ones
+                # were all unposted exactly when `lost` of the round were.
+                if query.count_in(outcome.unposted) < lost:
+                    self._bump_round_attempts(query, lost)
+                continue
+            if tracer.enabled:
+                close_span(
+                    tracer, f"q{query.spec.query_id}/r{round_index}", end=self._now
+                )
+            query.round_attempts = 0
+            if query.session.done:
+                self._finalize(query, QueryState.COMPLETED)
 
     def _bump_round_attempts(self, query: ActiveQuery, lost: int) -> None:
         query.round_attempts += 1

@@ -1,5 +1,7 @@
 """Tests for the caller-driven MaxSession."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,12 @@ from repro.core.latency import LinearLatency
 from repro.core.tdp import TDPAllocator
 from repro.crowd.ground_truth import GroundTruth
 from repro.engine.max_engine import MaxEngine, OracleAnswerSource
-from repro.engine.session import MaxSession, SessionStateError
+from repro.engine.session import (
+    MaxSession,
+    SessionStateError,
+    open_rounds,
+    submit_rounds,
+)
 from repro.errors import InvalidParameterError
 from repro.persistence import (
     answer_graph_to_dict,
@@ -458,4 +465,201 @@ class TestColumnSubmits:
         session.pending_questions()
         with pytest.raises(InvalidParameterError, match=r"\(k, 2\) int"):
             session.submit(bad)
+        assert session.evidence.n_answers == 0
+
+
+class SilentOnSomeRounds(TournamentFormation):
+    """Tournaments, except that every third round (from round 1) selects
+    nothing, so the session must skip it."""
+
+    def select(self, ctx):
+        if ctx.round_index % 3 == 1:
+            return []
+        return super().select(ctx)
+
+
+def make_sessions(seed, sizes, silent):
+    selector = SilentOnSomeRounds() if silent else TournamentFormation()
+    return [
+        MaxSession(
+            TDPAllocator().allocate(n, 3 * n, LATENCY), selector, n,
+            np.random.default_rng((seed, i)),
+        )
+        for i, n in enumerate(sizes)
+    ]
+
+
+def session_state(session):
+    """Everything a round pass may change, for exact comparison."""
+    return (
+        answer_graph_to_dict(session.evidence),
+        sorted(session.evidence._keys),
+        session.candidates,
+        counters(session),
+        session.pending,
+        session._answered.tolist() if session.awaiting_answers else None,
+        session.rng.bit_generator.state,
+    )
+
+
+def checkpointed(session):
+    """*session* restored from a copy of its state, mid-round included."""
+    return MaxSession.restore(
+        session.allocation, session.selector, len(session.evidence),
+        copy.deepcopy(session.rng),
+        evidence=copy.deepcopy(session.evidence),
+        round_index=session.round_index,
+        questions_posted=session.questions_posted,
+        rounds_executed=session.rounds_executed,
+        pending=session.pending,
+    )
+
+
+def open_each(sessions):
+    """Open every session's round one ``pending_questions`` call at a time;
+    selection may skip the remaining rounds and finish a session."""
+    for session in sessions:
+        if not session.done:
+            try:
+                session.pending_questions()
+            except SessionStateError:
+                assert session.done
+
+
+def answer_some(truth, pending, pick):
+    """True answers to a random subset of *pending*, in random order."""
+    chosen = pending[pick.permutation(len(pending))]
+    return rows_to(truth, chosen[pick.random(len(chosen)) < 0.6])
+
+
+SIZES = st.lists(st.integers(2, 20), min_size=1, max_size=5)
+
+
+class TestBatchPasses:
+    """``open_rounds`` / ``submit_rounds`` over many sessions equal the
+    single-session calls made one session at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), sizes=SIZES, silent=st.booleans())
+    def test_submit_rounds_matches_sequential_submits(self, seed, sizes, silent):
+        batched, sequential = (make_sessions(seed, sizes, silent) for _ in range(2))
+        truths = [
+            GroundTruth.random(n, np.random.default_rng((seed, i, 1)))
+            for i, n in enumerate(sizes)
+        ]
+        pick = np.random.default_rng(seed)
+        while not all(session.done for session in sequential):
+            open_each(sequential)
+            open_rounds(batched)
+            live = [
+                i for i, session in enumerate(sequential) if session.awaiting_answers
+            ]
+            rows = [np.empty((0, 2), np.int64)]
+            for i in live:
+                rows.append(
+                    answer_some(truths[i], sequential[i].pending_questions(), pick)
+                )
+                sequential[i].submit(rows[-1])
+            submit_rounds(
+                [batched[i] for i in live],
+                np.concatenate(rows),
+                [len(answers) for answers in rows[1:]],
+            )
+            for one, other in zip(batched, sequential):
+                assert session_state(one) == session_state(other)
+        assert [s.winner for s in batched] == [s.winner for s in sequential]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), sizes=SIZES, silent=st.booleans())
+    def test_open_rounds_matches_pending_questions(self, seed, sizes, silent):
+        """Including rounds skipped as empty, finished sessions and
+        sessions restored mid-round from a checkpoint."""
+        batched, sequential = (make_sessions(seed, sizes, silent) for _ in range(2))
+        truths = [
+            GroundTruth.random(n, np.random.default_rng((seed, i, 1)))
+            for i, n in enumerate(sizes)
+        ]
+        pick = np.random.default_rng(seed)
+        while not all(session.done for session in sequential):
+            open_rounds(batched)
+            open_each(sequential)
+            for one, other in zip(batched, sequential):
+                assert session_state(one) == session_state(other)
+            for one, other, truth in zip(batched, sequential, truths):
+                if not other.done:
+                    answers = answer_some(truth, other.pending_questions(), pick)
+                    one.submit(answers)
+                    other.submit(answers)
+            batched = [checkpointed(session) for session in batched]
+            for one, other in zip(batched, sequential):
+                assert session_state(one) == session_state(other)
+
+    def test_open_rounds_skips_open_and_finished_sessions(self):
+        open_session, finished, fresh = make_sessions(3, [6, 6, 6], False)
+        truth = GroundTruth.random(6, np.random.default_rng(0))
+        drive_to_completion(finished, truth)
+        pending = open_session.pending_questions()
+        states = [session_state(s) for s in (open_session, finished)]
+        open_rounds([open_session, finished, fresh])
+        assert [session_state(s) for s in (open_session, finished)] == states
+        assert np.array_equal(open_session.pending_questions(), pending)
+        assert fresh.awaiting_answers
+
+    @pytest.mark.parametrize(
+        "case", ["foreign", "repeated", "already_answered", "self_pair"]
+    )
+    def test_one_bad_row_in_the_last_session_changes_no_session(self, case):
+        sessions = make_sessions(7, [6, 9, 12], False)
+        truths = [GroundTruth.random(n, np.random.default_rng(n)) for n in (6, 9, 12)]
+        open_rounds(sessions)
+        last = sessions[-1]
+        first, second = last.pending_questions()[:2]
+        if case == "already_answered":
+            last.submit(rows_to(truths[-1], [first]))
+        rows = [
+            rows_to(truth, session.pending_questions())
+            for truth, session in zip(truths[:-1], sessions)
+        ]
+        if case == "foreign":
+            asked = set(map(tuple, last.pending_questions().tolist()))
+            foreign = next(
+                (a, b) for a in range(12) for b in range(a + 1, 12)
+                if (a, b) not in asked
+            )
+            bad = rows_to(truths[-1], [second, foreign])
+        elif case == "repeated":
+            bad = rows_to(truths[-1], [first, second, first])
+        elif case == "already_answered":
+            bad = rows_to(truths[-1], [second, first])
+        else:
+            bad = np.vstack([rows_to(truths[-1], [second]), [[first[0], first[0]]]])
+        rows.append(bad)
+        states = [session_state(session) for session in sessions]
+        with pytest.raises(SessionStateError, match="repeated or already"):
+            submit_rounds(
+                sessions, np.concatenate(rows), [len(answers) for answers in rows]
+            )
+        assert [session_state(session) for session in sessions] == states
+
+    def test_a_session_without_an_open_round_is_rejected(self):
+        opened, closed = make_sessions(2, [6, 6], False)
+        rows = rows_to(GroundTruth.identity(6), opened.pending_questions())
+        with pytest.raises(SessionStateError, match="no pending"):
+            submit_rounds([opened, closed], rows, [len(rows), 0])
+        assert opened.evidence.n_answers == 0
+
+    def test_counts_must_cover_the_rows(self):
+        sessions = make_sessions(2, [6, 6], False)
+        open_rounds(sessions)
+        rows = rows_to(GroundTruth.identity(6), sessions[0].pending_questions())
+        with pytest.raises(InvalidParameterError, match="counts"):
+            submit_rounds(sessions, rows, [len(rows) - 1, 0])
+
+    def test_a_session_listed_twice_is_rejected(self):
+        """Two slices of one session could each pass the check alone and
+        repeat an answer between them."""
+        session = make_sessions(2, [6], False)[0]
+        first = rows_to(GroundTruth.identity(6), session.pending_questions()[:1])
+        with pytest.raises(InvalidParameterError, match="twice"):
+            submit_rounds([session, session], np.vstack([first, first]), [1, 1])
         assert session.evidence.n_answers == 0

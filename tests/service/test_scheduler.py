@@ -6,8 +6,10 @@ import pytest
 
 from repro.core.latency import LinearLatency
 from repro.crowd.faults import FaultProfile, RetryPolicy, fault_profile_by_name
+from repro.engine.session import submit_rounds
 from repro.errors import InvalidParameterError
 from repro.obs.metrics import get_registry
+from repro.obs.profiling import profiled
 from repro.obs.tracer import RecordingTracer, use_tracer
 from repro.service import (
     MaxScheduler,
@@ -19,6 +21,7 @@ from repro.service import (
     recover_scheduler,
     workload_by_name,
 )
+from repro.service import scheduler as scheduler_module
 from repro.service.deadline import DEADLINE_MET
 
 LATENCY = LinearLatency(239, 0.06)
@@ -114,6 +117,15 @@ class TestValidation:
             ServiceConfig(repetition=0)
         with pytest.raises(InvalidParameterError):
             ServiceConfig(overload_policy="panic")
+
+    def test_unknown_selector_rejected_at_construction(self):
+        with pytest.raises(InvalidParameterError, match="unknown selector"):
+            MaxScheduler(
+                [spec(0, arrival_time=50.0)],
+                LATENCY,
+                seed=0,
+                config=ServiceConfig(selector="NoSuchSelector"),
+            )
 
 
 class TestAdmissionControl:
@@ -213,8 +225,9 @@ class TestFaults:
 class TestColumnSplit:
     def test_each_query_receives_exactly_its_own_rows(self, monkeypatch):
         """The priority policy packs queries against their offset order
-        and lossy faults leave rounds half answered; each query's submit
-        must still carry exactly the round's rows inside its slice."""
+        and lossy faults leave rounds half answered; each query's slice of
+        the tick's one submit must carry exactly the round's rows inside
+        its element range."""
         specs = [
             spec(i, n=8 + 3 * i, budget=40 + 15 * i, priority=i)
             for i in range(6)
@@ -237,25 +250,31 @@ class TestColumnSplit:
 
         monkeypatch.setattr(scheduler.router, "post_round", record_outcome)
         collected = []
-        collect = scheduler._collect
 
-        def check_rows(query, answers, unposted):
-            offset, n = query.offset, query.spec.n_elements
+        def check_rows(sessions, rows, counts):
+            by_session = {id(q.session): q for q in scheduler._active}
             questions = outcomes[-1].questions
-            own = (questions[:, 0] >= offset) & (questions[:, 0] < offset + n)
-            expected = {
-                (truth.answer(lo, hi).winner, truth.answer(lo, hi).loser)
-                for lo, hi in questions[own].tolist()
-            }
-            received = {(w + offset, l + offset) for w, l in answers.tolist()}
-            assert len(answers) == len(received) == len(expected)
-            assert received == expected
-            collected.append(
-                (scheduler.ticks, offset, len(answers) < len(query.unanswered))
-            )
-            collect(query, answers, unposted)
+            start = 0
+            for session, count in zip(sessions, counts):
+                query = by_session[id(session)]
+                answers = rows[start:start + count]
+                start += count
+                offset, n = query.offset, query.spec.n_elements
+                own = (questions[:, 0] >= offset) & (questions[:, 0] < offset + n)
+                expected = {
+                    (truth.answer(lo, hi).winner, truth.answer(lo, hi).loser)
+                    for lo, hi in questions[own].tolist()
+                }
+                received = {(w + offset, l + offset) for w, l in answers.tolist()}
+                assert len(answers) == len(received) == len(expected)
+                assert received == expected
+                collected.append(
+                    (scheduler.ticks, offset, len(answers) < len(query.unanswered))
+                )
+            assert start == len(rows)
+            submit_rounds(sessions, rows, counts)
 
-        monkeypatch.setattr(scheduler, "_collect", check_rows)
+        monkeypatch.setattr(scheduler_module, "submit_rounds", check_rows)
         report = scheduler.run()
         assert all(r.state is QueryState.COMPLETED for r in report.results)
         ticks = {}
@@ -342,6 +361,21 @@ class TestTickCounters:
         assert recovered._tally == type(recovered._tally).of(recovered._results)
         assert _step_and_check(recovered) > 0
         recovered.journal.close()
+
+
+class TestSessionPasses:
+    def test_one_open_and_one_submit_pass_per_tick(self):
+        """The scheduler opens and resolves every query's round in one
+        pass each per tick, however many queries share the tick."""
+        specs = [spec(i, n=12, budget=70) for i in range(12)]
+        scheduler = MaxScheduler(specs, LATENCY, seed=0)
+        with profiled(publish=False) as profiler:
+            report = scheduler.run()
+        counts = profiler.snapshot()
+        assert report.accuracy == 1.0
+        assert counts["session.open_passes"] <= scheduler.ticks
+        assert counts["session.submit_passes"] <= scheduler.ticks
+        assert counts["session.rounds_opened"] > 2 * scheduler.ticks
 
 
 class TestPlanCacheIntegration:
