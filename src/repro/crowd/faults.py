@@ -374,6 +374,7 @@ class FaultyPlatform(Platform):
             worker_ids=worker_ids,
             completion_time=float(times.max()) if len(times) else 0.0,
             n_workers=len(np.unique(worker_ids)),
+            rows=result.rows[rows],
         )
 
     @staticmethod

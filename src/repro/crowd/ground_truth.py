@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.types import Answer, Element
+from repro.types import Answer, Element, Questions, as_pairs
 
 
 class GroundTruth:
@@ -75,6 +75,16 @@ class GroundTruth:
         if a == b:
             raise InvalidParameterError(f"cannot compare element {a} to itself")
         return a if self.rank(a) < self.rank(b) else b
+
+    def winners(self, pairs: Questions) -> np.ndarray:
+        """:meth:`better` over the ``(a, b)`` rows of *pairs*, as one int64
+        column; raises its error for the first row it rejects."""
+        rows = as_pairs(pairs)
+        a, b = rows[:, 0], rows[:, 1]
+        if len(rows) and ((a == b).any() or rows.min() < 0 or rows.max() >= len(self.ranks)):
+            for pair in rows.tolist():
+                self.better(*pair)
+        return np.where(self.ranks[a] < self.ranks[b], a, b)
 
     def answer(self, a: Element, b: Element) -> Answer:
         """The error-free answer to the question between *a* and *b*."""

@@ -28,7 +28,7 @@ import numpy as np
 from repro.crowd.error_models import ErrorModel, PerfectWorkers
 from repro.crowd.ground_truth import GroundTruth
 from repro.crowd.workers import WorkerPoolConfig
-from repro.errors import InvalidParameterError, PlatformError
+from repro.errors import PlatformError
 from repro.obs.events import WorkerServiced
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import current_tracer
@@ -63,6 +63,8 @@ class BatchResult:
         completion_time: seconds until the last answer arrived — the
             measured round latency (``submit_times.max()``, 0 when empty).
         n_workers: number of distinct workers who submitted answers.
+        rows: ``(n,)`` int64, the row of the posted batch each answer
+            resolves (``questions == posted[rows]``).
     """
 
     questions: np.ndarray
@@ -71,6 +73,7 @@ class BatchResult:
     worker_ids: np.ndarray
     completion_time: float
     n_workers: int
+    rows: np.ndarray
 
     @property
     def n_answers(self) -> int:
@@ -152,13 +155,12 @@ class SimulatedPlatform(Platform):
         a, b = pairs[:, 0], pairs[:, 1]
         if (a == b).any():
             raise PlatformError(f"cannot post a self-comparison of element {a[a == b][0]}")
+        winners = self.truth.winners(pairs)
         n = len(pairs)
-        if n and (pairs.min() < 0 or pairs.max() >= self.truth.n_elements):
-            raise InvalidParameterError("a question names an unknown element")
         self.stats.batches_posted += 1
         self.stats.questions_posted += n
         if not n:
-            return BatchResult(pairs, a, np.empty(0), a, 0.0, 0)
+            return BatchResult(pairs, a, np.empty(0), a, 0.0, 0, a)
 
         config = self.config
         rng = self._rng
@@ -200,8 +202,6 @@ class SimulatedPlatform(Platform):
             answered.append(0)
         self._next_worker_id += len(speeds)
 
-        ranks = self.truth.ranks
-        winners = np.where(ranks[a] < ranks[b], a, b)
         error = self.error_model.error_probabilities(self.truth, a, b)
         if error.any():
             winners = np.where(rng.random(n) < error, a + b - winners, winners)
@@ -233,4 +233,5 @@ class SimulatedPlatform(Platform):
             worker_ids=local + first_id,
             completion_time=float(times.max()),
             n_workers=len(participants),
+            rows=np.arange(n),
         )

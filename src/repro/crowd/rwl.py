@@ -149,7 +149,7 @@ class ReliableWorkerLayer:
             logger.debug("RWL asked to resolve an empty question set")
             return RWLResult(distinct, distinct[:, 0], 0.0, 0, 0)
         rows, winners, answered, total_latency, questions_posted, attempts = (
-            self._post_with_retries(distinct, keys[first], stride, budget=budget)
+            self._post_with_retries(distinct, budget=budget)
         )
         unanswered = tuple(map(tuple, distinct[~answered].tolist()))
         resolved = distinct[answered]
@@ -212,23 +212,19 @@ class ReliableWorkerLayer:
     def _post_with_retries(
         self,
         distinct: np.ndarray,
-        keys: np.ndarray,
-        stride: int,
         *,
         budget: Optional[float] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float, int, int]:
         """Post *distinct* (times repetition), retrying unanswered questions.
 
-        *keys* are the questions' ``lo * stride + hi`` codes, which map
-        each returned answer back to its row of *distinct*.
+        Each answer's posted row (:attr:`BatchResult.rows`) maps it back
+        to its row of *distinct*.
 
         Returns ``(row of distinct per raw answer, raw winners, answered
         mask over distinct, round latency, posted copies, attempts)``.
         Without a retry policy this is a single post.
         """
         policy = self.retry_policy
-        order = np.argsort(keys)
-        sorted_keys = keys[order]
         rows: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
         winners: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
         answered = np.zeros(len(distinct), dtype=bool)
@@ -286,8 +282,7 @@ class ReliableWorkerLayer:
                     breaker.record_success()
                 questions_posted += len(posted)
                 total_latency += batch.completion_time
-                batch_keys = batch.questions[:, 0] * stride + batch.questions[:, 1]
-                batch_rows = order[np.searchsorted(sorted_keys, batch_keys)]
+                batch_rows = pending[batch.rows // self.repetition]
                 rows.append(batch_rows)
                 winners.append(batch.winners)
                 answered[batch_rows] = True

@@ -17,7 +17,7 @@ latency is a lower bound on the true worst case).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -26,35 +26,9 @@ from repro.core.latency import LatencyFunction
 from repro.engine.max_engine import AnswerSource, MaxEngine
 from repro.engine.results import MaxRunResult
 from repro.errors import InvalidParameterError
-from repro.graphs.candidates import max_independent_set, worst_case_answers
+from repro.graphs.candidates import greedy_independent_set, max_independent_set, worst_case_answers
 from repro.selection.base import QuestionSelector
-from repro.types import Answer, Element, Question
-
-
-def greedy_independent_set(
-    elements: Iterable[Element], questions: Iterable[Question]
-) -> Set[Element]:
-    """A maximal independent set via the min-degree greedy heuristic.
-
-    Repeatedly keeps a minimum-degree vertex and discards its neighbors.
-    Not necessarily maximum, but always independent and maximal — a legal
-    adversary choice.
-    """
-    adjacency: Dict[Element, Set[Element]] = {e: set() for e in elements}
-    for a, b in questions:
-        if a not in adjacency or b not in adjacency:
-            raise InvalidParameterError(
-                f"question ({a}, {b}) references elements outside the graph"
-            )
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    active = set(adjacency)
-    chosen: Set[Element] = set()
-    while active:
-        vertex = min(active, key=lambda v: (len(adjacency[v] & active), v))
-        chosen.add(vertex)
-        active -= adjacency[vertex] | {vertex}
-    return chosen
+from repro.types import Element
 
 
 class WorstCaseAnswerSource(AnswerSource):
@@ -75,16 +49,12 @@ class WorstCaseAnswerSource(AnswerSource):
         self.mode = mode
         self.candidates: Tuple[Element, ...] = ()
 
-    def resolve(
-        self, questions: Sequence[Question]
-    ) -> Tuple[List[Answer], float]:
-        if self.mode == "exact":
-            survivors = max_independent_set(self.candidates, questions)
-        else:
-            survivors = greedy_independent_set(self.candidates, questions)
+    def resolve(self, questions: np.ndarray) -> Tuple[np.ndarray, float]:
+        find = max_independent_set if self.mode == "exact" else greedy_independent_set
+        survivors = find(self.candidates, questions.tolist())
         answers = worst_case_answers(self.candidates, questions, survivors)
-        lost = {answer.loser for answer in answers}
-        self.candidates = tuple(c for c in self.candidates if c not in lost)
+        alive = np.array(self.candidates, dtype=np.int64)
+        self.candidates = tuple(alive[~np.isin(alive, answers[:, 1])].tolist())
         return answers, self.latency(len(questions))
 
 

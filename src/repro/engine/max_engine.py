@@ -24,7 +24,7 @@ import functools
 import itertools
 import logging
 from abc import ABC, abstractmethod
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from repro.obs.spans import close_span, open_span, span_scope
 from repro.obs.tracer import current_tracer
 from repro.selection.base import QuestionSelector, SelectionContext, select_round
 from repro.selection.scoring import best_scored
-from repro.types import Answer, Element, Question
+from repro.types import Element
 
 logger = logging.getLogger(__name__)
 
@@ -56,10 +56,11 @@ class AnswerSource(ABC):
     """Resolves one round's questions into answers plus the round latency."""
 
     @abstractmethod
-    def resolve(
-        self, questions: Sequence[Question]
-    ) -> Tuple[List[Answer], float]:
-        """Answer *questions*; return (answers, seconds the round took)."""
+    def resolve(self, questions: np.ndarray) -> Tuple[np.ndarray, float]:
+        """Answer one round's ``(k, 2)`` int64 *questions*; return
+        ``(answers, seconds the round took)``, *answers* being ``(winner,
+        loser)`` int64 rows in question order (fewer when a source is lossy).
+        """
 
 
 class OracleAnswerSource(AnswerSource):
@@ -69,11 +70,10 @@ class OracleAnswerSource(AnswerSource):
         self.truth = truth
         self.latency = latency
 
-    def resolve(
-        self, questions: Sequence[Question]
-    ) -> Tuple[List[Answer], float]:
-        answers = [self.truth.answer(a, b) for a, b in questions]
-        return answers, self.latency(len(questions))
+    def resolve(self, questions: np.ndarray) -> Tuple[np.ndarray, float]:
+        winners = self.truth.winners(questions)
+        losers = questions.sum(axis=1) - winners
+        return np.column_stack((winners, losers)), self.latency(len(questions))
 
 
 class PlatformAnswerSource(AnswerSource):
@@ -82,11 +82,9 @@ class PlatformAnswerSource(AnswerSource):
     def __init__(self, rwl: ReliableWorkerLayer) -> None:
         self.rwl = rwl
 
-    def resolve(
-        self, questions: Sequence[Question]
-    ) -> Tuple[List[Answer], float]:
+    def resolve(self, questions: np.ndarray) -> Tuple[np.ndarray, float]:
         result = self.rwl.ask(questions)
-        return [Answer(*pair) for pair in result.answers.tolist()], result.latency
+        return result.answers, result.latency
 
 
 class MaxEngine:
@@ -213,8 +211,10 @@ def _run_rounds(
     *engine* supplies ``selector``, ``source`` and ``_rng``; events go to the
     ambient tracer (:func:`repro.obs.current_tracer`), named after
     *engine*'s class.  The run starts from *candidates* and *evidence*
-    (default: a fresh graph over *candidates*); each round drops its
-    answers' losers from the candidates.
+    (default: a fresh graph over *candidates*).  A round stays one
+    ``(k, 2)`` int64 array: the selector's questions go to the source as
+    they are, and its ``(winner, loser)`` rows go to the evidence as they
+    are; their losers leave the candidates.
     Runs until one candidate remains or *plan_round* returns ``None``.  A
     round whose selector returns nothing is skipped (*skip_empty*) or ends
     the run; a lossy round (fewer answers than distinct questions) calls
@@ -225,6 +225,8 @@ def _run_rounds(
     n_elements = len(candidates)
     if evidence is None:
         evidence = AnswerGraph(candidates)
+    alive = np.array(candidates, dtype=np.int64)
+    lost = np.zeros(max(evidence.elements) + 1, bool)
     records: List[RoundRecord] = []
     total_latency = 0.0
     total_questions = 0
@@ -268,11 +270,8 @@ def _run_rounds(
             total_rounds=total_rounds,
             rng=engine._rng,
         )
-        # Answer sources take canonical pairs of Python ints.
-        questions = list(
-            map(tuple, select_round(engine.selector, context).tolist())
-        )
-        if not questions:
+        questions = select_round(engine.selector, context)
+        if not len(questions):
             # Nothing to post; the round costs no latency.
             logger.debug(
                 "round %d: selector %s returned no questions for %d "
@@ -306,9 +305,10 @@ def _run_rounds(
             )
         with span_scope(round_span, base_time=total_latency):
             answers, latency = engine.source.resolve(questions)
-        evidence.record_all(answers)
-        lost = {answer.loser for answer in answers}
-        next_candidates = tuple(c for c in candidates if c not in lost)
+        evidence.record_pairs(answers)
+        lost[answers[:, 1]] = True
+        alive = alive[~lost[alive]]
+        next_candidates = tuple(alive.tolist())
         if tracer.enabled:
             close_span(tracer, round_span, end=total_latency + latency)
             tracer.emit(
@@ -356,7 +356,8 @@ def _run_rounds(
         total_latency += latency
         total_questions += len(questions)
         candidates = next_candidates
-        distinct_posted = len(dict.fromkeys(questions))
+        stride = int(questions.max()) + 1
+        distinct_posted = len(np.unique(questions[:, 0] * stride + questions[:, 1]))
         if len(answers) < distinct_posted:
             # A lossy answer source gave up on some questions: the
             # candidate set shrank only as far as the surviving answers

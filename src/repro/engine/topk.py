@@ -130,12 +130,9 @@ class TopKEngine:
             if not phase.singleton_termination:
                 break  # budget exhausted before the phase could finish
             found.append(phase.winner)
-        true_ranking = tuple(
-            sorted(range(n_elements), key=truth.rank)[: len(found)]
-        )
         return TopKResult(
             ranking=tuple(found),
-            true_ranking=true_ranking,
+            true_ranking=tuple(truth.order[: len(found)].tolist()),
             total_latency=total_latency,
             total_questions=total_questions,
             phase_records=tuple(phase_records),

@@ -261,6 +261,15 @@ class AnswerGraph:
             for loser in losers
         }
 
+    def sorted_answers(self) -> np.ndarray:
+        """The distinct recorded ``(winner, loser)`` rows, ascending, read
+        from the keys (the adjacency sets stay unbuilt)."""
+        keys = np.sort(np.fromiter(self._keys, np.int64, len(self._keys)))
+        rows = np.column_stack(np.divmod(keys, self._n))
+        if self._position is None:
+            return rows
+        return np.array(sorted(self._elements), dtype=np.int64)[rows]
+
     def iter_answers(self) -> Iterator[Answer]:
         """Iterate all recorded answers."""
         for winner, losers in self._adjacency()[0].items():

@@ -14,10 +14,12 @@ Implements the graph-theoretic machinery of Section 4 and Appendix A:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.types import Answer, Element, Question, normalize_question
+from repro.types import Element, Question, Questions, as_pairs
 
 
 def _adjacency(
@@ -90,6 +92,25 @@ def max_independent_set(
     return solve(set(adjacency))
 
 
+def greedy_independent_set(
+    elements: Iterable[Element], questions: Iterable[Question]
+) -> Set[Element]:
+    """A maximal independent set via the min-degree greedy heuristic.
+
+    Repeatedly keeps a minimum-degree vertex and discards its neighbors.
+    Not necessarily maximum, but always independent and maximal — a legal
+    adversary choice.
+    """
+    adjacency = _adjacency(elements, questions)
+    active = set(adjacency)
+    chosen: Set[Element] = set()
+    while active:
+        vertex = min(active, key=lambda v: (len(adjacency[v] & active), v))
+        chosen.add(vertex)
+        active -= adjacency[vertex] | {vertex}
+    return chosen
+
+
 def max_remaining_candidates(
     elements: Iterable[Element], questions: Iterable[Question]
 ) -> Set[Element]:
@@ -103,14 +124,15 @@ def max_remaining_candidates(
 
 def worst_case_answers(
     elements: Sequence[Element],
-    questions: Iterable[Question],
+    questions: Questions,
     surviving: Iterable[Element],
-) -> List[Answer]:
+) -> np.ndarray:
     """Orient every question so that all of *surviving* survive (Lemma 2).
 
     Constructs a permutation that ranks the surviving (independent) set on
     top and orients each question edge toward the higher-ranked endpoint.
-    The returned answers form a DAG whose RC set contains *surviving*.
+    The returned ``(winner, loser)`` int64 rows, in question order, form a
+    DAG whose RC set contains *surviving*.
 
     Raises:
         InvalidParameterError: if *surviving* is not an independent set of
@@ -119,20 +141,16 @@ def worst_case_answers(
     survivors = set(surviving)
     ranked = list(survivors) + [e for e in elements if e not in survivors]
     rank = {element: position for position, element in enumerate(ranked)}
-    answers = []
-    for a, b in questions:
-        edge = normalize_question(a, b)
-        if edge[0] in survivors and edge[1] in survivors:
-            raise InvalidParameterError(
-                f"{sorted(survivors)} is not independent: edge {edge} "
-                f"connects two of its members"
-            )
-        winner, loser = (edge[0], edge[1]) if rank[edge[0]] < rank[edge[1]] else (
-            edge[1],
-            edge[0],
+    pairs = np.sort(as_pairs(questions), axis=1)
+    both = np.isin(pairs, list(survivors)).all(axis=1)
+    if both.any():
+        raise InvalidParameterError(
+            f"{sorted(survivors)} is not independent: edge "
+            f"{tuple(pairs[both.argmax()].tolist())} connects two of its members"
         )
-        answers.append(Answer(winner=winner, loser=loser))
-    return answers
+    ranks = np.array([rank[e] for e in pairs.ravel().tolist()], np.int64).reshape(-1, 2)
+    winners = np.where(ranks[:, 0] < ranks[:, 1], pairs[:, 0], pairs[:, 1])
+    return np.column_stack((winners, pairs.sum(axis=1) - winners))
 
 
 def expected_remaining_candidates(

@@ -90,9 +90,7 @@ def answer_graph_to_dict(graph: AnswerGraph) -> Dict[str, Any]:
         "version": _FORMAT_VERSION,
         "kind": "answer_graph",
         "elements": sorted(graph.elements),
-        "answers": sorted(
-            (answer.winner, answer.loser) for answer in graph.iter_answers()
-        ),
+        "answers": list(map(tuple, graph.sorted_answers().tolist())),
     }
 
 

@@ -65,6 +65,7 @@ class ScriptedPlatform(Platform):
             worker_ids=np.zeros(len(rows), dtype=np.int64),
             completion_time=1.0 if len(rows) else 0.0,
             n_workers=1 if len(rows) else 0,
+            rows=rows,
         )
 
 

@@ -215,6 +215,25 @@ class TestIndividualFaults:
         )
         assert (result.submit_times[10:] >= result.submit_times[:10]).all()
 
+    @pytest.mark.parametrize("name", ["none", "lossy", "severe"])
+    @pytest.mark.parametrize("wrappers", [1, 2])
+    def test_rows_name_the_posted_row_of_each_answer(self, name, wrappers):
+        """Every answer's ``rows`` entry is the posted row it answers,
+        through survivors and duplicates and through stacked wrappers."""
+        platform = _platform()
+        for seed in range(wrappers):
+            platform = FaultyPlatform(
+                platform, fault_profile_by_name(name), np.random.default_rng(seed)
+            )
+        posted = np.array(_chain(60), dtype=np.int64)  # distinct rows
+        for _ in range(5):
+            try:
+                result = platform.post_batch(posted)
+            except PlatformOutageError:
+                continue
+            assert result.rows.dtype == np.int64
+            np.testing.assert_array_equal(result.questions, posted[result.rows])
+
     def test_outage_raises_with_detection_time(self):
         platform = _wrapped(
             FaultProfile(outage_prob=1.0, outage_detection_time=123.0)

@@ -112,7 +112,7 @@ class TestValidation:
 
         class LosesEverything(AnswerSource):
             def resolve(self, questions):
-                return [], LATENCY(len(questions))
+                return np.empty((0, 2), np.int64), LATENCY(len(questions))
 
         rng = np.random.default_rng(0)
         truth = GroundTruth.random(10, rng)

@@ -1,7 +1,11 @@
 """Tests for the MAX-operator engine."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.allocation import Allocation
 from repro.core.latency import LinearLatency
@@ -9,13 +13,16 @@ from repro.crowd.error_models import UniformError
 from repro.crowd.ground_truth import GroundTruth
 from repro.crowd.platform import SimulatedPlatform
 from repro.crowd.rwl import ReliableWorkerLayer
+from repro.engine.adversarial import WorstCaseAnswerSource
 from repro.engine.max_engine import (
     MaxEngine,
     OracleAnswerSource,
     PlatformAnswerSource,
 )
+from repro.errors import InvalidParameterError
 from repro.selection.spread import Spread
 from repro.selection.tournament import TournamentFormation
+from repro.types import as_pairs
 
 LATENCY = LinearLatency(100, 1)
 
@@ -138,3 +145,73 @@ class TestReproducibility:
         result, _ = run_with_oracle(10, allocation)
         assert "correct" in result.summary()
         assert "singleton" in result.summary()
+
+
+@st.composite
+def rounds(draw, max_pairs=12):
+    """A collection size and one round of distinct canonical questions."""
+    n = draw(st.integers(2, 10))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(pair.filter(lambda p: p[0] < p[1]), unique=True, max_size=max_pairs))
+    return n, pairs
+
+
+def answer_sources(n, seed):
+    """One answer source of each kind over a random order of *n* elements."""
+    rng = np.random.default_rng(seed)
+    truth = GroundTruth.random(n, rng)
+    platform = SimulatedPlatform(truth, rng, error_model=UniformError(0.2))
+    sources = {
+        "oracle": OracleAnswerSource(truth, LATENCY),
+        "platform": PlatformAnswerSource(ReliableWorkerLayer(platform, rng, repetition=3)),
+    }
+    for mode in ("exact", "greedy"):
+        worst = WorstCaseAnswerSource(LATENCY, mode)
+        worst.candidates = tuple(range(n))
+        sources[f"worst/{mode}"] = worst
+    return sources
+
+
+class TestAnswerSources:
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda n: st.tuples(
+                st.permutations(range(n)),
+                st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=15),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_oracle_equals_better_pair_by_pair(self, case):
+        """The vector oracle answers each row as :meth:`GroundTruth.better`
+        does, and raises its error for the first row ``better`` rejects."""
+        order, pairs = case
+        truth = GroundTruth(order)
+        source = OracleAnswerSource(truth, LATENCY)
+        expected = []
+        try:
+            for a, b in pairs:
+                winner = truth.better(a, b)
+                expected.append([winner, a + b - winner])
+        except InvalidParameterError as error:
+            with pytest.raises(InvalidParameterError, match=re.escape(str(error))):
+                source.resolve(as_pairs(pairs))
+            return
+        answers, latency = source.resolve(as_pairs(pairs))
+        assert answers.tolist() == expected
+        assert latency == LATENCY(len(pairs))
+
+    @pytest.mark.parametrize("name", ["oracle", "platform", "worst/exact", "worst/greedy"])
+    @given(case=rounds(), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_answer_the_posted_pairs_in_order(self, name, case, seed):
+        """The ``AnswerSource`` contract: ``(k, 2)`` int64 ``(winner,
+        loser)`` rows, one per posted question, in question order."""
+        n, pairs = case
+        questions = as_pairs(pairs)
+        answers, latency = answer_sources(n, seed)[name].resolve(questions)
+        assert isinstance(answers, np.ndarray)
+        assert answers.dtype == np.int64 and answers.shape == (len(pairs), 2)
+        assert np.array_equal(np.sort(answers, axis=1), questions)
+        assert (answers[:, 0] != answers[:, 1]).all()
+        assert latency >= 0

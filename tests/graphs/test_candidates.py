@@ -139,7 +139,7 @@ class TestWorstCaseAnswers:
         edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
         answers = worst_case_answers(nodes, edges, surviving={0, 2})
         graph = AnswerGraph(nodes)
-        graph.record_all(answers)
+        graph.record_pairs(answers)
         graph.validate_acyclic()
         assert graph.remaining_candidates() >= {0, 2}
 
@@ -162,7 +162,7 @@ class TestWorstCaseAnswers:
         mis = max_independent_set(nodes, edges)
         answers = worst_case_answers(nodes, edges, surviving=mis)
         graph = AnswerGraph(nodes)
-        graph.record_all(answers)
+        graph.record_pairs(answers)
         graph.validate_acyclic()
         survivors = graph.remaining_candidates()
         assert mis <= survivors

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.allocation import Allocation
 from repro.core.latency import (
@@ -76,6 +78,31 @@ class TestAnswerGraphRoundTrip:
         assert restored.elements == graph.elements
         assert restored.answered_questions() == graph.answered_questions()
         assert restored.remaining_candidates() == graph.remaining_candidates()
+
+    @given(
+        st.one_of(
+            st.integers(2, 12).map(lambda n: list(range(n))),
+            st.lists(st.integers(-5, 40), min_size=2, max_size=12, unique=True),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_payload_is_read_from_the_recorded_rows(self, elements, data):
+        """Serializing builds no adjacency sets, and the payload is the
+        sorted distinct answers that :meth:`AnswerGraph.iter_answers`
+        gives, for any element set and with repeated answers."""
+        rank = {e: i for i, e in enumerate(data.draw(st.permutations(elements)))}
+        pair = st.tuples(st.sampled_from(elements), st.sampled_from(elements))
+        pairs = data.draw(st.lists(pair.filter(lambda p: p[0] != p[1]), max_size=20))
+        rows = [(a, b) if rank[a] < rank[b] else (b, a) for a, b in pairs]
+        graph = AnswerGraph(elements)
+        graph.record_pairs(np.array(rows + rows[:3], dtype=np.int64).reshape(-1, 2))
+        payload = answer_graph_to_dict(graph)
+        assert graph._beat is None  # still in column mode
+        assert payload["answers"] == sorted(
+            (answer.winner, answer.loser) for answer in graph.iter_answers()
+        )
+        assert payload["elements"] == sorted(elements)
 
     def test_inconsistent_payload_rejected(self):
         payload = {
