@@ -9,7 +9,8 @@ quadratically in the collection size.
 service planning many distinct query shapes under one latency model, which
 one ``TDPAllocator`` answers from a single growing frontier table.  Its
 work count is gated too: every frontier row is built once, whatever the
-budgets, so the 357 shapes build rows 2..400 and no more.
+budgets, so the 357 shapes build rows 2..400 and no more, and a complete
+row forms one candidate per stored point, so no candidate is padding.
 """
 
 import random
@@ -42,12 +43,13 @@ def bench_tdp_plan_distinct_shapes(benchmark):
         tdp = TDPAllocator()
         with profiled(publish=False) as profiler:
             plans = [tdp.plan(c0, budget, latency) for c0, budget in DISTINCT_SHAPES]
-        return plans, profiler.snapshot()["frontier.rows"]
+        return plans, profiler.snapshot()
 
-    plans, rows = benchmark(plan_all)
+    plans, counts = benchmark(plan_all)
     assert len(plans) == len(DISTINCT_SHAPES) == 357
     assert all(
         plan.sequence[0] == c0 and plan.questions_used <= budget
         for plan, (c0, budget) in zip(plans, DISTINCT_SHAPES)
     )
-    assert rows == 399
+    assert counts["frontier.rows"] == 399
+    assert counts["frontier.candidates"] == counts["frontier.cells"]

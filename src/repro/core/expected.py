@@ -23,12 +23,14 @@ exploration-exploitation comparison the paper's appendix sketches.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from repro.core.allocation import Allocation, BudgetAllocator
 from repro.core.latency import LatencyFunction
 from repro.core.questions import max_useful_budget
-from repro.core.tdp import TDPPlan, _FrontierTable
+from repro.core.tdp import TDPPlan, _build_frontier, _Frontiers, _plan_from_point
 from repro.errors import InvalidParameterError
 
 
@@ -103,59 +105,16 @@ def solve_expected_min_latency(
         raise InvalidParameterError(
             f"budget {budget} < c0 - 1 = {n_elements - 1}: infeasible"
         )
-    table = _FrontierTable(n_elements)  # row 1 is P(1) = {(0, 0)}
+    frontiers = _Frontiers()  # row 1 is P(1) = {(0, 0)}
     for c in range(2, n_elements + 1):
-        _build_expected_frontier(table, c, budget, latency)
-    return _extract(table, n_elements)
-
-
-def _build_expected_frontier(
-    table: _FrontierTable, c: int, budget: int, latency: LatencyFunction
-) -> None:
-    step_cost = _expected_costs(c)
-    step_lat = latency.batch(step_cost)
-    width = table.width
-    cand_cost = step_cost[:, None] + table.cost[1:c, :]
-    cand_lat = step_lat[:, None] + table.lat[1:c, :]
-    flat_cost = cand_cost.ravel()
-    flat_lat = cand_lat.ravel()
-    valid = np.flatnonzero(
-        (flat_lat != np.inf) & (flat_cost >= 0) & (flat_cost <= budget)
-    )
-    if valid.size == 0:
-        raise InvalidParameterError(
-            f"no feasible expected-case transition from {c} candidates "
-            f"within budget {budget}"
-        )
-    order = valid[np.lexsort((flat_lat[valid], flat_cost[valid]))]
-    lat_sorted = flat_lat[order]
-    running_best = np.minimum.accumulate(lat_sorted)
-    keep = np.empty(len(order), dtype=bool)
-    keep[0] = True
-    keep[1:] = lat_sorted[1:] < running_best[:-1]
-    chosen = order[keep]
-    table.set_row(
-        c,
-        cost=flat_cost[chosen],
-        lat=flat_lat[chosen],
-        parent_c=(chosen // width + 1).astype(np.int32),
-        parent_i=(chosen % width).astype(np.int32),
-    )
-
-
-def _extract(table: _FrontierTable, n_elements: int) -> TDPPlan:
-    count = int(table.size[n_elements])
-    index = count - 1
-    sequence = [n_elements]
-    c, i = n_elements, index
-    while c != 1:
-        c, i = int(table.parent_c[c, i]), int(table.parent_i[c, i])
-        sequence.append(c)
-    return TDPPlan(
-        sequence=tuple(sequence),
-        total_latency=float(table.lat[n_elements, index]),
-        questions_used=int(table.cost[n_elements, index]),
-        frontier_sizes=tuple(int(s) for s in table.size[1:]),
+        if not _build_frontier(frontiers, _expected_costs(c), latency, budget):
+            raise InvalidParameterError(
+                f"no feasible expected-case transition from {c} candidates "
+                f"within budget {budget}"
+            )
+    # Min latency is the last point of P(c_0), the last point stored.
+    return _plan_from_point(
+        repeat(frontiers), frontiers.offsets[-1] - 1, frontiers.sizes()
     )
 
 

@@ -33,6 +33,15 @@ rows at ``b``.  :class:`TDPAllocator` keeps one table per latency model;
 :func:`solve_min_latency` and :func:`solve_min_cost` are a fresh table plus
 one lookup (a cold solve).
 
+The frontiers live ragged in one :class:`_Frontiers` store: every point in
+flat arrays, row after row, so ``P(1) .. P(c - 1)`` is a prefix and row
+``c`` is formed from exactly one candidate per stored point.  The one
+builder, :func:`_build_frontier`, takes a row's step costs and an optional
+budget; it serves :class:`TDPTable`, the bounded-rounds solver
+(:func:`solve_min_latency_bounded_rounds`) and eDP
+(:mod:`repro.core.expected`), and :func:`_plan_from_point` walks any of
+their frontier points back to a plan.
+
 The literal top-down memoization of Algorithm 1 is also available as
 :class:`repro.core.tdp_memo.MemoizedTDPAllocator` and is used to
 cross-validate this solver in the test suite.  Both are exact; this one
@@ -55,9 +64,6 @@ from repro.obs.events import DPTableBuilt
 from repro.obs.metrics import get_registry
 from repro.obs.profiling import PROFILER
 from repro.obs.tracer import current_tracer, timed
-
-_INITIAL_FRONTIER_WIDTH = 16
-
 
 def _record_dp_build(
     solver: str, n_elements: int, budget: int, seconds: float, states: int
@@ -127,87 +133,73 @@ def _transition_questions(c: int) -> np.ndarray:
     return (k + 1) * k // 2 * r + k * (k - 1) // 2 * (targets - r)
 
 
-class _FrontierTable:
-    """Padded 2D storage of the per-candidate-count Pareto frontiers.
+class _Frontiers:
+    """Ragged storage of the Pareto frontiers ``P(1) .. P(n)``.
 
-    Row 1 starts out as ``P(1) = {(0, 0)}``: the MAX of one candidate is
-    already identified, at zero further cost and latency.
+    Every point lives in flat arrays, row after row: row ``c`` is
+    ``[offsets[c], offsets[c + 1])``, cost-ascending with strictly
+    descending latency.  ``row[j]`` is the candidate count of point ``j``
+    and ``parent[j]`` the flat index of the point it continues, in the
+    store its row was built from.  Rows are appended in order, so
+    ``P(1) .. P(c - 1)`` is the prefix ``[:offsets[c]]`` and holds only
+    real points.  A row built under a budget may be empty.  Entries past
+    ``offsets[-1]`` are spare capacity, not points.
+
+    Row 1 is ``P(1) = {(0, 0)}``: the MAX of one candidate is already
+    identified, at zero further cost and latency.
     """
 
-    def __init__(self, n_elements: int, width: int = _INITIAL_FRONTIER_WIDTH):
-        self.width = width
-        shape = (n_elements + 1, width)
-        self.cost = np.full(shape, np.iinfo(np.int64).max, dtype=np.int64)
-        self.lat = np.full(shape, np.inf, dtype=np.float64)
-        self.parent_c = np.zeros(shape, dtype=np.int32)
-        self.parent_i = np.zeros(shape, dtype=np.int32)
-        self.size = np.zeros(n_elements + 1, dtype=np.int32)
-        self.size[1] = 1
-        self.cost[1, 0] = 0
-        self.lat[1, 0] = 0.0
+    def __init__(self) -> None:
+        self.offsets: List[int] = [0, 0, 1]
+        self.cost = np.zeros(1, dtype=np.int64)
+        self.lat = np.zeros(1, dtype=np.float64)
+        self.row = np.ones(1, dtype=np.int64)
+        self.parent = np.zeros(1, dtype=np.int64)
 
-    def grow(self, new_width: int) -> None:
-        """Widen the padded arrays to hold larger frontiers."""
-        if new_width <= self.width:
-            return
-        if PROFILER.enabled:
-            PROFILER.add("frontier.grows")
-            PROFILER.set_max("frontier.peak_width", new_width)
-        self._resize(self.cost.shape[0], new_width)
+    @property
+    def n_rows(self) -> int:
+        """Largest candidate count with a stored row."""
+        return len(self.offsets) - 2
 
-    def add_rows(self, n_elements: int) -> None:
-        """Extend the padded arrays to hold rows up to *n_elements*."""
-        if n_elements >= self.cost.shape[0]:
-            self._resize(n_elements + 1, self.width)
+    def sizes(self) -> np.ndarray:
+        """Per-row frontier sizes, rows ``1 .. n_rows``."""
+        return np.diff(self.offsets[1:])
 
-    def _resize(self, n_rows: int, width: int) -> None:
-        """Re-pad every array to *n_rows* x *width*, keeping the contents."""
+    def append(self, cost: np.ndarray, lat: np.ndarray, parent: np.ndarray) -> None:
+        """Store the points of row ``n_rows + 1``.
 
-        def padded(array: np.ndarray, fill: float) -> np.ndarray:
-            out = np.full((n_rows, width), fill, dtype=array.dtype)
-            out[: array.shape[0], : array.shape[1]] = array
-            return out
-
-        self.cost = padded(self.cost, np.iinfo(np.int64).max)
-        self.lat = padded(self.lat, np.inf)
-        self.parent_c = padded(self.parent_c, 0)
-        self.parent_i = padded(self.parent_i, 0)
-        size = np.zeros(n_rows, dtype=np.int32)
-        size[: len(self.size)] = self.size
-        self.size = size
-        self.width = width
-
-    def set_row(
-        self,
-        c: int,
-        cost: np.ndarray,
-        lat: np.ndarray,
-        parent_c: np.ndarray,
-        parent_i: np.ndarray,
-    ) -> None:
-        count = len(cost)
-        if count > self.width:
-            self.grow(max(count, self.width * 2))
-        self.size[c] = count
-        self.cost[c, :count] = cost
-        self.lat[c, :count] = lat
-        self.parent_c[c, :count] = parent_c
-        self.parent_i[c, :count] = parent_i
-        self.cost[c, count:] = np.iinfo(np.int64).max
-        self.lat[c, count:] = np.inf
+        The flat arrays at least double when full, so appending every row
+        copies each point a constant number of times on average.
+        """
+        start = self.offsets[-1]
+        end = start + len(cost)
+        if end > len(self.cost):
+            capacity = max(end, 2 * len(self.cost))
+            for name in ("cost", "lat", "row", "parent"):
+                stored = getattr(self, name)
+                grown = np.empty(capacity, dtype=stored.dtype)
+                grown[:start] = stored[:start]
+                setattr(self, name, grown)
+        self.cost[start:end] = cost
+        self.lat[start:end] = lat
+        self.row[start:end] = self.n_rows + 1
+        self.parent[start:end] = parent
+        self.offsets.append(end)
 
 
 class TDPTable:
     """The complete Pareto frontiers of one latency model, grown on demand.
 
-    Rows ``P(1) .. P(n)`` hold every frontier point, with no budget cut,
-    and each is built once: a lookup at ``(c_0, b)`` first appends rows
-    ``n + 1 .. c_0`` if ``c_0 > n``, then cuts the rows at ``b`` (exactly
-    the frontiers a build at ``b`` would produce).  A fresh table plus one
-    lookup is a cold solve, and every lookup reports like one — a
-    ``tdp.solve`` span, one :class:`~repro.obs.events.DPTableBuilt` whose
-    ``states`` counts the frontier points cut at ``b``, and the ``tdp.*``
-    counters — so a warm lookup is observably identical to a cold solve.
+    Rows ``P(1) .. P(n)`` of a ragged :class:`_Frontiers` store hold every
+    frontier point, with no budget cut, and each is built once: a lookup
+    at ``(c_0, b)`` first appends rows ``n + 1 .. c_0`` if ``c_0 > n``,
+    then cuts rows ``1 .. c_0`` at ``b`` by counting each row's points
+    within the budget (exactly the frontiers a build at ``b`` would
+    produce).  A fresh table plus one lookup is a cold solve, and every
+    lookup reports like one — a ``tdp.solve`` span, one
+    :class:`~repro.obs.events.DPTableBuilt` whose ``states`` counts the
+    frontier points cut at ``b``, and the ``tdp.*`` counters — so a warm
+    lookup is observably identical to a cold solve.
 
     Args:
         latency: the latency model ``L`` every transition is priced under.
@@ -215,9 +207,12 @@ class TDPTable:
 
     def __init__(self, latency: LatencyFunction) -> None:
         self.latency = latency
-        #: Largest candidate count with a built row; row 1 is ``P(1)``.
-        self.n_elements = 1
-        self._rows = _FrontierTable(1)
+        self._frontiers = _Frontiers()
+
+    @property
+    def n_elements(self) -> int:
+        """Largest candidate count with a built row; row 1 is ``P(1)``."""
+        return self._frontiers.n_rows
 
     def plan(self, n_elements: int, budget: int) -> TDPPlan:
         """The MinLatency optimum: the last point of ``P(c_0)`` within *budget*.
@@ -227,7 +222,8 @@ class TDPTable:
                 (Theorem 1: the problem has no solution).
         """
         sizes = self._lookup(n_elements, budget)
-        return _plan_from_point(repeat(self._rows), n_elements, int(sizes[-1]) - 1, sizes)
+        last = self._frontiers.offsets[n_elements] + int(sizes[-1]) - 1
+        return _plan_from_point(repeat(self._frontiers), last, sizes)
 
     def cheapest(self, n_elements: int, budget: int, deadline: float) -> TDPPlan:
         """The first (cheapest) point of ``P(c_0)`` within *budget* whose
@@ -238,37 +234,34 @@ class TDPTable:
                 the deadline, or on an infeasible budget.
         """
         sizes = self._lookup(n_elements, budget)
-        latencies = self._rows.lat[n_elements, : int(sizes[-1])]
+        start = self._frontiers.offsets[n_elements]
+        latencies = self._frontiers.lat[start : start + int(sizes[-1])]
         meeting = np.flatnonzero(latencies <= deadline)
         if meeting.size == 0:
             raise InvalidParameterError(
                 f"no tournament sequence finishes within {deadline:g} s; the "
                 f"fastest achievable latency is {float(latencies[-1]):g} s"
             )
-        return _plan_from_point(repeat(self._rows), n_elements, int(meeting[0]), sizes)
+        return _plan_from_point(
+            repeat(self._frontiers), start + int(meeting[0]), sizes
+        )
 
     def _lookup(self, n_elements: int, budget: int) -> np.ndarray:
         """Grow to cover *n_elements*; per-row sizes cut at *budget*."""
         _check_shape(n_elements, budget)
+        frontiers = self._frontiers
         with timed("tdp.solve") as span:
-            if n_elements > self.n_elements:
-                self._extend(n_elements)
-            # Rows are cost-ascending and padded with int64 max, so the
-            # count of costs within the budget is the size of the cut row.
-            sizes = np.count_nonzero(
-                self._rows.cost[1 : n_elements + 1] <= budget, axis=1
-            )
+            for c in range(frontiers.n_rows + 1, n_elements + 1):
+                _build_frontier(frontiers, _transition_questions(c), self.latency)
+            # Rows are cost-ascending, so a row cut at the budget keeps
+            # exactly its points within the budget: count them per row.
+            end = frontiers.offsets[n_elements + 1]
+            within = frontiers.row[:end][frontiers.cost[:end] <= budget]
+            sizes = np.bincount(within, minlength=n_elements + 1)[1:]
         _record_dp_build(
             "frontier", n_elements, budget, span.seconds, int(sizes.sum())
         )
         return sizes
-
-    def _extend(self, n_elements: int) -> None:
-        """Append the complete rows ``n + 1 .. n_elements``."""
-        self._rows.add_rows(n_elements)
-        for c in range(self.n_elements + 1, n_elements + 1):
-            _build_frontier(self._rows, c, self.latency)
-        self.n_elements = n_elements
 
 
 def _check_shape(n_elements: int, budget: int) -> None:
@@ -339,44 +332,47 @@ def solve_min_cost(
 
 
 def _build_frontier(
-    table: _FrontierTable,
-    c: int,
+    frontiers: _Frontiers,
+    step_cost: np.ndarray,
     latency: LatencyFunction,
     budget: Optional[int] = None,
-    source: Optional[_FrontierTable] = None,
-) -> None:
-    """Compute P(c) from the frontiers of all smaller candidate counts.
+    source: Optional[_Frontiers] = None,
+) -> int:
+    """Append the next row ``P(c)``, ``c = frontiers.n_rows + 1``, built from
+    the frontiers of every smaller candidate count.
 
-    *budget*, when given, drops every point costing more; by default the
-    row is complete.  *source* is the table transitions read continuation
-    frontiers from; by default the same table (the unbounded recursion).
-    The bounded-rounds solver passes both: its budget and the previous
-    round-count's table, and a row with no point within both stays empty.
+    *step_cost* prices one round ``c -> c'`` for every ``c'`` in ``[1, c)``:
+    ``Q(c, c')`` for tDP, the expected-case cost for eDP.  *budget*, when
+    given, drops every point costing more; by default the row is
+    complete.  *source* is the store transitions read continuation
+    frontiers from; by default *frontiers* itself (the unbounded
+    recursion).  The bounded-rounds solver passes both: its budget and the
+    previous round count's store, and a row with no point within both
+    stays empty.
+
+    Returns:
+        The number of points in the new row.
     """
     if source is None:
-        source = table
-    step_cost = _transition_questions(c)  # Q(c, c') for c' = 1..c-1
-    step_lat = latency.batch(step_cost)  # L(Q(c, c'))
-    width = source.width
-    # Candidate points: every frontier point of every reachable c', extended
-    # by one round c -> c'.  Shapes are (c-1, width); row j is c' = j + 1.
-    flat_cost = (step_cost[:, None] + source.cost[1:c, :]).ravel()
-    flat_lat = (step_lat[:, None] + source.lat[1:c, :]).ravel()
-    # flat_cost >= 0 guards against int64 overflow of the +inf cost padding;
-    # padded entries also carry lat == inf, so both filters agree.
-    mask = (flat_lat != np.inf) & (flat_cost >= 0)
-    if budget is not None:
-        mask &= flat_cost <= budget
-    valid = np.flatnonzero(mask)
-    if valid.size == 0:  # only under a budget: c -> 1 is always feasible
-        return
-    order = valid[np.lexsort((flat_lat[valid], flat_cost[valid]))]
+        source = frontiers
+    step_lat = latency.batch(step_cost)  # L(step) per target c'
+    # One candidate per stored point of P(1) .. P(c - 1), extended by the
+    # round c -> c' into that point's row c'; its flat index is its parent.
+    end = source.offsets[frontiers.n_rows + 1]
+    target = source.row[:end] - 1
+    flat_cost = step_cost[target] + source.cost[:end]
+    flat_lat = step_lat[target] + source.lat[:end]
+    if budget is None:
+        order = np.lexsort((flat_lat, flat_cost))
+    else:
+        valid = np.flatnonzero(flat_cost <= budget)
+        order = valid[np.lexsort((flat_lat[valid], flat_cost[valid]))]
     lat_sorted = flat_lat[order]
     # Strict Pareto sweep: keep a point only when it improves the best
     # latency seen at any lower-or-equal cost.
     running_best = np.minimum.accumulate(lat_sorted)
     keep = np.empty(len(order), dtype=bool)
-    keep[0] = True
+    keep[:1] = True  # no-op on a row with no candidate within the budget
     keep[1:] = lat_sorted[1:] < running_best[:-1]
     chosen = order[keep]
     if PROFILER.enabled:
@@ -384,16 +380,11 @@ def _build_frontier(
         # are exact work counts (pure functions of the instance), while
         # the disabled path above costs a single attribute load.
         PROFILER.add("frontier.rows")
-        PROFILER.add("frontier.candidates", int(flat_cost.size))
-        PROFILER.add("frontier.cells", int(valid.size))
-        PROFILER.add("frontier.points", int(chosen.size))
-    table.set_row(
-        c,
-        cost=flat_cost[chosen],
-        lat=flat_lat[chosen],
-        parent_c=(chosen // width + 1).astype(np.int32),
-        parent_i=(chosen % width).astype(np.int32),
-    )
+        PROFILER.add("frontier.candidates", end)
+        PROFILER.add("frontier.cells", len(order))
+        PROFILER.add("frontier.points", len(chosen))
+    frontiers.append(flat_cost[chosen], flat_lat[chosen], chosen)
+    return len(chosen)
 
 
 def solve_min_latency_bounded_rounds(
@@ -434,51 +425,54 @@ def solve_min_latency_bounded_rounds(
         return TDPPlan((1,), 0.0, 0, frontier_sizes=(1,))
 
     with timed("tdp.solve") as span:
-        tables = [_FrontierTable(n_elements)]  # P_0: only the solved state
+        solved = _Frontiers()  # P_0: only the solved state, rows 2.. empty
+        solved.offsets.extend([1] * (n_elements - 1))
+        stores = [solved]
         for _ in range(max_rounds):
-            current = _FrontierTable(n_elements)
+            current = _Frontiers()
             for c in range(2, n_elements + 1):
-                _build_frontier(current, c, latency, budget, source=tables[-1])
-            tables.append(current)
+                _build_frontier(
+                    current, _transition_questions(c), latency, budget,
+                    source=stores[-1],
+                )
+            stores.append(current)
+    last = stores[-1]
     _record_dp_build(
         "frontier-bounded",
         n_elements,
         budget,
         span.seconds,
-        int(sum(int(t.size.sum()) for t in tables[1:])),
+        sum(store.offsets[-1] for store in stores[1:]),
     )
-    count = int(tables[-1].size[n_elements])
-    if count == 0:
+    sizes = last.sizes()
+    if sizes[-1] == 0:
         raise InvalidParameterError(
             f"no tournament sequence reaches the MAX of {n_elements} "
             f"elements within {max_rounds} round(s) and {budget} questions"
         )
-    # Min latency is the last point of the frontier; a state r rounds from
-    # the end reads its parents from P_r.
-    return _plan_from_point(reversed(tables), n_elements, count - 1, tables[-1].size[1:])
+    # Min latency is the last point of P_r(c_0), the last point stored; a
+    # state r rounds from the end reads its parents from P_r.
+    return _plan_from_point(reversed(stores), last.offsets[-1] - 1, sizes)
 
 
 def _plan_from_point(
-    tables: Iterable[_FrontierTable],
-    n_elements: int,
-    index: int,
-    sizes: np.ndarray,
+    stores: Iterable[_Frontiers], point: int, sizes: np.ndarray
 ) -> TDPPlan:
     """Reconstruct the plan behind one frontier point of P(c_0).
 
-    *tables* gives the table each state of the walk reads, ``c_0`` first.
-    *sizes* are the per-row frontier sizes the plan reports (rows 1..c_0).
+    *point* is the point's flat index in the first store of *stores*, which
+    gives the store each state of the walk reads, ``c_0`` first.  *sizes*
+    are the per-row frontier sizes the plan reports (rows 1..c_0).
     """
-    tables = iter(tables)
-    table = next(tables)
-    total_latency = float(table.lat[n_elements, index])
-    questions_used = int(table.cost[n_elements, index])
-    sequence: List[int] = [n_elements]
-    c, i = n_elements, index
-    while c != 1:
-        c, i = int(table.parent_c[c, i]), int(table.parent_i[c, i])
-        sequence.append(c)
-        table = next(tables)
+    stores = iter(stores)
+    store = next(stores)
+    total_latency = float(store.lat[point])
+    questions_used = int(store.cost[point])
+    sequence: List[int] = [int(store.row[point])]
+    while sequence[-1] != 1:
+        point = int(store.parent[point])
+        store = next(stores)
+        sequence.append(int(store.row[point]))
     return TDPPlan(
         sequence=tuple(sequence),
         total_latency=total_latency,

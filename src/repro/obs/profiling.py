@@ -3,7 +3,7 @@
 The tDP solvers (:mod:`repro.core.tdp`, :mod:`repro.core.tdp_memo`) and
 the service plan cache are the CPU-bound core of the reproduction; the
 upcoming raw-speed pass needs *deterministic* work counters (cells
-evaluated, memo hits, frontier widths) to be judged against, not just
+evaluated, memo hits, frontier points) to be judged against, not just
 wall time.  This module provides them with the same discipline the
 tracer uses:
 
@@ -47,11 +47,6 @@ class SolverProfiler:
     def add(self, name: str, amount: int = 1) -> None:
         """Increment counter *name* by *amount*."""
         self._counts[name] = self._counts.get(name, 0) + amount
-
-    def set_max(self, name: str, value: int) -> None:
-        """Raise counter *name* to *value* if larger (high-water marks)."""
-        if value > self._counts.get(name, 0):
-            self._counts[name] = value
 
     def reset(self) -> None:
         """Drop all counters (does not touch :attr:`enabled`)."""

@@ -39,7 +39,6 @@ from repro.engine.session import MaxSession
 from repro.errors import InvalidParameterError
 from repro.graphs.answer_graph import AnswerGraph
 from repro.selection.registry import selector_by_name
-from repro.types import Answer
 
 _FORMAT_VERSION = 1
 
@@ -97,8 +96,7 @@ def answer_graph_to_dict(graph: AnswerGraph) -> Dict[str, Any]:
 def answer_graph_from_dict(payload: Dict[str, Any]) -> AnswerGraph:
     """Rebuild an :class:`AnswerGraph`; re-validates every answer."""
     graph = AnswerGraph(_require(payload, "elements", "answer_graph"))
-    for winner, loser in _require(payload, "answers", "answer_graph"):
-        graph.record(Answer(winner=winner, loser=loser))
+    graph.record_pairs(_require(payload, "answers", "answer_graph"))
     return graph
 
 
@@ -222,7 +220,6 @@ def session_from_dict(payload: Dict[str, Any]) -> MaxSession:
         )
     bit_generator = bit_generator_cls()
     bit_generator.state = rng_state
-    pending = payload.get("pending")
     return MaxSession.restore(
         allocation_from_dict(_require(payload, "allocation", "max_session")),
         selector_by_name(_require(payload, "selector", "max_session")),
@@ -234,11 +231,7 @@ def session_from_dict(payload: Dict[str, Any]) -> MaxSession:
         round_index=_require(payload, "round_index", "max_session"),
         questions_posted=_require(payload, "questions_posted", "max_session"),
         rounds_executed=_require(payload, "rounds_executed", "max_session"),
-        pending=(
-            [(pair[0], pair[1]) for pair in pending]
-            if pending is not None
-            else None
-        ),
+        pending=payload.get("pending"),
     )
 
 

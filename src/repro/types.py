@@ -12,6 +12,8 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.errors import InvalidParameterError
+
 #: An element of the input collection.
 Element = int
 
@@ -24,8 +26,23 @@ Questions = Union[np.ndarray, Sequence[Question]]
 
 
 def as_pairs(questions: Questions) -> np.ndarray:
-    """*questions* as an ``(n, 2)`` int64 array (empty input included)."""
-    return np.asarray(questions, dtype=np.int64).reshape(-1, 2)
+    """*questions* as an ``(n, 2)`` int64 array (empty input included).
+
+    Raises:
+        InvalidParameterError: if *questions* is not ``(n, 2)``: a row of
+            one, three or four items is rejected, never reshaped.
+    """
+    try:
+        pairs = np.asarray(questions, dtype=np.int64)
+    except ValueError as error:  # ragged rows
+        raise InvalidParameterError(f"questions must be pairs: {error}") from None
+    if pairs.size == 0:
+        return pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InvalidParameterError(
+            f"questions must be an (n, 2) array of pairs, got shape {pairs.shape}"
+        )
+    return pairs
 
 
 def normalize_question(a: Element, b: Element) -> Question:

@@ -10,7 +10,7 @@ from repro.core.questions import tournament_questions
 from repro.core.tdp import (
     TDPTable,
     _build_frontier,
-    _FrontierTable,
+    _Frontiers,
     _transition_questions,
 )
 from repro.obs.profiling import profiled
@@ -20,15 +20,26 @@ def _complete(n, latency):
     """The complete rows ``P(1) .. P(n)`` of a table grown to *n*."""
     table = TDPTable(latency)
     table.plan(n, n - 1)
-    return table._rows
+    return table._frontiers
 
 
 def _capped(n, budget, latency):
     """The rows built with every point costing more than *budget* dropped."""
-    rows = _FrontierTable(n)
+    rows = _Frontiers()
     for c in range(2, n + 1):
-        _build_frontier(rows, c, latency, budget)
+        _build_frontier(rows, _transition_questions(c), latency, budget)
     return rows
+
+
+def _row(store, c, name="cost"):
+    """Row ``c`` of the flat array *name* of a store."""
+    return getattr(store, name)[store.offsets[c] : store.offsets[c + 1]]
+
+
+def _named(store, points):
+    """The ``(row, position in row)`` of flat *points* of a store."""
+    rows = store.row[points]
+    return rows, points - np.take(store.offsets, rows)
 
 
 class TestTransitionQuestions:
@@ -39,35 +50,6 @@ class TestTransitionQuestions:
         assert len(vector) == c - 1
         for target in range(1, c):
             assert vector[target - 1] == tournament_questions(c, target)
-
-
-class TestFrontierTable:
-    def test_grow_preserves_contents(self):
-        table = _FrontierTable(5, width=2)
-        table.set_row(
-            1,
-            cost=np.zeros(1, np.int64),
-            lat=np.zeros(1),
-            parent_c=np.zeros(1, np.int32),
-            parent_i=np.zeros(1, np.int32),
-        )
-        table.grow(8)
-        assert table.width == 8
-        assert table.size[1] == 1
-        assert table.cost[1, 0] == 0
-        assert table.lat[1, 1] == np.inf  # padding intact
-
-    def test_set_row_wider_than_table_grows(self):
-        table = _FrontierTable(4, width=2)
-        table.set_row(
-            2,
-            cost=np.array([1, 2, 3], dtype=np.int64),
-            lat=np.array([3.0, 2.0, 1.0]),
-            parent_c=np.ones(3, np.int32),
-            parent_i=np.zeros(3, np.int32),
-        )
-        assert table.width >= 3
-        assert table.size[2] == 3
 
 
 class TestFrontierInvariants:
@@ -85,18 +67,15 @@ class TestFrontierInvariants:
         capped = _capped(n, budget, latency)
         for table in (_complete(n, latency), capped):
             self._check_rows(table, n)
-        assert all(
-            capped.cost[c, int(capped.size[c]) - 1] <= budget
-            for c in range(1, n + 1)
-        )
+        assert all(_row(capped, c)[-1] <= budget for c in range(1, n + 1))
 
     @staticmethod
     def _check_rows(table, n):
+        assert table.n_rows == n
         for c in range(1, n + 1):
-            count = int(table.size[c])
-            assert count >= 1
-            costs = table.cost[c, :count]
-            lats = table.lat[c, :count]
+            costs, lats = _row(table, c), _row(table, c, "lat")
+            assert len(costs) >= 1
+            assert (_row(table, c, "row") == c).all()
             # Cost strictly ascending, latency strictly descending.
             assert all(b > a for a, b in zip(costs, costs[1:]))
             assert all(b < a for a, b in zip(lats, lats[1:]))
@@ -109,18 +88,16 @@ class TestFrontierInvariants:
         latency = LinearLatency(239, 0.06)
         table = _complete(50, latency)
         for c in range(2, 51):
-            for i in range(int(table.size[c])):
-                parent_c = int(table.parent_c[c, i])
-                parent_i = int(table.parent_i[c, i])
+            for i in range(table.offsets[c], table.offsets[c + 1]):
+                parent = int(table.parent[i])
+                # A parent is a point of a smaller row, P(1..c-1).
+                assert 0 <= parent < table.offsets[c]
+                parent_c = int(table.row[parent])
                 assert 1 <= parent_c < c
-                assert 0 <= parent_i < int(table.size[parent_c])
                 step = tournament_questions(c, parent_c)
-                assert (
-                    table.cost[c, i]
-                    == step + table.cost[parent_c, parent_i]
-                )
-                assert table.lat[c, i] == pytest.approx(
-                    latency(step) + table.lat[parent_c, parent_i]
+                assert table.cost[i] == step + table.cost[parent]
+                assert table.lat[i] == pytest.approx(
+                    latency(step) + table.lat[parent]
                 )
 
 
@@ -130,26 +107,28 @@ class TestTDPTable:
     def test_nothing_is_built_before_the_first_lookup(self):
         table = TDPTable(self.LATENCY)
         assert table.n_elements == 1
-        assert table._rows.size.tolist() == [0, 1]
+        assert table._frontiers.sizes().tolist() == [1]
         plan = table.plan(30, 29)
         assert table.n_elements == 30
         # Rows are complete, not cut at the first lookup's budget.
         assert plan.frontier_sizes[-1] == 1
-        assert table._rows.cost[30, int(table._rows.size[30]) - 1] > 29
+        assert _row(table._frontiers, 30)[-1] > 29
 
     def test_growth_policy(self):
         table = TDPTable(self.LATENCY)
         with profiled(publish=False) as profiler:
             table.plan(30, 90)
-            rows = table._rows.cost.copy()
+            end = table._frontiers.offsets[-1]
+            rows = table._frontiers.cost[:end].copy()
             table.plan(20, 400)  # larger budget, fewer rows: no build
             table.plan(30, 30)
             assert profiler.snapshot()["frontier.rows"] == 29
-            np.testing.assert_array_equal(table._rows.cost[:31], rows)
+            assert table._frontiers.offsets[-1] == end
             table.plan(50, 60)  # more rows: only 31..50 are built
             assert table.n_elements == 50
             assert profiler.snapshot()["frontier.rows"] == 49
-        np.testing.assert_array_equal(table._rows.cost[:31, : rows.shape[1]], rows)
+        # Rows 1..30 stay the prefix, untouched by the appended rows.
+        np.testing.assert_array_equal(table._frontiers.cost[:end], rows)
 
     @given(
         shapes=st.lists(
@@ -165,17 +144,23 @@ class TestTDPTable:
             budget = n - 1 + extra
             plan = table.plan(n, budget)
             cold = _capped(n, budget, self.LATENCY)
-            assert plan.frontier_sizes == tuple(cold.size[1 : n + 1].tolist())
-            assert plan.questions_used == cold.cost[n, int(cold.size[n]) - 1]
-            rows = table._rows
+            assert plan.frontier_sizes == tuple(cold.sizes().tolist())
+            assert plan.questions_used == _row(cold, n)[-1]
+            rows = table._frontiers
             for c in range(1, n + 1):
-                count = int(cold.size[c])
-                assert int(np.count_nonzero(rows.cost[c] <= budget)) == count
-                for name in ("cost", "lat", "parent_c", "parent_i"):
+                count = len(_row(cold, c))
+                assert int(np.count_nonzero(_row(rows, c) <= budget)) == count
+                for name in ("cost", "lat", "row"):
                     np.testing.assert_array_equal(
-                        getattr(rows, name)[c, :count],
-                        getattr(cold, name)[c, :count],
+                        _row(rows, c, name)[:count], _row(cold, c, name)
                     )
+                # Parents are flat indices of different stores: compare
+                # the points they name.
+                for got, want in zip(
+                    _named(rows, _row(rows, c, "parent")[:count]),
+                    _named(cold, _row(cold, c, "parent")),
+                ):
+                    np.testing.assert_array_equal(got, want)
 
     @given(
         shapes=st.lists(

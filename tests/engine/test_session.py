@@ -299,6 +299,25 @@ class TestCheckpointing:
         with pytest.raises(InvalidParameterError, match="unanswered"):
             session_from_dict(payload)
 
+    @pytest.mark.parametrize("field", ["pending", "evidence"])
+    @pytest.mark.parametrize(
+        "row", [[0], [0, 1, 2], [0, 1, 2, 3]], ids=["1-item", "3-item", "4-item"]
+    )
+    def test_restore_rejects_rows_that_are_not_pairs(self, field, row):
+        """A checkpoint row of the wrong length is rejected, not truncated
+        or reshaped into other questions or answers."""
+        rng = np.random.default_rng(15)
+        allocation = Allocation.from_element_sequence((12, 3, 1))
+        session = MaxSession(allocation, TournamentFormation(), 12, rng)
+        session.pending_questions()  # hand the first round out
+        payload = session_to_dict(session)
+        if field == "pending":
+            payload["pending"] = [row] + payload["pending"][1:]
+        else:
+            payload["evidence"]["answers"] = [row]
+        with pytest.raises(InvalidParameterError, match="pairs"):
+            session_from_dict(payload)
+
     def test_finished_session_round_trips(self):
         rng = np.random.default_rng(11)
         truth = GroundTruth.random(10, rng)

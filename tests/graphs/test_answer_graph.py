@@ -86,6 +86,24 @@ class TestBulkRecording:
         assert graph.n_answers == 0
         assert graph.remaining_candidates() == {0, 1, 2}
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[(0,)], [(0, 1, 2)], [(0, 1, 2, 3)], [(0, 1), (2,)], [0, 1]],
+        ids=["1-item", "3-item", "4-item", "ragged", "flat"],
+    )
+    def test_rows_that_are_not_pairs_rejected(self, rows):
+        """A malformed row is rejected, never reshaped into other answers."""
+        graph = AnswerGraph(range(4))
+        with pytest.raises(InvalidParameterError, match="pairs"):
+            graph.record_pairs(rows)
+        assert graph.n_answers == 0
+
+    def test_empty_rows_record_nothing(self):
+        graph = AnswerGraph(range(2))
+        graph.record_pairs([])
+        graph.record_pairs(np.empty((0, 2), np.int64))
+        assert graph.n_answers == 0
+
     def test_record_all_goes_through_the_bulk_check(self):
         graph = AnswerGraph(range(2))
         graph.record_all([Answer(winner=0, loser=1)])

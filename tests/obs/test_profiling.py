@@ -21,13 +21,12 @@ class TestSolverProfiler:
     def test_disabled_by_default(self):
         assert PROFILER.enabled is False
 
-    def test_add_and_set_max(self):
+    def test_add(self):
         profiler = SolverProfiler()
         profiler.add("cells", 10)
         profiler.add("cells", 5)
-        profiler.set_max("width", 3)
-        profiler.set_max("width", 2)
-        assert profiler.snapshot() == {"cells": 15, "width": 3}
+        profiler.add("rows")
+        assert profiler.snapshot() == {"cells": 15, "rows": 1}
 
     def test_reset_clears_counts_not_the_flag(self):
         profiler = SolverProfiler()
@@ -79,7 +78,8 @@ class TestSolverCounters:
         assert first["frontier.solves"] == 1
         assert first["frontier.rows"] == 49
         assert first["frontier.cells"] > 0
-        assert first["frontier.candidates"] >= first["frontier.cells"]
+        # Complete rows: one candidate per stored point, none dropped.
+        assert first["frontier.candidates"] == first["frontier.cells"]
 
     def test_memo_counts_hits_and_misses(self):
         with profiled(publish=False) as profiler:
