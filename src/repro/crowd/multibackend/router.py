@@ -42,7 +42,7 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from repro.obs.metrics import get_registry, labeled_name
 from repro.obs.spans import current_span, emit_span, span_scope
 from repro.obs.stats import percentile
 from repro.obs.tracer import current_tracer
-from repro.types import Question, Questions, as_pairs
+from repro.types import Questions, as_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -180,7 +180,8 @@ class RoundOutcome:
             backends (sub-batches run in parallel).
         n_posted: distinct questions successfully posted (assigned to a
             backend that returned a batch).
-        unposted: questions no backend had capacity for this round.
+        unposted: ``(u, 2)`` int64, the questions no backend had
+            capacity for this round, as the units gave them.
         total_outage: every posting backend suffered a whole-batch
             outage; the scheduler then charges a round attempt to every
             scheduled query that had a question posted.
@@ -188,21 +189,21 @@ class RoundOutcome:
         backend_latencies: per-backend round latency (posted backends
             only), keyed by name.
         outaged: names of backends whose sub-batch was swallowed.
-        hedged_questions: distinct questions that were mirrored to a
-            hedge backend this round (attribution labels their chunks
-            ``hedge``); empty when hedging is off.
+        hedged_questions: ``(h, 2)`` int64, the questions that were
+            mirrored to a hedge backend this round (attribution labels
+            their chunks ``hedge``); empty when hedging is off.
     """
 
     questions: np.ndarray
     winners: np.ndarray
     latency: float
     n_posted: int
-    unposted: frozenset
+    unposted: np.ndarray
     total_outage: bool
     decision: RouteDecision
     backend_latencies: Dict[str, float]
     outaged: Tuple[str, ...]
-    hedged_questions: frozenset = frozenset()
+    hedged_questions: np.ndarray
 
 
 class CapacityAwareRouter:
@@ -246,7 +247,6 @@ class CapacityAwareRouter:
             maxlen=hedge.window if hedge is not None else 1
         )
         self._by_name = {b.name: b for b in self.backends}
-        self._decisions: Optional[Dict[int, RoundDecision]] = None
 
     def backend(self, name: str) -> Backend:
         """Look up a backend by name."""
@@ -258,27 +258,34 @@ class CapacityAwareRouter:
     def before_round(self, now: float) -> Optional[float]:
         """Ask every backend's breaker about the round starting at *now*.
 
-        Decisions are stashed for the immediately following
-        :meth:`post_round`.  Returns ``None`` when some backend takes
-        questions; when every backend defers, returns the resume time —
-        the earliest cooldown expiry across the fleet.
+        Returns ``None`` when some backend takes questions; when every
+        backend defers, returns the resume time — the earliest cooldown
+        expiry across the fleet.
         """
-        decisions: Dict[int, RoundDecision] = {}
-        for backend in self.backends:
-            if backend.breaker is None:
-                decisions[backend.index] = RoundDecision.POST
-            else:
-                decisions[backend.index] = backend.breaker.before_round(now)
+        decisions = self._decide(now)
         if all(d is RoundDecision.DEFER for d in decisions.values()):
-            resume_at = min(
+            return min(
                 backend.breaker.defer_target(now)
                 for backend in self.backends
                 if backend.breaker is not None
             )
-            self._decisions = None
-            return resume_at
-        self._decisions = decisions
         return None
+
+    def _decide(self, now: float) -> Dict[int, RoundDecision]:
+        """Each backend's breaker decision for the round starting at *now*.
+
+        Idempotent for a fixed *now* (a breaker moves OPEN → HALF_OPEN
+        only on the first call), so :meth:`before_round` and
+        :meth:`post_round` of one round see the same decisions.
+        """
+        return {
+            b.index: (
+                b.breaker.before_round(now)
+                if b.breaker is not None
+                else RoundDecision.POST
+            )
+            for b in self.backends
+        }
 
     def note_time(self, now: float) -> None:
         """Stamp every breaker that opened clock-lessly during the round."""
@@ -332,17 +339,7 @@ class CapacityAwareRouter:
                 across the round's queries) clipping each backend's RWL
                 retry backoff.
         """
-        decisions = self._decisions
-        self._decisions = None
-        if decisions is None:
-            decisions = {
-                b.index: (
-                    b.breaker.before_round(now)
-                    if b.breaker is not None
-                    else RoundDecision.POST
-                )
-                for b in self.backends
-            }
+        decisions = self._decide(now)
         assignment, unposted, remaining = self._assign(
             units, decisions, budgets=budgets
         )
@@ -361,7 +358,7 @@ class CapacityAwareRouter:
         )
         registry = get_registry()
         registry.counter("router.rounds").inc()
-        if unposted:
+        if len(unposted):
             registry.counter("router.deferred_questions").inc(len(unposted))
 
         answered: List[RWLResult] = []
@@ -369,116 +366,87 @@ class CapacityAwareRouter:
         n_posted = 0
         backend_latencies: Dict[str, float] = {}
         outaged: List[str] = []
-        hedged_questions: set = set()
-        posted_any = False
+        hedged: List[np.ndarray] = []
         tracer = current_tracer()
         scope = current_span() if tracer.enabled else None
         for backend in self.backends:
             sub_batch = assignment[backend.index]
             if not len(sub_batch):
                 continue
-            posted_any = True
-            probe = decisions[backend.index] is RoundDecision.PROBE
-            primary = self._execute_sub_batch(
-                backend,
-                sub_batch,
-                registry,
-                tracer,
-                scope,
-                now,
-                probe=probe,
-                budget=rwl_budget,
-            )
+            # A hedged sub-batch is posted to its primary, then mirrored;
+            # the first answer wins (the primary on a tie).
+            group = [backend]
             mirror = mirrors.get(backend.index)
-            if mirror is None:
-                self._merge_latency(
-                    backend_latencies, backend.name, primary.latency
+            if mirror is not None:
+                group.append(mirror)
+                hedged.append(sub_batch)
+                self.hedges += 1
+                registry.counter("hedge.posts").inc()
+            results = [
+                self._execute_sub_batch(
+                    member,
+                    sub_batch,
+                    registry,
+                    tracer,
+                    scope,
+                    now,
+                    probe=decisions[member.index] is RoundDecision.PROBE,
+                    budget=rwl_budget,
+                    hedge_of=None if member is backend else backend.name,
                 )
-                if primary.ok:
-                    answered.append(primary.result)
-                    latency = max(latency, primary.latency)
-                    n_posted += len(sub_batch)
-                else:
-                    latency = max(latency, primary.latency)
-                    outaged.append(backend.name)
-                continue
-            # Hedged pair: mirror the sub-batch, first answer wins.
-            hedged_questions.update(map(tuple, sub_batch.tolist()))
-            self.hedges += 1
-            registry.counter("hedge.posts").inc()
-            mirror_result = self._execute_sub_batch(
-                mirror,
-                sub_batch,
-                registry,
-                tracer,
-                scope,
-                now,
-                probe=False,
-                budget=rwl_budget,
-                hedge_of=backend.name,
-            )
-            pair = ((backend, primary), (mirror, mirror_result))
-            winners = [(b, r) for b, r in pair if r.ok]
-            if winners:
-                win_backend, win_result = min(
-                    winners,
-                    key=lambda br: (br[1].latency, br[0] is not backend),
-                )
-                answered.append(win_result.result)
-                latency = max(latency, win_result.latency)
-                n_posted += len(sub_batch)
-                if win_backend is mirror:
-                    self.hedge_wins += 1
-                    registry.counter("hedge.wins").inc()
-                for b, r in pair:
-                    self._merge_latency(backend_latencies, b.name, r.latency)
-                    if b is win_backend:
-                        continue
-                    if r.ok:
-                        waste = r.result.questions_posted
-                        self.hedge_waste += waste
-                        registry.counter("hedge.waste").inc(waste)
-                    else:
-                        outaged.append(b.name)
+                for member in group
+            ]
+            ok = [i for i, result in enumerate(results) if result.ok]
+            win = min(ok, key=lambda i: results[i].latency, default=None)
+            if win is None:
+                latency = max(latency, *(r.latency for r in results))
             else:
-                # Both members swallowed: the pair behaves like a plain
-                # outage of both backends.
-                for b, r in pair:
-                    self._merge_latency(backend_latencies, b.name, r.latency)
-                    latency = max(latency, r.latency)
-                    outaged.append(b.name)
+                answered.append(results[win].result)
+                latency = max(latency, results[win].latency)
+                n_posted += len(sub_batch)
+            for i, (member, result) in enumerate(zip(group, results)):
+                # A backend can be one sub-batch's primary and another's
+                # mirror: its round latency is the longer of the two.
+                backend_latencies[member.name] = max(
+                    backend_latencies.get(member.name, 0.0), result.latency
+                )
+                if not result.ok:
+                    outaged.append(member.name)
+                elif i != win:
+                    waste = result.result.questions_posted
+                    self.hedge_waste += waste
+                    registry.counter("hedge.waste").inc(waste)
+            if mirror is None:
+                continue
+            if win == 1:
+                self.hedge_wins += 1
+                registry.counter("hedge.wins").inc()
             if tracer.enabled:
-                winner_label = "none"
-                if winners:
-                    winner_label = (
-                        "primary" if win_backend is backend else "mirror"
-                    )
                 tracer.emit(
                     RoundHedged(
                         tick=tick,
                         backend=backend.name,
                         mirror=mirror.name,
                         questions=len(sub_batch),
-                        winner=winner_label,
+                        winner=(
+                            "none" if win is None else ("primary", "mirror")[win]
+                        ),
                     )
                 )
         successful = set(backend_latencies) - set(outaged)
-        total_outage = posted_any and not successful
         return RoundOutcome(
-            questions=np.concatenate(
-                [r.questions for r in answered] or [np.empty((0, 2), np.int64)]
-            ),
+            questions=_rows(r.questions for r in answered),
             winners=np.concatenate(
                 [r.winners for r in answered] or [np.empty(0, np.int64)]
             ),
             latency=latency,
             n_posted=n_posted,
-            unposted=frozenset(unposted),
-            total_outage=total_outage,
+            unposted=unposted,
+            total_outage=bool(backend_latencies) and not successful,
             decision=decision,
             backend_latencies=backend_latencies,
             outaged=tuple(outaged),
-            hedged_questions=frozenset(hedged_questions),
+            hedged_questions=_rows(hedged),
         )
 
     def _execute_sub_batch(
@@ -566,15 +534,6 @@ class CapacityAwareRouter:
             ok=True,
             latency=float(result.latency),
             result=result,
-        )
-
-    @staticmethod
-    def _merge_latency(
-        backend_latencies: Dict[str, float], name: str, value: float
-    ) -> None:
-        """Record a backend's sub-round latency (max-merge on hedge reuse)."""
-        backend_latencies[name] = max(
-            backend_latencies.get(name, 0.0), float(value)
         )
 
     def _post_backend(
@@ -783,9 +742,9 @@ class CapacityAwareRouter:
         units: Sequence[Tuple[int, Questions]],
         decisions: Dict[int, RoundDecision],
         budgets: Optional[Dict[int, float]] = None,
-    ) -> Tuple[Dict[int, np.ndarray], List[Question], Dict[int, int]]:
+    ) -> Tuple[Dict[int, np.ndarray], np.ndarray, Dict[int, int]]:
         """Place every unit; returns (per-backend ``(k, 2)`` batches,
-        unposted questions, remaining per-backend capacity).
+        ``(u, 2)`` unposted questions, remaining per-backend capacity).
 
         Phase 1 keeps units whole on the policy-preferred backend with
         room; phase 2 splits units that fit nowhere whole across the
@@ -803,7 +762,7 @@ class CapacityAwareRouter:
             b.index: self._round_capacity(b, decisions[b.index])
             for b in self.backends
         }
-        unposted: List[Question] = []
+        unposted: List[np.ndarray] = []
         for query_id, questions in units:
             block = as_pairs(questions)
             size = len(block)
@@ -853,12 +812,9 @@ class CapacityAwareRouter:
                 load[backend.index] += len(chunk)
                 remaining[backend.index] -= len(chunk)
                 cursor += len(chunk)
-            unposted.extend(map(tuple, block[cursor:].tolist()))
-        assignment = {
-            index: np.concatenate(placed) if placed else np.empty((0, 2), np.int64)
-            for index, placed in blocks.items()
-        }
-        return assignment, unposted, remaining
+            unposted.append(block[cursor:])
+        assignment = {index: _rows(placed) for index, placed in blocks.items()}
+        return assignment, _rows(unposted), remaining
 
     # ------------------------------------------------------------------
     # Reporting
@@ -884,3 +840,8 @@ class CapacityAwareRouter:
             }
             for b in self.backends
         ]
+
+
+def _rows(blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """Concatenate ``(k, 2)`` blocks into one array (``(0, 2)`` if none)."""
+    return np.concatenate([*blocks, np.empty((0, 2), np.int64)])

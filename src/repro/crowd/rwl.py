@@ -25,7 +25,7 @@ tallies and an array-pass cycle check.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -38,7 +38,6 @@ from repro.obs.events import BatchRetried, RWLRetry
 from repro.obs.metrics import get_registry
 from repro.obs.spans import current_span, emit_span, span_scope
 from repro.obs.tracer import current_tracer
-from repro.types import Question
 
 logger = logging.getLogger(__name__)
 
@@ -59,9 +58,10 @@ class RWLResult:
         majority_flips: answers whose final direction disagrees with the
             majority vote (non-zero only when cycle resolution fired).
         attempts: posting attempts made (1 = no retries).
-        unanswered: distinct questions that never received any answer —
-            non-empty only when a fault-injecting platform lost answers
-            and the retry policy ran out of attempts or deadline.
+        unanswered: ``(u, 2)`` int64, the distinct questions that never
+            received any answer — non-empty only when a fault-injecting
+            platform lost answers and the retry policy ran out of
+            attempts or deadline.
     """
 
     questions: np.ndarray
@@ -70,7 +70,9 @@ class RWLResult:
     questions_posted: int
     majority_flips: int
     attempts: int = 1
-    unanswered: Tuple[Question, ...] = ()
+    unanswered: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 2), np.int64)
+    )
 
     __eq__ = columns_equal
 
@@ -151,7 +153,7 @@ class ReliableWorkerLayer:
         rows, winners, answered, total_latency, questions_posted, attempts = (
             self._post_with_retries(distinct, budget=budget)
         )
-        unanswered = tuple(map(tuple, distinct[~answered].tolist()))
+        unanswered = distinct[~answered]
         resolved = distinct[answered]
         # Tally: each raw answer is a vote for its question's lo or hi.
         lo_won = winners == distinct[rows, 0]
@@ -167,7 +169,7 @@ class ReliableWorkerLayer:
         registry.counter("rwl.batches").inc()
         registry.counter("rwl.distinct_questions").inc(n_distinct)
         registry.counter("rwl.questions_posted").inc(questions_posted)
-        if unanswered:
+        if len(unanswered):
             registry.counter("rwl.unanswered").inc(len(unanswered))
             logger.warning(
                 "RWL degraded: %d of %d questions never answered after "

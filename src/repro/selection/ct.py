@@ -24,18 +24,24 @@ from repro.selection.spread import Spread
 from repro.types import Question
 
 
-class CTSelector(QuestionSelector):
-    """SPREAD for the first ``fraction`` of rounds, COMPLETE afterwards."""
+class SpreadThen(QuestionSelector):
+    """SPREAD for the first ``spread_fraction`` of rounds, *later* afterwards.
 
-    def __init__(self, spread_fraction: float = 0.25) -> None:
+    Named ``<prefix><percent>``: ``CT25`` is SPREAD then COMPLETE over the
+    first 25% of the rounds, ``SG25`` SPREAD then GREEDY.
+    """
+
+    def __init__(
+        self, prefix: str, later: QuestionSelector, spread_fraction: float
+    ) -> None:
         if not 0.0 < spread_fraction < 1.0:
             raise InvalidParameterError(
                 f"spread_fraction must be in (0, 1), got {spread_fraction}"
             )
         self.spread_fraction = spread_fraction
-        self.name = f"CT{int(round(spread_fraction * 100))}"
+        self.name = f"{prefix}{int(round(spread_fraction * 100))}"
         self._spread = Spread()
-        self._complete = Complete()
+        self._later = later
 
     def spread_rounds(self, total_rounds: int) -> int:
         """How many leading rounds SPREAD gets for a *total_rounds* plan."""
@@ -44,7 +50,14 @@ class CTSelector(QuestionSelector):
     def select(self, ctx: SelectionContext) -> List[Question]:
         if ctx.round_index < self.spread_rounds(ctx.total_rounds):
             return self._spread.select(ctx)
-        return self._complete.select(ctx)
+        return self._later.select(ctx)
+
+
+class CTSelector(SpreadThen):
+    """SPREAD for the first ``fraction`` of rounds, COMPLETE afterwards."""
+
+    def __init__(self, spread_fraction: float = 0.25) -> None:
+        super().__init__("CT", Complete(), spread_fraction)
 
 
 def ct25() -> CTSelector:

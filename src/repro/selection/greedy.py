@@ -12,19 +12,17 @@ scores of their endpoints and asks the top-budget pairs: the strongest
 candidates get compared against each other first, then against
 progressively weaker ones.  Like COMPLETE it is an *exploitation* strategy
 and needs score diversity to do anything smarter than SPREAD, so it is
-usually wrapped in a :class:`repro.selection.ct.CTSelector`-style schedule
+usually wrapped in a :class:`repro.selection.ct.SpreadThen` schedule
 with an exploration phase first.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List
 
-from repro.errors import InvalidParameterError
 from repro.selection.base import QuestionSelector, SelectionContext
+from repro.selection.ct import SpreadThen
 from repro.selection.scoring import score_candidates
-from repro.selection.spread import Spread
 from repro.types import Question, normalize_question
 
 
@@ -56,30 +54,12 @@ class Greedy(QuestionSelector):
         return pairs[: ctx.budget]
 
 
-class SpreadGreedy(QuestionSelector):
+class SpreadGreedy(SpreadThen):
     """SPREAD in the first ``fraction`` of the rounds, GREEDY afterwards.
 
     The SPREAD+GREEDY combination the paper reports trying alongside CT25
     (Section 5.2's closing paragraph).
     """
 
-    name = "SG25"
-
     def __init__(self, spread_fraction: float = 0.25) -> None:
-        if not 0.0 < spread_fraction < 1.0:
-            raise InvalidParameterError(
-                f"spread_fraction must be in (0, 1), got {spread_fraction}"
-            )
-        self.spread_fraction = spread_fraction
-        self.name = f"SG{int(round(spread_fraction * 100))}"
-        self._spread = Spread()
-        self._greedy = Greedy()
-
-    def spread_rounds(self, total_rounds: int) -> int:
-        """How many leading rounds SPREAD gets (same rule as CT selectors)."""
-        return max(1, math.floor(self.spread_fraction * total_rounds))
-
-    def select(self, ctx: SelectionContext) -> List[Question]:
-        if ctx.round_index < self.spread_rounds(ctx.total_rounds):
-            return self._spread.select(ctx)
-        return self._greedy.select(ctx)
+        super().__init__("SG", Greedy(), spread_fraction)

@@ -38,7 +38,6 @@ from typing import (
     Callable,
     Deque,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -104,7 +103,7 @@ from repro.service.policies import policy_by_name
 from repro.service.query import QueryResult, QuerySpec, QueryState
 from repro.service.report import ServiceReport
 from repro.service.telemetry import TICK_HISTORY_LIMIT, TickSample
-from repro.types import Element, Question
+from repro.types import Element
 
 logger = logging.getLogger(__name__)
 
@@ -256,20 +255,6 @@ class ActiveQuery:
     round_attempts: int = 0
     #: Absolute sim time the query's latency budget expires (None = none).
     deadline_at: Optional[float] = None
-
-    def none_posted(self, unposted: FrozenSet[Question]) -> bool:
-        """Whether the router placed none of the unanswered questions.
-
-        The crowd never saw such a query's round, so it spends no round
-        attempt and its tick is attributed as ``stall``.
-        """
-        return self.count_in(unposted) == len(self.unanswered)
-
-    def count_in(self, questions: FrozenSet[Question]) -> int:
-        """How many unanswered questions are in the set *questions*."""
-        if not questions:
-            return 0
-        return sum(q in questions for q in map(tuple, self.unanswered.tolist()))
 
 
 class MaxScheduler:
@@ -644,40 +629,37 @@ class MaxScheduler:
         self,
         tracer: Tracer,
         runnable: List[ActiveQuery],
-        scheduled: List[ActiveQuery],
+        posted: Dict[int, bool],
         start: float,
         end: float,
         outage: bool,
-        hedged: FrozenSet[Question] = frozenset(),
-        unposted: FrozenSet[Question] = frozenset(),
     ) -> None:
         """Attribute one shared round's duration to every live query.
 
-        Scheduled queries pay the round as ``round_post`` (first attempt),
-        ``retry`` (re-posting lost questions), ``hedge`` (their chunk was
-        mirrored to a hedge backend) or ``outage``.  Runnable queries with
-        no question posted — left out by backpressure, or packed but
-        placed nowhere by the router's capacity or probe quotas — pay it
-        as ``stall``.  Queries still waiting for their first schedule are
-        covered by their ``queue_wait`` chunk instead.
+        *posted* maps each scheduled query that had a question posted to
+        whether any of its questions was hedged.  Those queries pay the
+        round as ``round_post`` (first attempt), ``retry`` (re-posting
+        lost questions), ``hedge`` (their chunk was mirrored to a hedge
+        backend) or ``outage``.  Runnable queries with no question posted
+        — left out by backpressure, or packed but placed nowhere by the
+        router's capacity or probe quotas — pay it as ``stall``.  Queries
+        still waiting for their first schedule are covered by their
+        ``queue_wait`` chunk instead.
         """
-        scheduled_ids = {q.spec.query_id for q in scheduled}
         for query in runnable:
             if query.first_scheduled_time is None:
                 continue
-            if query.spec.query_id in scheduled_ids and not query.none_posted(
-                unposted
-            ):
-                if outage:
-                    component = "outage"
-                elif query.round_attempts > 0:
-                    component = "retry"
-                elif query.count_in(hedged):
-                    component = "hedge"
-                else:
-                    component = "round_post"
-            else:
+            hedged = posted.get(query.spec.query_id)
+            if hedged is None:
                 component = "stall"
+            elif outage:
+                component = "outage"
+            elif query.round_attempts > 0:
+                component = "retry"
+            elif hedged:
+                component = "hedge"
+            else:
+                component = "round_post"
             self._add_chunk(tracer, query, component, start, end)
 
     def _sample_tick(self, deferred: bool) -> None:
@@ -1323,6 +1305,22 @@ class MaxScheduler:
             self._last_round_questions = outcome.n_posted
             registry.counter("service.rounds").inc()
             registry.counter("service.questions_posted").inc(outcome.n_posted)
+        # Each query owns the element slice [offset, offset + c0), so
+        # either element of a row names its query; `scheduled` is in
+        # policy order, hence the sort of the offsets.
+        offsets = np.array([query.offset for query in scheduled])
+        by_offset = np.argsort(offsets)
+        starts = offsets[by_offset]
+
+        def owner_of(rows: np.ndarray) -> np.ndarray:
+            return by_offset[np.searchsorted(starts, rows[:, 0], side="right") - 1]
+
+        def per_query(rows: np.ndarray) -> List[int]:
+            if not len(rows):
+                return [0] * len(scheduled)
+            return np.bincount(owner_of(rows), minlength=len(scheduled)).tolist()
+
+        unposted = per_query(outcome.unposted)
         if tracer.enabled:
             close_span(
                 tracer,
@@ -1330,25 +1328,22 @@ class MaxScheduler:
                 end=self._now,
                 status="outage" if outage else "ok",
             )
+            hedged = per_query(outcome.hedged_questions)
+            posted = {
+                query.spec.query_id: hedged[i] > 0
+                for i, query in enumerate(scheduled)
+                if unposted[i] < len(query.unanswered)
+            }
             self._record_tick_chunks(
-                tracer, runnable, scheduled, tick_start, self._now,
-                outage=outage, hedged=outcome.hedged_questions,
-                unposted=outcome.unposted,
+                tracer, runnable, posted, tick_start, self._now, outage=outage
             )
         if outage:
-            for query in scheduled:
-                if not query.none_posted(outcome.unposted):
+            for query, n_unposted in zip(scheduled, unposted):
+                if n_unposted < len(query.unanswered):
                     self._bump_round_attempts(query, len(query.unanswered))
             return
-        # Each query owns the element slice [offset, offset + c0), so a
-        # row's low element names its query; `scheduled` is in policy
-        # order, hence the sort of the offsets.
-        offsets = np.array([query.offset for query in scheduled])
-        by_offset = np.argsort(offsets)
         questions, winners = outcome.questions, outcome.winners
-        owner = by_offset[
-            np.searchsorted(offsets[by_offset], questions[:, 0], side="right") - 1
-        ]
+        owner = owner_of(questions)
         rows = np.argsort(owner, kind="stable")
         local = np.stack((winners, questions.sum(axis=1) - winners), axis=1)
         local = (local - offsets[owner][:, None])[rows]
@@ -1357,12 +1352,14 @@ class MaxScheduler:
         # matches the open emitted by _refresh_round.
         rounds = [query.session.round_index for query in scheduled]
         submit_rounds([query.session for query in scheduled], local, counts)
-        for query, count, round_index in zip(scheduled, counts.tolist(), rounds):
+        for query, count, n_unposted, round_index in zip(
+            scheduled, counts.tolist(), unposted, rounds
+        ):
             lost = len(query.unanswered) - count  # re-posted next tick
             if lost:
                 # An unposted question is never answered, so the lost ones
                 # were all unposted exactly when `lost` of the round were.
-                if query.count_in(outcome.unposted) < lost:
+                if n_unposted < lost:
                     self._bump_round_attempts(query, lost)
                 continue
             if tracer.enabled:

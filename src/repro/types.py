@@ -29,20 +29,25 @@ def as_pairs(questions: Questions) -> np.ndarray:
     """*questions* as an ``(n, 2)`` int64 array (empty input included).
 
     Raises:
-        InvalidParameterError: if *questions* is not ``(n, 2)``: a row of
-            one, three or four items is rejected, never reshaped.
+        InvalidParameterError: if *questions* is not ``(n, 2)`` integers: a
+            row of one, three or four items is rejected, never reshaped,
+            and a non-integer element is rejected, never truncated.
     """
     try:
-        pairs = np.asarray(questions, dtype=np.int64)
+        pairs = np.asarray(questions)
     except ValueError as error:  # ragged rows
         raise InvalidParameterError(f"questions must be pairs: {error}") from None
     if pairs.size == 0:
-        return pairs.reshape(0, 2)
+        return np.empty((0, 2), np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise InvalidParameterError(
             f"questions must be an (n, 2) array of pairs, got shape {pairs.shape}"
         )
-    return pairs
+    if pairs.dtype.kind not in "iu":
+        raise InvalidParameterError(
+            f"questions must be integer pairs, got dtype {pairs.dtype}"
+        )
+    return pairs.astype(np.int64, copy=False)
 
 
 def normalize_question(a: Element, b: Element) -> Question:

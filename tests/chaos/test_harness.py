@@ -14,6 +14,7 @@ from repro.chaos import (
     uninterrupted_report,
 )
 from repro.crowd.faults import RetryPolicy
+from repro.crowd.multibackend import backend_preset_by_name
 from repro.errors import InvalidParameterError
 from repro.obs.tracer import RecordingTracer, use_tracer
 
@@ -128,6 +129,34 @@ class TestRecoveryEquivalence:
             breaker=CircuitBreakerConfig(failure_threshold=2),
         )
         report = run_chaos(scenario, sweep=True, journal_dir=tmp_path)
+        assert report.all_equivalent, report.render()
+
+
+    def test_every_tick_boundary_of_a_capacity_capped_fleet(self, tmp_path):
+        """Both ``duo`` backends capped at 60 questions: rounds leave
+        questions unposted and split query blocks across the backends,
+        and a kill at any tick boundary still recovers bit-identically."""
+        from repro.chaos import build_scheduler
+
+        fleet = tuple(
+            dataclasses.replace(spec, capacity=60)
+            for spec in backend_preset_by_name("duo")
+        )
+        scenario = ChaosScenario(workload="steady", seed=3, backends=fleet)
+        scheduler = build_scheduler(scenario)
+        post_round = scheduler.router.post_round
+        unposted = []
+
+        def recording_post_round(*args, **kwargs):
+            outcome = post_round(*args, **kwargs)
+            unposted.append(len(outcome.unposted))
+            return outcome
+
+        scheduler.router.post_round = recording_post_round
+        scheduler.run()
+        assert sum(unposted) > 0
+        report = run_chaos(scenario, sweep=True, journal_dir=tmp_path)
+        assert len(report.outcomes) == total_steps(scenario) + 1
         assert report.all_equivalent, report.render()
 
 

@@ -135,7 +135,9 @@ class TestRWLMatchesTheReference:
         winners = result_winners(result)
 
         assert list(winners) == [q for q in distinct if q in votes]
-        assert list(result.unanswered) == [q for q in distinct if q not in votes]
+        assert result.unanswered.tolist() == [
+            list(q) for q in distinct if q not in votes
+        ]
         assert reference_acyclic(n_elements, winners)
         repaired = result.majority_flips > 0
         if not repaired:

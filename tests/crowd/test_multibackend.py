@@ -189,7 +189,7 @@ class TestRouterAssignment:
         assignment, unposted, _ = router._assign(
             [(0, _questions(5))], self._post(router)
         )
-        assert not unposted
+        assert len(unposted) == 0
         assert len(assignment[1]) == 5  # "fast"
         assert len(assignment[0]) == 0
 
@@ -205,7 +205,9 @@ class TestRouterAssignment:
         )
         assert len(assignment[0]) == 4
         assert len(assignment[1]) == 3
-        assert len(unposted) == 3
+        # The overflow comes back as the block's last rows, as given.
+        assert unposted.dtype == np.int64
+        assert unposted.tolist() == [list(q) for q in _questions(10)[7:]]
 
     def test_blocks_stay_whole_when_any_backend_fits_them(self):
         router = self._router(
@@ -219,7 +221,7 @@ class TestRouterAssignment:
         )
         # Slower, but the only backend that takes the block whole.
         assert len(assignment[1]) == 6
-        assert not unposted
+        assert len(unposted) == 0
 
     def test_weighted_price_spills_to_pricier_on_capacity(self):
         router = self._router(
@@ -271,7 +273,7 @@ class TestRouterAssignment:
         )
         assert len(assignment[0]) == 0
         assert len(assignment[1]) == 6
-        assert not unposted
+        assert len(unposted) == 0
 
     def test_half_open_backend_gets_a_probe_quota(self):
         router = self._router(
@@ -287,7 +289,7 @@ class TestRouterAssignment:
         # Too big for the probe quota: the block lands whole on the
         # healthy backend.
         assert len(assignment[1]) == PROBE_QUESTIONS + 20
-        assert not unposted
+        assert len(unposted) == 0
         assignment, _, _ = router._assign(
             [(0, _questions(PROBE_QUESTIONS + 20)),
              (1, _questions(4, start=50))],

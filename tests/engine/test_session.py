@@ -301,11 +301,14 @@ class TestCheckpointing:
 
     @pytest.mark.parametrize("field", ["pending", "evidence"])
     @pytest.mark.parametrize(
-        "row", [[0], [0, 1, 2], [0, 1, 2, 3]], ids=["1-item", "3-item", "4-item"]
+        "row",
+        [[0], [0, 1, 2], [0, 1, 2, 3], [1.9, 0]],
+        ids=["1-item", "3-item", "4-item", "float"],
     )
     def test_restore_rejects_rows_that_are_not_pairs(self, field, row):
-        """A checkpoint row of the wrong length is rejected, not truncated
-        or reshaped into other questions or answers."""
+        """A checkpoint row of the wrong length or with a non-integer
+        element is rejected, not truncated or reshaped into other
+        questions or answers."""
         rng = np.random.default_rng(15)
         allocation = Allocation.from_element_sequence((12, 3, 1))
         session = MaxSession(allocation, TournamentFormation(), 12, rng)

@@ -88,11 +88,12 @@ class TestBulkRecording:
 
     @pytest.mark.parametrize(
         "rows",
-        [[(0,)], [(0, 1, 2)], [(0, 1, 2, 3)], [(0, 1), (2,)], [0, 1]],
-        ids=["1-item", "3-item", "4-item", "ragged", "flat"],
+        [[(0,)], [(0, 1, 2)], [(0, 1, 2, 3)], [(0, 1), (2,)], [0, 1], [(1.9, 0)]],
+        ids=["1-item", "3-item", "4-item", "ragged", "flat", "float"],
     )
     def test_rows_that_are_not_pairs_rejected(self, rows):
-        """A malformed row is rejected, never reshaped into other answers."""
+        """A malformed row is rejected, never reshaped into other answers
+        (nor truncated: ``1.9 > 0`` is not recorded as ``1 > 0``)."""
         graph = AnswerGraph(range(4))
         with pytest.raises(InvalidParameterError, match="pairs"):
             graph.record_pairs(rows)

@@ -112,9 +112,10 @@ def _record_placement(scheduler):
 
     def recording_post_round(units, *, tick, **kwargs):
         outcome = post_round(units, tick=tick, **kwargs)
+        unposted = set(map(tuple, outcome.unposted.tolist()))
         for query_id, questions in units:
             placed[(tick, query_id)] = any(
-                q not in outcome.unposted for q in map(tuple, questions.tolist())
+                q not in unposted for q in map(tuple, questions.tolist())
             )
         return outcome
 

@@ -24,20 +24,32 @@ from repro.service import (
 TERMINAL = {QueryState.COMPLETED, QueryState.DEGRADED, QueryState.SHED}
 
 #: (fleet preset, fault profile); a fault profile runs on the solo fleet
-#: with the default retry policy.
+#: with the default retry policy.  ``duo@60`` is the ``duo`` fleet with
+#: every backend's capacity cut to 60, which leaves questions unposted
+#: in most rounds and splits query blocks across both backends.
 FLEETS = [
     ("solo", None),
     ("duo", None),
     ("trio", None),
     ("outage-trio", None),
+    ("duo@60", None),
     ("solo", "lossy"),
     ("solo", "outages"),
 ]
 
 
+def _fleet(preset):
+    """The backends of *preset*, ``name@capacity`` capping each of them."""
+    name, _, capacity = preset.partition("@")
+    specs = backend_preset_by_name(name)
+    if not capacity:
+        return specs
+    return [dataclasses.replace(spec, capacity=int(capacity)) for spec in specs]
+
+
 def _run(preset, faults, specs):
     if faults is None:
-        fleet = dict(backends=backend_preset_by_name(preset))
+        fleet = dict(backends=_fleet(preset))
     else:
         fleet = dict(
             fault_profile=fault_profile_by_name(faults),

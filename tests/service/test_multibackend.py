@@ -268,9 +268,10 @@ class TestProbeOutage:
         assert outcome.decision.assignments == {
             "down": 0, "probing": PROBE_QUESTIONS,
         }
+        unposted = set(map(tuple, outcome.unposted.tolist()))
         spared = 0
         for query in scheduler._active:
-            posted = set(map(tuple, query.unanswered.tolist())) - outcome.unposted
+            posted = set(map(tuple, query.unanswered.tolist())) - unposted
             assert query.round_attempts == (1 if posted else 0)
             spared += not posted
         assert spared

@@ -112,6 +112,11 @@ class TestAnswerGraphRoundTrip:
         with pytest.raises(InconsistentAnswersError):
             answer_graph_from_dict(payload)
 
+    def test_float_answer_rejected_not_truncated(self):
+        payload = {"elements": [0, 1, 2], "answers": [[1.9, 0]]}
+        with pytest.raises(InvalidParameterError, match="integer"):
+            answer_graph_from_dict(payload)
+
     def test_checkpoint_resume_between_rounds(self):
         """The intended workflow: persist evidence after a round, reload,
         and keep going with identical state."""
