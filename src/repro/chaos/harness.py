@@ -237,9 +237,10 @@ def _deadline_storm() -> ChaosScenario:
     return ChaosScenario(
         workload="steady",
         seed=7,
-        # Enough queries for >= 2 of every deadline outcome, hedges and
-        # brownout transitions at seed 7 and at seeds 1-3.
-        n_queries=60,
+        # Enough queries, a deadline and a hedge trigger that give >= 2 of
+        # every deadline outcome, hedges and brownout transitions at seed 7
+        # and at seeds 1-3 (and at 39 of seeds 1-40).
+        n_queries=120,
         backends=tuple(backend_preset_by_name("outage-trio")),
         config=ServiceConfig(
             policy="priority",
@@ -251,8 +252,8 @@ def _deadline_storm() -> ChaosScenario:
             # least-loaded keeps slack on the fast backend, which is what
             # makes it a viable hedge mirror when `cheap` predicts slow.
             routing="least-loaded",
-            default_deadline=1800.0,
-            hedge=HedgeConfig(min_samples=4, window=32, factor=0.8),
+            default_deadline=1500.0,
+            hedge=HedgeConfig(min_samples=4, window=32, factor=0.6),
             brownout=BrownoutConfig(queue_wait_threshold=1000.0),
         ),
     )
@@ -310,9 +311,12 @@ def _alert_storm() -> ChaosScenario:
                     ThresholdRule(name="brownout-active",
                                   signal="brownout_level",
                                   threshold=1.0, severity="warning"),
+                    # The brownout's own queue-wait threshold: the alert
+                    # fires with the brownout and clears once the queue
+                    # has drained.
                     ThresholdRule(name="queue-wait-high",
                                   signal="queue_wait_p95",
-                                  threshold=1500.0, severity="warning"),
+                                  threshold=1000.0, severity="warning"),
                     ThresholdRule(name="hedge-waste",
                                   signal="hedge_waste",
                                   threshold=3.0, severity="warning"),

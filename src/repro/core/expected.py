@@ -105,13 +105,11 @@ def solve_expected_min_latency(
         raise InvalidParameterError(
             f"budget {budget} < c0 - 1 = {n_elements - 1}: infeasible"
         )
+    # No row is empty: the step c -> c - 1 costs one question, so every
+    # row has a point within c0 - 1 <= budget.
     frontiers = _Frontiers()  # row 1 is P(1) = {(0, 0)}
     for c in range(2, n_elements + 1):
-        if not _build_frontier(frontiers, _expected_costs(c), latency, budget):
-            raise InvalidParameterError(
-                f"no feasible expected-case transition from {c} candidates "
-                f"within budget {budget}"
-            )
+        _build_frontier(frontiers, _expected_costs(c), latency, budget)
     # Min latency is the last point of P(c_0), the last point stored.
     return _plan_from_point(
         repeat(frontiers), frontiers.offsets[-1] - 1, frontiers.sizes()

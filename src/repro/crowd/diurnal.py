@@ -15,6 +15,7 @@ shorter than the day cycle in all our workloads.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,19 +98,14 @@ class DiurnalPlatform(SimulatedPlatform):
         """
         activity = self.cycle.activity(self.wall_clock)
         base_config = self.config
-        slowed = WorkerPoolConfig(
-            mean_service_time=base_config.mean_service_time,
-            service_sigma=base_config.service_sigma,
-            base_workers=base_config.base_workers,
-            questions_per_extra_worker=base_config.questions_per_extra_worker,
+        slowed = replace(
+            base_config,
             max_workers=max(
                 base_config.base_workers,
                 int(round(base_config.max_workers * activity)),
             ),
             discovery_mean=base_config.discovery_mean / activity,
-            discovery_sigma=base_config.discovery_sigma,
             arrival_spread=base_config.arrival_spread / activity,
-            attention_span=base_config.attention_span,
         )
         self.config = slowed
         try:

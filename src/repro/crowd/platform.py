@@ -1,4 +1,4 @@
-"""A discrete-event simulation of a crowdsourcing platform.
+"""A simulation of a crowdsourcing platform.
 
 This is the substitute for Amazon Mechanical Turk: a batch of pairwise
 questions is "posted", simulated workers discover it, pick up questions one
@@ -6,22 +6,28 @@ at a time, and submit (possibly erroneous) answers.  The batch's latency is
 the time from posting until the last answer arrives — exactly the quantity
 the paper measured on MTurk to estimate ``L(q)`` (Section 6.1).
 
-The simulation is a simple event loop over worker availability: the next
-free worker takes the next unanswered question.  Workers arrive staggered
-(discovery delay + arrival spread), may have a limited attention span, and
-are replaced by fresh arrivals when the queue would otherwise starve.
+The worker pool is an arrival-plus-service model: workers arrive staggered
+(discovery delay + arrival spread), the next free worker takes the next
+unanswered question, and a worker with a limited attention span is
+replaced by a fresh arrival when the span runs out.  Service times are
+drawn independently of which worker takes a question, so each worker's
+answers form a chain, ``arrival + cumsum(service * speed)``, and handing
+questions to the next free worker is the same as handing question *r* to
+the *r*-th earliest slot start of all chains.  :func:`_schedule` draws
+the chains as one matrix and sorts their starts once, rather than stepping
+an event loop per posted copy; the assignment it gives is the event
+loop's, equal in distribution (``tests/crowd/test_platform_kernel.py``).
 
-Only the timing is simulated event by event: a batch's answers are NumPy
-columns, one rank comparison and one Bernoulli flip per posted copy.
+A batch's answers are NumPy columns: one rank comparison and one Bernoulli
+flip per posted copy.
 """
 
 from __future__ import annotations
 
-import heapq
-import logging
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -33,8 +39,6 @@ from repro.obs.events import WorkerServiced
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import current_tracer
 from repro.types import Questions, as_pairs
-
-logger = logging.getLogger(__name__)
 
 
 def columns_equal(self, other: object) -> bool:
@@ -94,7 +98,7 @@ class PlatformStats:
 class Platform(ABC):
     """The posting interface every platform implementation provides.
 
-    :class:`SimulatedPlatform` is the bare discrete-event implementation
+    :class:`SimulatedPlatform` is the bare simulated implementation
     (and :class:`repro.crowd.diurnal.DiurnalPlatform` a subclass of it);
     :class:`repro.crowd.faults.FaultyPlatform` is a decorator wrapping any
     other platform.  Consumers — the Reliable Worker Layer above all —
@@ -146,10 +150,12 @@ class SimulatedPlatform(Platform):
         Duplicate questions are allowed (the Reliable Worker Layer posts
         repetitions for voting); each posted copy is answered independently.
 
-        Draw order per batch: the arrival times, the attracted workers'
-        speeds, one service time per copy, the attention-span
-        replacements (inside the event loop), then one uniform per copy
-        for the error flips — skipped when every error probability is 0.
+        Draw order per batch: the worker schedule (:func:`_schedule`:
+        arrival times, the attracted workers' speeds, then blocks of
+        service times per worker chain, each followed by the discovery
+        delays and speeds of the attention-span replacements it starts),
+        then one uniform per copy for the error flips — skipped when every
+        error probability is 0.
         """
         pairs = as_pairs(questions)
         a, b = pairs[:, 0], pairs[:, 1]
@@ -162,51 +168,14 @@ class SimulatedPlatform(Platform):
         if not n:
             return BatchResult(pairs, a, np.empty(0), a, 0.0, 0, a)
 
-        config = self.config
         rng = self._rng
         first_id = self._next_worker_id
-        n_workers = config.attracted_workers(n)
-        arrivals = config.sample_arrival_times(n_workers, rng)
-        speeds = [config.sample_worker_speed(rng) for _ in range(n_workers)]
-        services = config.sample_service_times(n, rng)
-        # Min-heap of (time the worker becomes free, worker), workers
-        # numbered from 0 within the batch; sorted arrivals are a heap.
-        free_at = [(arrival, worker) for worker, arrival in enumerate(arrivals)]
-        answered = [0] * n_workers
-        span = config.attention_span
-        workers = [0] * n
-        submit_times = [0.0] * n
-        for row, service in enumerate(services.tolist()):
-            time_free, worker = free_at[0]
-            submit = time_free + service * speeds[worker]
-            workers[row] = worker
-            submit_times[row] = submit
-            answered[worker] += 1
-            if span is None or answered[worker] < span:
-                heapq.heapreplace(free_at, (submit, worker))
-                continue
-            # The worker moves on; a fresh worker discovers the still-
-            # open batch after a new discovery delay, keeping the queue
-            # from starving.
-            arrival = submit + config.sample_discovery_time(rng)
-            heapq.heapreplace(free_at, (arrival, len(speeds)))
-            logger.debug(
-                "worker %d exhausted its attention span (%d answers); "
-                "replacement %d arrives at t=%.1f s",
-                first_id + worker,
-                span,
-                first_id + len(speeds),
-                arrival,
-            )
-            speeds.append(config.sample_worker_speed(rng))
-            answered.append(0)
-        self._next_worker_id += len(speeds)
+        local, times, busy, n_brought = _schedule(self.config, n, rng)
+        self._next_worker_id += n_brought
 
         error = self.error_model.error_probabilities(self.truth, a, b)
         if error.any():
             winners = np.where(rng.random(n) < error, a + b - winners, winners)
-        local = np.array(workers, dtype=np.int64)
-        busy = services * np.array(speeds)[local]
         self.stats.total_busy_time += float(busy.sum())
         n_answers = np.bincount(local)
         participants = np.flatnonzero(n_answers)
@@ -225,7 +194,6 @@ class SimulatedPlatform(Platform):
                         busy_time=float(busy_by_worker[worker]),
                     )
                 )
-        times = np.array(submit_times)
         return BatchResult(
             questions=pairs,
             winners=winners,
@@ -235,3 +203,125 @@ class SimulatedPlatform(Platform):
             n_workers=len(participants),
             rows=np.arange(n),
         )
+
+
+def _schedule(
+    config: WorkerPoolConfig, n: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Who answers each of *n* posted copies, and when.
+
+    Returns ``(workers, submit_times, busy, n_brought)``: per copy the
+    answering worker, numbered from 0 within the batch, its submit time
+    and the seconds the worker spent on it; and how many workers the
+    batch brought in, attracted or replacing one whose attention ran out,
+    whether they answered or not.
+
+    Each attracted worker starts a chain of answer slots: slot 0 starts at
+    the worker's arrival and every slot starts when the previous one is
+    submitted.  With an attention span the chain is a line of workers in
+    generations of ``span`` slots, each new generation arriving one
+    discovery delay after the last submit of the previous one, with a
+    speed of its own.  Copies go to the earliest slot starts, ties to the
+    lower chain: copy *r* takes the *r*-th smallest start of all chains.
+    A first block of slots per chain is drawn at once (sized by
+    :func:`_block_size`); when a chain's first undrawn slot would be among
+    the *n* earliest, every chain gets another block, so the assignment
+    is the one an unbounded draw gives.
+
+    Draw order: arrival times, the first generation's speeds, then per
+    block a ``(chains, block)`` matrix of service times followed, with an
+    attention span, by the discovery delays and then the speeds of the
+    generations that start in the block.
+    """
+    n_chains = config.attracted_workers(n)
+    arrivals = config.sample_arrival_times(n_chains, rng)
+    speeds = config.sample_worker_speed(rng, (n_chains, 1))
+    span = config.attention_span
+    block = _block_size(config, n, arrivals, speeds[:, 0].tolist())
+    services = config.sample_service_times(n_chains * block, rng)
+    services = services.reshape(n_chains, block)
+    gaps = np.empty((n_chains, 0))
+    while True:
+        slots = services.shape[1]
+        steps = np.empty((n_chains, slots + 1))
+        steps[:, 0] = arrivals
+        if span is None:
+            busy_by_slot = services * speeds
+            steps[:, 1:] = busy_by_slot
+        else:
+            # Generation g >= 1 starts at slot g * span, one discovery
+            # delay after the previous generation's last submit.
+            new = -(-slots // span) - 1 - gaps.shape[1]
+            if new > 0:
+                gaps = np.hstack(
+                    [gaps, config.sample_discovery_time(rng, (n_chains, new))]
+                )
+                speeds = np.hstack(
+                    [speeds, config.sample_worker_speed(rng, (n_chains, new))]
+                )
+            busy_by_slot = services * speeds[:, np.arange(slots) // span]
+            steps[:, 1:] = busy_by_slot
+            steps[:, span:slots:span] += gaps
+        starts = steps.cumsum(axis=1)
+        # Column ``slots`` is each chain's first undrawn start (without
+        # the discovery delay a new generation would add): when none is
+        # taken, no undrawn slot can start before the n-th copy's.
+        taken = starts.ravel().argsort(kind="stable")[:n]
+        chain = taken // (slots + 1)
+        slot = taken - chain * (slots + 1)
+        if slot.max() < slots:
+            break
+        width = min(block, n - slots)
+        more = config.sample_service_times(n_chains * width, rng)
+        services = np.hstack([services, more.reshape(n_chains, width)])
+    busy = busy_by_slot[chain, slot]
+    submit_times = starts[chain, slot] + busy
+    if span is None:
+        return chain, submit_times, busy, n_chains
+    # Replacements are numbered after the attracted workers, in the order
+    # of the copies that exhausted their predecessors' attention.
+    exhausts = slot % span == span - 1
+    rank = exhausts.cumsum() - 1
+    row_of = np.empty(n_chains * (slots + 1), dtype=np.int64)
+    row_of[taken] = np.arange(n)
+    workers = chain.copy()
+    later = slot >= span
+    predecessor = row_of[taken[later] - slot[later] % span - 1]
+    workers[later] = n_chains + rank[predecessor]
+    return workers, submit_times, busy, n_chains + int(exhausts.sum())
+
+
+def _block_size(
+    config: WorkerPoolConfig, n: int, arrivals: List[float], speeds: List[float]
+) -> int:
+    """Slots per chain for the first block of :func:`_schedule`'s draws.
+
+    The fluid model of the batch: chain *w* joins at ``arrivals[w]`` and
+    then fills one slot per ``mean_service_time * speeds[w]`` seconds plus,
+    with an attention span, its share of one discovery delay per
+    generation.  The copies run out at the time ``T`` when the joined
+    chains have filled *n* slots, so the busiest chain expects
+    ``(T - arrival) * rate`` slots.  The block adds three standard
+    deviations of a renewal count and one slot, and is never more than
+    *n*, so a one-worker batch draws exactly *n* service times.
+    """
+    service = config.mean_service_time
+    span = config.attention_span or 1
+    gap = config.discovery_mean if config.attention_span else 0.0
+    rates = [1.0 / (service * speed + gap / span) for speed in speeds]
+    # With arrivals sorted, T is the least of the times at which the
+    # first k chains alone would fill n slots.
+    t_end = math.inf
+    filled, joined = float(n), 0.0
+    for arrival, rate in zip(arrivals, rates):
+        filled += arrival * rate
+        joined += rate
+        t_end = min(t_end, filled / joined)
+    expected = max((t_end - arrival) * rate for arrival, rate in zip(arrivals, rates))
+    # A generation of ``span`` slots and its discovery delay is one
+    # renewal: its squared coefficient of variation, times the slots it
+    # holds, is the variance of a chain's slot count per expected slot.
+    cycle_var = span * service**2 * math.expm1(config.service_sigma**2)
+    cycle_var += gap**2 * math.expm1(config.discovery_sigma**2)
+    variance = expected * span * cycle_var / (span * service + gap) ** 2
+    return min(n, math.ceil(expected + 3.0 * math.sqrt(variance + 1.0)) + 1)

@@ -19,7 +19,6 @@ then review the JSON diff like any other code change.
 import json
 import pathlib
 
-import numpy as np
 import pytest
 
 from repro.core import expected
@@ -98,18 +97,15 @@ def test_the_grid_reaches_errors_and_every_round_cap(pins):
     assert set(ROUND_CAPS) <= rounds
 
 
-def test_edp_infeasible_transition_error(monkeypatch):
-    """A candidate count with no expected-case transition within the budget
-    is reported, naming the count and the budget."""
-    monkeypatch.setattr(
-        expected, "_expected_costs", lambda c: np.full(c - 1, 10**6, np.int64)
-    )
-    with pytest.raises(InvalidParameterError) as raised:
-        solve_expected_min_latency(5, 20, LATENCIES["linear-mturk"])
-    assert str(raised.value) == (
-        "no feasible expected-case transition from 2 candidates within "
-        "budget 20"
-    )
+def test_edp_rows_are_feasible_at_the_least_budget():
+    """Every eDP row has a point within ``b >= c0 - 1``: the step
+    ``c -> c - 1`` costs one question, so ``c0 -> ... -> 1`` costs c0 - 1."""
+    for c in range(2, 60):
+        assert expected._expected_costs(c)[-1] == 1
+    for c0 in range(2, 60):
+        plan = solve_expected_min_latency(c0, c0 - 1, LATENCIES["linear-mturk"])
+        assert plan.questions_used <= c0 - 1
+        assert all(plan.frontier_sizes)
 
 
 def test_edp_infeasible_budget_error():

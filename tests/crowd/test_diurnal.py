@@ -5,6 +5,7 @@ import pytest
 
 from repro.crowd.diurnal import SECONDS_PER_DAY, DayNightCycle, DiurnalPlatform
 from repro.crowd.ground_truth import GroundTruth
+from repro.crowd.workers import WorkerPoolConfig
 from repro.errors import InvalidParameterError
 
 
@@ -81,6 +82,30 @@ class TestDiurnalPlatform:
         discovery_before = platform.config.discovery_mean
         platform.post_batch([(0, 1)])
         assert platform.config.discovery_mean == discovery_before
+
+    @pytest.mark.parametrize("start_hour", [12.0, 2.0])
+    def test_configured_speed_sigma_reaches_the_worker_draws(
+        self, monkeypatch, start_hour
+    ):
+        """Day or night, the slowed config keeps every field it does not
+        slow, worker heterogeneity included."""
+        seen = []
+        draw = WorkerPoolConfig.sample_worker_speed
+
+        def spy(config, rng, *size):
+            seen.append(config.worker_speed_sigma)
+            return draw(config, rng, *size)
+
+        monkeypatch.setattr(WorkerPoolConfig, "sample_worker_speed", spy)
+        rng = np.random.default_rng(0)
+        platform = DiurnalPlatform(
+            GroundTruth.random(50, rng),
+            rng,
+            config=WorkerPoolConfig(worker_speed_sigma=0.8, attention_span=2),
+            start_hour=start_hour,
+        )
+        platform.post_batch([(i, i + 1) for i in range(0, 30, 2)])
+        assert seen and set(seen) == {0.8}
 
     def test_start_hour_validation(self):
         rng = np.random.default_rng(0)
