@@ -7,11 +7,13 @@ import pytest
 from repro.chaos import (
     ChaosScenario,
     describe_mismatch,
+    describe_state_mismatch,
     run_chaos,
     run_with_crash,
     seeded_crash_points,
     total_steps,
     uninterrupted_report,
+    uninterrupted_run,
 )
 from repro.crowd.faults import RetryPolicy
 from repro.crowd.multibackend import backend_preset_by_name
@@ -73,6 +75,30 @@ class TestHarnessApi:
         )
         message = describe_mismatch(tweaked, baseline)
         assert message.startswith(f"query {first.spec.query_id} spec: ")
+
+    def test_describe_state_mismatch_names_the_slot(self):
+        _, state = uninterrupted_run(ChaosScenario())
+        assert describe_state_mismatch(state, state) is None
+        tweaked = {**state, "ticks": state["ticks"] + 1}
+        assert "'ticks'" in describe_state_mismatch(tweaked, state)
+
+    def test_final_state_is_compared_beside_the_report(self, tmp_path):
+        # A recovery whose report matches but whose streams ended
+        # elsewhere must fail: with error-free workers the report does
+        # not show which pairs were drawn.
+        scenario = ChaosScenario()
+        baseline, state = uninterrupted_run(scenario)
+        backends = [dict(backend) for backend in state["backends"]]
+        backends[0]["rng"] = {**backends[0]["rng"], "rwl": None}
+        outcome = run_with_crash(
+            scenario,
+            crash_after=2,
+            journal_path=tmp_path / "j.jsonl",
+            baseline=baseline,
+            baseline_state={**state, "backends": backends},
+        )
+        assert not outcome.equivalent
+        assert outcome.mismatch == "final scheduler state differs in 'backends'"
 
     def test_crash_beyond_the_last_step_recovers_a_finished_run(self, tmp_path):
         scenario = ChaosScenario()
