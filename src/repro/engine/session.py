@@ -23,7 +23,8 @@ included, with :mod:`repro.persistence`.
 
 A service driving many sessions at once opens and resolves their rounds
 in two array passes: :func:`open_rounds` selects every closed session's
-next round (each with its own RNG) and keys them all together, and
+next round (each with its session's RNG, in session order, so sessions
+may share one stream) and keys them all together, and
 :func:`submit_rounds` validates and records one shared round's answers
 for all of them.  The single-session methods are these functions over
 one session.  A batch is all-or-nothing: a bad row in any session raises
@@ -158,7 +159,13 @@ class MaxSession:
 
     @property
     def rng(self) -> np.random.Generator:
-        """The selector randomness source (exposed for checkpointing)."""
+        """The selector randomness source.
+
+        Exposed for checkpointing a standalone session
+        (:func:`repro.persistence.session_to_dict`).  Sessions a
+        :class:`~repro.service.scheduler.MaxScheduler` creates all share
+        its one selector stream, which its journal snapshots once.
+        """
         return self._rng
 
     @property
@@ -348,8 +355,9 @@ class MaxSession:
 def open_rounds(sessions: Sequence[MaxSession]) -> None:
     """Open the next round of every session in *sessions* that has none.
 
-    Each closed, unfinished session selects with its own RNG, skipping
-    rounds that select nothing; then one pass keys and checks all the
+    Each closed, unfinished session selects with its RNG, in the order
+    of *sessions* (sessions may share one stream), skipping rounds that
+    select nothing; then one pass keys and checks all the
     selected rounds.
     Sessions with a round open, and finished ones, are left as they are.
 

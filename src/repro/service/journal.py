@@ -35,8 +35,10 @@ through a fleet — a single-platform run is a one-backend ("solo") fleet —
 so a snapshot has one crowd-state shape: a list of per-backend states.
 A half-answered round lives in its query's session checkpoint alone —
 the round's questions plus the evidence, which holds the answers so far —
-so an active query carries no copy of the round.  Journal version 4;
-versions 1 to 3 are rejected.
+so an active query carries no copy of the round.  Every session of a
+scheduler selects with its one selector stream, so a snapshot stores
+that stream's state once, at top level, and no session payload carries
+an ``rng_state``.  Journal version 5; versions 1 to 4 are rejected.
 
 Because the scheduler is deterministic given its seed, recovery is exact:
 :func:`recover_scheduler` rebuilds the scheduler from the journal header
@@ -110,7 +112,7 @@ from repro.service.telemetry import (
 logger = logging.getLogger(__name__)
 
 #: Bumped on incompatible journal layout changes.
-JOURNAL_VERSION = 4
+JOURNAL_VERSION = 5
 
 
 def _json_default(value: Any) -> Any:
@@ -304,10 +306,11 @@ def snapshot_scheduler(scheduler: MaxScheduler) -> Dict[str, Any]:
 
     The immutable construction arguments (specs, latency, config, seed)
     live in the journal header; this captures what evolves: the clock and
-    counters, the waiting/active queues, every session (mid-round
-    included), plan-cache contents and each backend's state (RNG
-    bit-generator states of its platform, RWL and fault streams,
-    platform/fault statistics and circuit breaker).  The backlog is its
+    counters, the selector stream's bit-generator state, the
+    waiting/active queues, every session (mid-round included),
+    plan-cache contents and each backend's state (RNG bit-generator
+    states of its platform, RWL and fault streams, platform/fault
+    statistics and circuit breaker).  The backlog is its
     length — a suffix of the header's specs in arrival order — and the
     results are their count; each result is in its own ``result`` record.
     The SLO flight ring is left out: :func:`fold_results` rebuilds it.
@@ -318,6 +321,7 @@ def snapshot_scheduler(scheduler: MaxScheduler) -> Dict[str, Any]:
         "shared_rounds": scheduler._shared_rounds,
         "questions_posted": scheduler._questions_posted,
         "next_seq": scheduler._next_seq,
+        "selector_rng": scheduler.selector_rng.bit_generator.state,
         "backlog": len(scheduler._backlog),
         "waiting": [_waiting_query_payload(q) for q in scheduler._waiting],
         "active": [_active_query_to_dict(q) for q in scheduler._active],
@@ -376,10 +380,19 @@ def restore_scheduler_state(
             )
         while len(scheduler._backlog) > backlog:
             scheduler._backlog.popleft()
-        scheduler._waiting = [_active_query_from_dict(d) for d in snapshot["waiting"]]
-        scheduler._active = [_active_query_from_dict(d) for d in snapshot["active"]]
+        stream = scheduler._selector_rng = _generator_from_state(
+            snapshot["selector_rng"]
+        )
+        scheduler._waiting = [
+            _active_query_from_dict(d, stream) for d in snapshot["waiting"]
+        ]
+        scheduler._active = [
+            _active_query_from_dict(d, stream) for d in snapshot["active"]
+        ]
         scheduler._results = [_result_from_dict(d) for d in snapshot["results"]]
         scheduler._tally = ResultTally.of(scheduler._results)
+        # The crashed run already metered these results.
+        scheduler._metered = len(scheduler._results)
 
         backends_payload = snapshot["backends"]
         fleet = scheduler._router.backends
@@ -452,9 +465,9 @@ def _waiting_query_payload(query: ActiveQuery) -> Dict[str, Any]:
     """Serialize a *waiting* query, reusing the payload across snapshots.
 
     A waiting query is frozen from admission to promotion: its session
-    (allocation, empty evidence, per-query RNG) is created in ``_admit``
-    and first touched only after the query's state flips to ``RUNNING``
-    and it joins a shared round.  Re-serializing it every snapshot is
+    (allocation, empty evidence) is created in ``_admit`` and first
+    touched only after the query's state flips to ``RUNNING`` and it
+    joins a shared round.  Re-serializing it every snapshot is
     therefore pure waste — under deep admission queues the waiting list
     dominates snapshot cost.  The cache rides on the query object itself
     so it dies with it, and the ``QUEUED`` check makes staleness
@@ -470,11 +483,14 @@ def _waiting_query_payload(query: ActiveQuery) -> Dict[str, Any]:
 
 
 def _active_query_to_dict(query: ActiveQuery) -> Dict[str, Any]:
+    session = session_to_dict(query.session)
+    # The scheduler's selector stream is snapshotted once, at top level.
+    del session["rng_state"]
     return {
         "spec": _spec_to_dict(query.spec),
         "seq": query.seq,
         "offset": query.offset,
-        "session": session_to_dict(query.session),
+        "session": session,
         "plan_cache_hit": query.plan_cache_hit,
         "state": query.state.value,
         "admitted_time": float(query.admitted_time),
@@ -485,12 +501,19 @@ def _active_query_to_dict(query: ActiveQuery) -> Dict[str, Any]:
     }
 
 
-def _active_query_from_dict(payload: Dict[str, Any]) -> ActiveQuery:
+def _active_query_from_dict(
+    payload: Dict[str, Any], stream: np.random.Generator
+) -> ActiveQuery:
+    """Rebuild a query whose session selects with the scheduler's *stream*."""
+    session = session_from_dict(
+        {**payload["session"], "rng_state": stream.bit_generator.state}
+    )
+    session._rng = stream
     return ActiveQuery(
         spec=_spec_from_dict(payload["spec"]),
         seq=int(payload["seq"]),
         offset=int(payload["offset"]),
-        session=session_from_dict(payload["session"]),
+        session=session,
         plan_cache_hit=bool(payload["plan_cache_hit"]),
         state=QueryState(payload["state"]),
         admitted_time=float(payload["admitted_time"]),
