@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.latency import LinearLatency
+from repro.crowd.error_models import UniformError
 from repro.crowd.faults import FaultProfile, RetryPolicy, fault_profile_by_name
 from repro.engine.session import submit_rounds
 from repro.errors import InvalidParameterError
@@ -22,7 +23,7 @@ from repro.service import (
     workload_by_name,
 )
 from repro.service import scheduler as scheduler_module
-from repro.service.deadline import DEADLINE_MET
+from repro.service.deadline import DEADLINE_MET, DEADLINE_OUTCOMES
 
 LATENCY = LinearLatency(239, 0.06)
 
@@ -360,6 +361,152 @@ class TestTickCounters:
         assert recovered._results
         assert recovered._tally == type(recovered._tally).of(recovered._results)
         assert _step_and_check(recovered) > 0
+        recovered.journal.close()
+
+
+def _registry_recount(scheduler):
+    """The per-step registry metrics, recounted from the scheduler's
+    results and queues."""
+    results = scheduler._results
+    counts = {
+        "service.queries_admitted": (
+            len(scheduler._active) + len(scheduler._waiting)
+        ),
+        "service.queries_completed": 0,
+        "service.queries_degraded": 0,
+        "service.queries_shed": 0,
+    }
+    counts.update({f"deadline.{outcome}": 0 for outcome in DEADLINE_OUTCOMES})
+    latency = [0, 0.0]
+    wait = [0, 0.0]
+    for result in results:
+        counts[f"service.queries_{result.state.value}"] += 1
+        if result.deadline_outcome is not None:
+            counts[f"deadline.{result.deadline_outcome}"] += 1
+        if result.state is not QueryState.SHED:
+            counts["service.queries_admitted"] += 1
+            # Summed left to right, as the histogram does.
+            latency = [latency[0] + 1, latency[1] + result.latency]
+            wait = [wait[0] + 1, wait[1] + result.queue_wait]
+    counts["service.query_latency"] = tuple(latency)
+    counts["service.queue_wait"] = tuple(wait)
+    return counts
+
+
+def _registry_read(names):
+    registry = get_registry()
+    values = {}
+    for name in names:
+        if name in ("service.query_latency", "service.queue_wait"):
+            histogram = registry.histogram(name)
+            values[name] = (histogram.count, histogram.total)
+        else:
+            values[name] = registry.counter(name).value
+    return values
+
+
+class TestRegistryFlush:
+    """The registry work batched per step is complete after every step."""
+
+    def _drive(self, scheduler):
+        """Step *scheduler* until drained, checking after every call."""
+        steps = 0
+        while not scheduler.drained:
+            scheduler.step()
+            steps += 1
+            expected = _registry_recount(scheduler)
+            assert _registry_read(expected) == expected
+            stats = scheduler.plan_cache.stats
+            assert _registry_read(
+                ["service.plan_cache.hits", "service.plan_cache.misses"]
+            ) == {
+                "service.plan_cache.hits": stats.hits,
+                "service.plan_cache.misses": stats.misses,
+            }
+        return steps
+
+    def test_deadline_brownout_slo_run(self):
+        from repro.chaos import build_scheduler, scenario_by_name
+
+        get_registry().reset()
+        scheduler = build_scheduler(scenario_by_name("alert-storm"))
+        assert self._drive(scheduler) >= 10
+        counts = _registry_recount(scheduler)
+        assert counts["service.queries_shed"] > 0
+        assert counts["service.queries_degraded"] > 0
+        assert sum(counts[f"deadline.{o}"] for o in DEADLINE_OUTCOMES) == len(
+            scheduler._results
+        )
+
+    def test_steps_without_a_tick_flush_too(self):
+        # A one-element query completes at admission, so these steps
+        # only admit, finalize and jump the clock.
+        get_registry().reset()
+        specs = [
+            spec(i, n=1, budget=0, arrival_time=100.0 * i) for i in range(3)
+        ]
+        scheduler = MaxScheduler(specs, LATENCY, seed=0)
+        assert self._drive(scheduler) == 3
+        assert scheduler.ticks == 0
+
+    def test_noisy_lossy_run(self):
+        get_registry().reset()
+        specs = generate_workload(
+            workload_by_name("steady"), seed=3, n_queries=40
+        )
+        scheduler = MaxScheduler(
+            specs,
+            LATENCY,
+            seed=3,
+            config=ServiceConfig(repetition=3, max_active_queries=4),
+            error_model=UniformError(0.1),
+            fault_profile=fault_profile_by_name("lossy"),
+            retry_policy=RetryPolicy(),
+        )
+        assert self._drive(scheduler) >= 10
+        assert _registry_recount(scheduler)["service.queries_completed"] == 40
+
+
+class TestSelectorStream:
+    """Every session a scheduler creates selects with its one stream."""
+
+    @staticmethod
+    def _sessions(scheduler):
+        return [q.session for q in scheduler._active + scheduler._waiting]
+
+    def test_sessions_share_the_scheduler_stream(self):
+        specs = [spec(i, n=40, budget=80) for i in range(8)]
+        scheduler = MaxScheduler(
+            specs, LATENCY, seed=0, config=ServiceConfig(max_active_queries=3)
+        )
+        scheduler.step()
+        sessions = self._sessions(scheduler)
+        assert scheduler._active and scheduler._waiting
+        assert all(s.rng is scheduler.selector_rng for s in sessions)
+        other = MaxScheduler(specs, LATENCY, seed=0)
+        assert other.selector_rng is not scheduler.selector_rng
+
+    def test_recovered_sessions_share_the_restored_stream(self, tmp_path):
+        specs = generate_workload(workload_by_name("steady"), seed=3)
+        path = tmp_path / "run.jsonl"
+        journal = SchedulerJournal.create(path, snapshot_interval=1)
+        victim = MaxScheduler(
+            specs,
+            LATENCY,
+            seed=3,
+            fault_profile=fault_profile_by_name("lossy"),
+            journal=journal,
+        )
+        for _ in range(4):
+            victim.step()
+        journal.close()
+        state = victim.selector_rng.bit_generator.state
+        recovered = recover_scheduler(path)
+        sessions = self._sessions(recovered)
+        assert sessions
+        assert any(s.awaiting_answers for s in sessions)
+        assert all(s.rng is recovered.selector_rng for s in sessions)
+        assert recovered.selector_rng.bit_generator.state == state
         recovered.journal.close()
 
 
