@@ -52,7 +52,10 @@ class AnswerGraph:
         #: Position of each element, or ``None`` when the elements are
         #: ``0 .. n-1`` and an element is its own position.
         self._position: Optional[Dict[Element, int]] = None
-        if min(self._elements) != 0 or max(self._elements) != n - 1:
+        identity = isinstance(elements, range) and elements == range(n)
+        if not identity and (
+            min(self._elements) != 0 or max(self._elements) != n - 1
+        ):
             self._position = {e: i for i, e in enumerate(sorted(self._elements))}
         #: Directed keys ``winner * n + loser`` of the recorded answers.
         self._keys: Set[int] = set()

@@ -45,7 +45,11 @@ class TournamentFormation(QuestionSelector):
         if len(candidates) < 2 or ctx.budget == 0:
             return np.empty((0, 2), np.int64)
         n_tournaments = fewest_tournaments_within(len(candidates), ctx.budget)
-        members = ctx.rng.permutation(candidates)
+        # A permutation of positions draws what permuting the candidates
+        # draws, without converting them for the shuffle.
+        members = np.asarray(candidates, np.int64)[
+            ctx.rng.permutation(len(candidates))
+        ]
         questions = tournament_graph(members, n_tournaments)
         leftover = ctx.budget - len(questions)
         if self.spend_leftover and leftover > 0 and n_tournaments > 1:

@@ -78,13 +78,18 @@ class AdmissionController:
             n_active: queries currently running sessions.
             n_waiting: admitted queries waiting for a session slot.
         """
-        config = self.config
-        capacity = config.max_active_queries + config.max_queue_depth
-        if n_active + n_waiting < capacity:
+        if self.free_slots(n_active, n_waiting):
             return AdmissionDecision.ADMIT
-        if config.overload_policy == "shed":
+        if self.config.overload_policy == "shed":
             return AdmissionDecision.SHED
         return AdmissionDecision.DEFER
+
+    def free_slots(self, n_active: int, n_waiting: int) -> int:
+        """How many arrivals in a row :meth:`decide` admits at this load,
+        each taking a slot."""
+        config = self.config
+        capacity = config.max_active_queries + config.max_queue_depth
+        return max(0, capacity - n_active - n_waiting)
 
     def describe_overload(self) -> str:
         """Reason string attached to shed results and trace events."""

@@ -43,6 +43,15 @@ class TestDecisions:
         assert gate.decide(n_active=0, n_waiting=0) is AdmissionDecision.ADMIT
         assert gate.decide(n_active=1, n_waiting=0) is AdmissionDecision.SHED
 
+    @pytest.mark.parametrize("overload", ["shed", "defer"])
+    def test_free_slots_count_the_admissions_in_a_row(self, overload):
+        gate = controller(max_active=2, max_queue=3, overload=overload)
+        for n_active, n_waiting in [(0, 0), (1, 2), (2, 3), (3, 4), (0, 5)]:
+            slots = gate.free_slots(n_active, n_waiting)
+            for taken in range(slots):
+                assert gate.decide(n_active, n_waiting + taken) is AdmissionDecision.ADMIT
+            assert gate.decide(n_active, n_waiting + slots) is not AdmissionDecision.ADMIT
+
     def test_describe_overload_names_the_bounds(self):
         reason = controller(max_active=3, max_queue=7).describe_overload()
         assert "3 active" in reason

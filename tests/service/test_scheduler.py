@@ -97,7 +97,7 @@ class TestActiveQueryIdentity:
         twin = dataclasses.replace(query)
         assert twin != query
         scheduler._active = [twin, query]
-        scheduler._finalize(query, QueryState.DEGRADED)
+        scheduler._finalize([(query, QueryState.DEGRADED, None)])
         assert len(scheduler._active) == 1
         assert scheduler._active[0] is twin
 
