@@ -554,6 +554,14 @@ def answer_some(truth, pending, pick):
     return rows_to(truth, chosen[pick.random(len(chosen)) < 0.6])
 
 
+def noisy_some(pending, pick):
+    """A random subset of *pending*, each answered with a random winner."""
+    chosen = pending[pick.permutation(len(pending))]
+    chosen = chosen[pick.random(len(chosen)) < 0.6]
+    flip = pick.random(len(chosen)) < 0.5
+    return np.where(flip[:, None], chosen[:, ::-1], chosen)
+
+
 SIZES = st.lists(st.integers(2, 20), min_size=1, max_size=5)
 
 
@@ -615,6 +623,56 @@ class TestBatchPasses:
             batched = [checkpointed(session) for session in batched]
             for one, other in zip(batched, sequential):
                 assert session_state(one) == session_state(other)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), sizes=SIZES)
+    def test_submit_rounds_drops_each_sessions_losers(self, seed, sizes):
+        """Under noisy answers (random orientations, so cycles can leave a
+        session with no candidates mid-round) each session keeps its
+        candidates less the losers of its own rows."""
+        sessions = make_sessions(seed, sizes, False)
+        pick = np.random.default_rng(seed)
+        while not all(session.done for session in sessions):
+            open_rounds(sessions)
+            live = [s for s in sessions if s.awaiting_answers]
+            rows = [noisy_some(s.pending_questions(), pick) for s in live]
+            expected = [
+                tuple(c for c in s.candidates if c not in set(r[:, 1].tolist()))
+                for s, r in zip(live, rows)
+            ]
+            submit_rounds(
+                live,
+                np.concatenate([np.empty((0, 2), np.int64)] + rows),
+                [len(r) for r in rows],
+            )
+            assert [s.candidates for s in live] == expected
+
+    @pytest.mark.parametrize("others", [0, 2])
+    def test_a_session_without_candidates_answers_again(self, others):
+        """A cycle in a 4-clique eliminates every element with two
+        questions still open; the session's next answer, alone or before
+        other sessions' rows, must not shift anyone's candidates."""
+        emptied = MaxSession(
+            Allocation(round_budgets=(6,)), TournamentFormation(), 4,
+            np.random.default_rng(0),
+        )
+        emptied.pending_questions()
+        emptied.submit(np.array([[0, 1], [1, 2], [2, 3], [3, 0]]))
+        assert emptied.candidates == () and emptied.awaiting_answers
+        rest = make_sessions(5, [6] * others, False)
+        open_rounds(rest)
+        rows = [np.array([[0, 2]])] + [s.pending_questions()[:2] for s in rest]
+        expected = [
+            tuple(c for c in s.candidates if c not in set(r[:, 1].tolist()))
+            for s, r in zip(rest, rows[1:])
+        ]
+        submit_rounds(
+            [emptied, *rest], np.concatenate(rows), [len(r) for r in rows]
+        )
+        assert emptied.candidates == ()
+        assert [s.candidates for s in rest] == expected
+        emptied.submit(np.array([[1, 3]]))
+        assert emptied.done
 
     def test_open_rounds_skips_open_and_finished_sessions(self):
         open_session, finished, fresh = make_sessions(3, [6, 6, 6], False)
