@@ -9,6 +9,8 @@ import pytest
 
 from repro.core.questions import tournament_questions
 from repro.crowd.ground_truth import GroundTruth
+from repro.crowd.platform import SimulatedPlatform
+from repro.crowd.rwl import ReliableWorkerLayer
 from repro.graphs.answer_graph import AnswerGraph
 from repro.graphs.tournaments import tournament_graph
 from repro.selection.scoring import score_candidates
@@ -60,3 +62,25 @@ def bench_scoring_function(benchmark):
 
     scores = benchmark(lambda: score_candidates(graph))
     assert sum(scores.values()) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("rows", [21, 132, 400])
+def bench_rwl_posting(benchmark, rows):
+    """One posting through the RWL on a simulated platform.
+
+    21, 132 and 400 rows are the 10th percentile, the median and the
+    tail of the service's fleet sub-batches (the ``fleet_journaled``
+    workload of ``benchmarks/perf``), where the fixed cost of a posting,
+    not the crowd kernel, sets the time.  The rows are 4-cliques of one
+    query round each, with the element ids of many queries side by side
+    as a tick posts them.
+    """
+    rng = np.random.default_rng(3)
+    cliques = tournament_graph(rng.permutation(2 * rows), 2 * rows // 4)
+    questions = cliques[:rows]
+    truth = GroundTruth.random(2 * rows, rng)
+    rwl = ReliableWorkerLayer(SimulatedPlatform(truth, rng), rng)
+
+    result = benchmark(lambda: rwl.ask(questions))
+    assert len(result.winners) == rows
+    assert result.majority_flips == 0

@@ -20,7 +20,10 @@ rounds, tens per tick.  It also counts the plan keys built per step
 (``plan_cache.keys_built``): admission builds one ``PlanKey`` per
 ``(c0, budget)`` shape a step admits, so a step may not build more keys
 than the distinct shapes it admitted, while one key per query would
-count every admission.
+count every admission.  Finally it counts the Reliable Worker Layer's
+peel passes (``rwl.cycle_peels``): every round of this error-free
+shape is a set of disjoint cliques, whose acyclicity the layer's
+one-pass certificate decides, so the exact peel must never run.
 """
 
 from __future__ import annotations
@@ -173,6 +176,7 @@ def bench_scale_ladder(benchmark):
                     "rounds": passes["session.rounds_opened"],
                     "keys": passes["plan_cache.keys_built"],
                     "key_excess": excess,
+                    "peels": passes.get("rwl.cycle_peels", 0),
                 }
         return rows
 
@@ -181,13 +185,13 @@ def bench_scale_ladder(benchmark):
     print("-- scale ladder / burst shape, 64 active --")
     print(f"{'shape':>6} {'queries':>8} {'queries/s':>10} {'ticks':>6} "
           f"{'work/tick mean':>15} {'max':>5} {'open':>6} {'submit':>6} "
-          f"{'rounds':>7} {'keys':>6}")
+          f"{'rounds':>7} {'keys':>6} {'peels':>6}")
     for (armed, n_queries), row in rows.items():
         print(f"{'armed' if armed else 'plain':>6} {n_queries:>8} "
               f"{row['qps']:>10.0f} {row['ticks']:>6} "
               f"{row['work_mean']:>15.1f} {row['work_max']:>5} "
               f"{row['open_passes']:>6} {row['submit_passes']:>6} "
-              f"{row['rounds']:>7} {row['keys']:>6}")
+              f"{row['rounds']:>7} {row['keys']:>6} {row['peels']:>6}")
     for armed in (False, True):
         small, large = rows[armed, SIZES[0]], rows[armed, SIZES[-1]]
         # Deterministic counts: a tick that walked the backlog or the
@@ -202,3 +206,5 @@ def bench_scale_ladder(benchmark):
             assert row["submit_passes"] <= row["ticks"]
             # And one plan key per shape a step admits.
             assert row["key_excess"] <= 0
+            # Error-free clique rounds pass the acyclicity certificate.
+            assert row["peels"] == 0

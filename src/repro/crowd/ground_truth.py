@@ -80,11 +80,25 @@ class GroundTruth:
         """:meth:`better` over the ``(a, b)`` rows of *pairs*, as one int64
         column; raises its error for the first row it rejects."""
         rows = as_pairs(pairs)
+        if len(rows) and (rows[:, 0] == rows[:, 1]).any():
+            self._reject(rows)
+        return self.distinct_winners(rows)
+
+    def distinct_winners(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`winners` of an ``(n, 2)`` int64 array whose rows are
+        known to pair distinct elements (a caller that already rejected
+        self-comparisons); raises :meth:`better`'s error for the first row
+        naming an unknown element."""
         a, b = rows[:, 0], rows[:, 1]
-        if len(rows) and ((a == b).any() or rows.min() < 0 or rows.max() >= len(self.ranks)):
-            for pair in rows.tolist():
-                self.better(*pair)
-        return np.where(self.ranks[a] < self.ranks[b], a, b)
+        if len(rows) and (rows.min() < 0 or rows.max() >= len(self.ranks)):
+            self._reject(rows)
+        ranks = self.ranks
+        return np.where(ranks[a] < ranks[b], a, b)
+
+    def _reject(self, rows: np.ndarray) -> None:
+        """Raise :meth:`better`'s error for the first row it rejects."""
+        for pair in rows.tolist():
+            self.better(*pair)
 
     def answer(self, a: Element, b: Element) -> Answer:
         """The error-free answer to the question between *a* and *b*."""

@@ -38,11 +38,12 @@ of (fleet state, round content).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +68,18 @@ PROBE_QUESTIONS = 8
 
 #: Effectively-unbounded stand-in for a ``capacity=None`` backend.
 _UNBOUNDED = 10**12
+
+#: The ``backend.<metric>{backend="<name>"}`` series of every sub-round.
+_BACKEND_SERIES = ("round_latency", "rounds", "questions_posted", "outages")
+
+
+@functools.lru_cache(maxsize=None)
+def _backend_series(name: str) -> Dict[str, str]:
+    """Backend *name*'s labeled series names, built once per process."""
+    return {
+        metric: labeled_name(f"backend.{metric}", {"backend": name})
+        for metric in _BACKEND_SERIES
+    }
 
 
 @dataclass(frozen=True)
@@ -565,17 +578,13 @@ class CapacityAwareRouter:
         outage: bool,
     ) -> None:
         """Record the per-backend labeled series for one sub-round."""
-        labels = {"backend": backend.name}
-        registry.histogram(
-            labeled_name("backend.round_latency", labels)
-        ).observe(latency)
-        registry.counter(labeled_name("backend.rounds", labels)).inc()
+        names = _backend_series(backend.name)
+        registry.histogram(names["round_latency"]).observe(latency)
+        registry.counter(names["rounds"]).inc()
         if n_questions:
-            registry.counter(
-                labeled_name("backend.questions_posted", labels)
-            ).inc(n_questions)
+            registry.counter(names["questions_posted"]).inc(n_questions)
         if outage:
-            registry.counter(labeled_name("backend.outages", labels)).inc()
+            registry.counter(names["outages"]).inc()
 
     # ------------------------------------------------------------------
     # Hedging
@@ -603,8 +612,8 @@ class CapacityAwareRouter:
 
     def _plan_hedges(
         self,
-        assignment: Dict[int, np.ndarray],
-        remaining: Dict[int, int],
+        assignment: List[np.ndarray],
+        remaining: List[int],
         decisions: Dict[int, RoundDecision],
     ) -> Dict[int, Backend]:
         """Pick mirrors for predicted-slow sub-batches; consumes slack.
@@ -715,36 +724,37 @@ class CapacityAwareRouter:
         """Predicted round latency of *backend* carrying *load* questions."""
         return float(backend.spec.latency(load))
 
-    def _placement_key(
-        self, backend: Backend, load: int, unit_size: int
-    ) -> Tuple:
-        """Ordering key for placing a unit; smaller is better.
+    def _placement_key_function(self) -> Callable[[int, int], Tuple]:
+        """The policy's placement key of backend *i* once its load is
+        *after* questions; smaller is better.
 
-        Backend index is always the final component — every tie is
-        broken deterministically toward spec order.
+        Every key ends ``(predicted latency, backend index)``: ties break
+        deterministically toward spec order, and :meth:`_assign` reads a
+        placement's predicted latency from it.
         """
-        after = load + unit_size
+        latencies = [b.spec.latency for b in self.backends]
         if self.policy == "latency":
-            return (self._predicted(backend, after), backend.index)
+            return lambda i, after: (float(latencies[i](after)), i)
         if self.policy == "least-loaded":
-            capacity = backend.spec.capacity
-            occupancy = after / capacity if capacity is not None else float(after)
-            return (occupancy, self._predicted(backend, after), backend.index)
+            capacities = [b.spec.capacity for b in self.backends]
+            return lambda i, after: (
+                after / capacities[i] if capacities[i] is not None else float(after),
+                float(latencies[i](after)),
+                i,
+            )
         # weighted-price: cheapest first, predicted latency as tie-break.
-        return (
-            backend.spec.price_per_question,
-            self._predicted(backend, after),
-            backend.index,
-        )
+        prices = [b.spec.price_per_question for b in self.backends]
+        return lambda i, after: (prices[i], float(latencies[i](after)), i)
 
     def _assign(
         self,
         units: Sequence[Tuple[int, Questions]],
         decisions: Dict[int, RoundDecision],
         budgets: Optional[Dict[int, float]] = None,
-    ) -> Tuple[Dict[int, np.ndarray], np.ndarray, Dict[int, int]]:
+    ) -> Tuple[List[np.ndarray], np.ndarray, List[int]]:
         """Place every unit; returns (per-backend ``(k, 2)`` batches,
-        ``(u, 2)`` unposted questions, remaining per-backend capacity).
+        ``(u, 2)`` unposted questions, remaining per-backend capacity),
+        both lists indexed by backend index.
 
         Phase 1 keeps units whole on the policy-preferred backend with
         room; phase 2 splits units that fit nowhere whole across the
@@ -755,65 +765,51 @@ class CapacityAwareRouter:
         past the query's remaining latency budget is placed on the
         predicted-fastest candidate instead — near-deadline queries
         trade price/load preferences for speed.
+
+        Each candidate's latency model is evaluated once per unit, and
+        not at all when one backend has room and no budget applies.
         """
-        blocks: Dict[int, List[np.ndarray]] = {b.index: [] for b in self.backends}
-        load: Dict[int, int] = {b.index: 0 for b in self.backends}
-        remaining: Dict[int, int] = {
-            b.index: self._round_capacity(b, decisions[b.index])
-            for b in self.backends
-        }
+        backends = self.backends
+        blocks: List[List[np.ndarray]] = [[] for _ in backends]
+        load = [0] * len(backends)
+        remaining = [
+            self._round_capacity(b, decisions[b.index]) for b in backends
+        ]
         unposted: List[np.ndarray] = []
+        placement_key = self._placement_key_function()
         for query_id, questions in units:
             block = as_pairs(questions)
             size = len(block)
-            candidates = [
-                b
-                for b in self.backends
-                if remaining[b.index] >= size and size
-            ]
-            if candidates:
-                best = min(
-                    candidates,
-                    key=lambda b: self._placement_key(b, load[b.index], size),
-                )
-                if budgets is not None:
-                    budget = budgets.get(query_id)
-                    if budget is not None and (
-                        self._predicted(best, load[best.index] + size) > budget
-                    ):
-                        best = min(
-                            candidates,
-                            key=lambda b: (
-                                self._predicted(b, load[b.index] + size),
-                                b.index,
-                            ),
-                        )
-                        get_registry().counter(
-                            "router.budget_overrides"
-                        ).inc()
-                blocks[best.index].append(block)
-                load[best.index] += size
-                remaining[best.index] -= size
+            fits = [i for i, room in enumerate(remaining) if room >= size] if size else []
+            if fits:
+                budget = budgets.get(query_id) if budgets is not None else None
+                best = fits[0]
+                if len(fits) > 1 or budget is not None:
+                    keys = {i: placement_key(i, load[i] + size) for i in fits}
+                    best = min(fits, key=keys.__getitem__)
+                    if budget is not None and keys[best][-2] > budget:
+                        best = min(fits, key=lambda i: keys[i][-2:])
+                        get_registry().counter("router.budget_overrides").inc()
+                blocks[best].append(block)
+                load[best] += size
+                remaining[best] -= size
                 continue
             # Phase 2: no single backend fits the whole block — carve it
             # over the remaining slack, biggest slot first (fewest seams).
             get_registry().counter("router.split_units").inc()
-            spill = sorted(
-                self.backends,
-                key=lambda b: (-remaining[b.index], b.index),
-            )
+            spill = sorted(range(len(backends)), key=lambda i: (-remaining[i], i))
             cursor = 0
-            for backend in spill:
-                slack = remaining[backend.index]
+            for i in spill:
+                slack = remaining[i]
                 if slack <= 0 or cursor >= size:
                     continue
                 chunk = block[cursor : cursor + slack]
-                blocks[backend.index].append(chunk)
-                load[backend.index] += len(chunk)
-                remaining[backend.index] -= len(chunk)
+                blocks[i].append(chunk)
+                load[i] += len(chunk)
+                remaining[i] -= len(chunk)
                 cursor += len(chunk)
             unposted.append(block[cursor:])
-        assignment = {index: _rows(placed) for index, placed in blocks.items()}
+        assignment = [_rows(placed) for placed in blocks]
         return assignment, _rows(unposted), remaining
 
     # ------------------------------------------------------------------

@@ -161,7 +161,7 @@ class SimulatedPlatform(Platform):
         a, b = pairs[:, 0], pairs[:, 1]
         if (a == b).any():
             raise PlatformError(f"cannot post a self-comparison of element {a[a == b][0]}")
-        winners = self.truth.winners(pairs)
+        winners = self.truth.distinct_winners(pairs)
         n = len(pairs)
         self.stats.batches_posted += 1
         self.stats.questions_posted += n
@@ -178,15 +178,15 @@ class SimulatedPlatform(Platform):
             winners = np.where(rng.random(n) < error, a + b - winners, winners)
         self.stats.total_busy_time += float(busy.sum())
         n_answers = np.bincount(local)
-        participants = np.flatnonzero(n_answers)
+        n_workers = int(np.count_nonzero(n_answers))
         registry = get_registry()
         registry.counter("platform.batches_posted").inc()
         registry.counter("platform.questions_posted").inc(n)
-        registry.counter("platform.workers_serviced").inc(len(participants))
+        registry.counter("platform.workers_serviced").inc(n_workers)
         tracer = current_tracer()
         if tracer.enabled:
             busy_by_worker = np.bincount(local, weights=busy)
-            for worker in participants.tolist():
+            for worker in np.flatnonzero(n_answers).tolist():
                 tracer.emit(
                     WorkerServiced(
                         worker_id=first_id + worker,
@@ -200,7 +200,7 @@ class SimulatedPlatform(Platform):
             submit_times=times,
             worker_ids=local + first_id,
             completion_time=float(times.max()),
-            n_workers=len(participants),
+            n_workers=n_workers,
             rows=np.arange(n),
         )
 
@@ -240,7 +240,8 @@ def _schedule(
     block = _block_size(config, n, arrivals, speeds[:, 0].tolist())
     services = config.sample_service_times(n_chains * block, rng)
     services = services.reshape(n_chains, block)
-    gaps = np.empty((n_chains, 0))
+    if span is not None:
+        gaps = np.empty((n_chains, 0))
     while True:
         slots = services.shape[1]
         steps = np.empty((n_chains, slots + 1))
@@ -266,16 +267,18 @@ def _schedule(
         # Column ``slots`` is each chain's first undrawn start (without
         # the discovery delay a new generation would add): when none is
         # taken, no undrawn slot can start before the n-th copy's.
-        taken = starts.ravel().argsort(kind="stable")[:n]
-        chain = taken // (slots + 1)
-        slot = taken - chain * (slots + 1)
+        starts = starts.ravel()
+        taken = starts.argsort(kind="stable")[:n]
+        chain, slot = np.divmod(taken, slots + 1)
         if slot.max() < slots:
             break
         width = min(block, n - slots)
         more = config.sample_service_times(n_chains * width, rng)
         services = np.hstack([services, more.reshape(n_chains, width)])
-    busy = busy_by_slot[chain, slot]
-    submit_times = starts[chain, slot] + busy
+    # Flat indices: slot s of chain c is entry c * (slots + 1) + s of the
+    # starts and c * slots + s of the busy times.
+    busy = busy_by_slot.ravel()[taken - chain]
+    submit_times = starts[taken] + busy
     if span is None:
         return chain, submit_times, busy, n_chains
     # Replacements are numbered after the attracted workers, in the order
@@ -316,8 +319,10 @@ def _block_size(
     for arrival, rate in zip(arrivals, rates):
         filled += arrival * rate
         joined += rate
-        t_end = min(t_end, filled / joined)
-    expected = max((t_end - arrival) * rate for arrival, rate in zip(arrivals, rates))
+        fill_time = filled / joined
+        if fill_time < t_end:
+            t_end = fill_time
+    expected = max([(t_end - arrival) * rate for arrival, rate in zip(arrivals, rates)])
     # A generation of ``span`` slots and its discovery delay is one
     # renewal: its squared coefficient of variation, times the slots it
     # holds, is the variance of a chain's slot count per expected slot.

@@ -11,15 +11,26 @@ This implementation harnesses the two technique families the paper cites:
 * **question repetition + majority voting** — each question is posted
   ``repetition`` times inside the same platform batch (so the round count is
   unchanged), and the majority answer wins;
-* **cycle resolution** — every round's majority answers are checked for a
-  preference cycle.  If one remains, the answers are re-oriented to agree
-  with a local Copeland-style ranking (elements sorted by their weighted
-  vote wins), which is guaranteed acyclic.  When the majority answers are
-  already consistent (always true for perfect workers), they are returned
-  untouched.
+* **cycle resolution** — the majority answers of one :meth:`ask` call
+  are checked for a preference cycle.  If one remains, *all* of the
+  call's answers are re-oriented to agree with one Copeland-style ranking
+  of the call's elements (sorted by their weighted vote wins), which is
+  guaranteed acyclic.  When the majority answers are already consistent
+  (always true for perfect workers), they are returned untouched.
 
-A round is NumPy columns: ``(lo, hi)`` question pairs, ``bincount``
-tallies and an array-pass cycle check.
+The scope of the repair is one call, not the evidence recorded before
+it.  In the service one call posts a backend's whole sub-batch, the
+rounds of many queries, so a cycle in one query's clique re-orients the
+answers of acyclic cliques posted beside it; and the part of a round
+answered in a later tick is repaired on its own, so two repairs can
+together close a cycle in a query's evidence (the scheduler then ends
+that query degraded).
+
+A call is a fixed handful of NumPy passes: ``(lo, hi)`` columns from
+``minimum``/``maximum``, one stable argsort of a ``(lo, hi)`` code on ids
+relative to the least element for the distinct questions, one
+``bincount`` tally, and a one-pass certificate of acyclicity that falls
+back to an exact peel only when it cannot decide.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from repro.crowd.platform import Platform, Questions, as_pairs, columns_equal
 from repro.errors import InvalidParameterError, PlatformOutageError
 from repro.obs.events import BatchRetried, RWLRetry
 from repro.obs.metrics import get_registry
+from repro.obs.profiling import PROFILER
 from repro.obs.spans import current_span, emit_span, span_scope
 from repro.obs.tracer import current_tracer
 
@@ -138,31 +150,54 @@ class ReliableWorkerLayer:
                 outage is retried (and, past the policy's limits, degraded
                 into ``unanswered`` questions).
         """
-        pairs = np.sort(as_pairs(questions), axis=1)
-        if (pairs[:, 0] == pairs[:, 1]).any():
+        pairs = as_pairs(questions)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        if (lo == hi).any():
             raise ValueError("cannot compare an element with itself")
-        # Distinct questions in first-appearance order, by a (lo, hi) code.
-        stride = int(pairs.max()) + 1 if len(pairs) else 1
-        keys = pairs[:, 0] * stride + pairs[:, 1]
-        first = np.sort(np.unique(keys, return_index=True)[1])
-        distinct = pairs[first]
-        n_distinct = len(distinct)
-        if not n_distinct:
+        if not len(lo):
             logger.debug("RWL asked to resolve an empty question set")
+            distinct = np.empty((0, 2), np.int64)
             return RWLResult(distinct, distinct[:, 0], 0.0, 0, 0)
-        rows, winners, answered, total_latency, questions_posted, attempts = (
+        # Element ids relative to the batch's least one: the (lo, hi) code
+        # below and the cycle check work on arrays of ``span`` entries.
+        base = int(lo.min())
+        span = int(hi.max()) - base + 1
+        # Distinct questions in first-appearance order: a stable sort puts
+        # each question's first row ahead of its repeats.
+        keys = lo * span + hi
+        order = keys.argsort(kind="stable")
+        ranked = keys[order]
+        repeats = order[1:][ranked[1:] == ranked[:-1]]
+        if len(repeats):
+            first = np.ones(len(keys), dtype=bool)
+            first[repeats] = False
+            lo, hi = lo[first], hi[first]
+        distinct = np.column_stack((lo, hi))
+        n_distinct = len(distinct)
+        rows, winners, pending, total_latency, questions_posted, attempts = (
             self._post_with_retries(distinct, budget=budget)
         )
-        unanswered = distinct[~answered]
-        resolved = distinct[answered]
-        # Tally: each raw answer is a vote for its question's lo or hi.
-        lo_won = winners == distinct[rows, 0]
-        lo_votes = np.bincount(rows[lo_won], minlength=n_distinct)[answered]
-        votes = np.bincount(rows, minlength=n_distinct)[answered]
-        majority = self._majority(resolved, lo_votes, votes)
+        # Tally: each raw answer is a vote for its question's hi (even
+        # bin) or lo (odd bin).
+        tally = np.bincount(
+            2 * rows + (winners == lo[rows]), minlength=2 * n_distinct
+        )
+        hi_votes, lo_votes = tally[0::2], tally[1::2]
+        resolved, unanswered = distinct, distinct[:0]
+        if len(pending):
+            answered = np.ones(n_distinct, dtype=bool)
+            answered[pending] = False
+            unanswered = distinct[pending]
+            resolved = distinct[answered]
+            lo, hi = lo[answered], hi[answered]
+            lo_votes, hi_votes = lo_votes[answered], hi_votes[answered]
+        majority = self._majority(lo, hi, lo_votes, hi_votes)
         final, flips, repaired = majority, 0, False
-        if not _acyclic(majority, resolved.sum(axis=1) - majority, stride):
-            final = self._rank_and_orient(resolved, lo_votes, votes)
+        if not _acyclic(majority - base, lo + hi - majority - base, span):
+            final = self._rank_and_orient(
+                resolved, lo_votes, lo_votes + hi_votes
+            )
             flips = int((final != majority).sum())
             repaired = True
         registry = get_registry()
@@ -222,15 +257,19 @@ class ReliableWorkerLayer:
         Each answer's posted row (:attr:`BatchResult.rows`) maps it back
         to its row of *distinct*.
 
-        Returns ``(row of distinct per raw answer, raw winners, answered
-        mask over distinct, round latency, posted copies, attempts)``.
-        Without a retry policy this is a single post.
+        Returns ``(row of distinct per raw answer, raw winners, rows of
+        distinct never answered, round latency, posted copies,
+        attempts)``.  Without a retry policy this is a single post.
         """
         policy = self.retry_policy
-        rows: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
-        winners: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+        repetition = self.repetition
+        rows: List[np.ndarray] = []
+        winners: List[np.ndarray] = []
         answered = np.zeros(len(distinct), dtype=bool)
+        # The first attempt posts every row; ``pending`` is then the rows
+        # still unanswered and ``asked`` their questions.
         pending = np.arange(len(distinct))
+        asked = distinct
         total_latency = 0.0
         questions_posted = 0
         attempt = 0
@@ -250,7 +289,9 @@ class ReliableWorkerLayer:
                 )
                 break
             attempt += 1
-            posted = np.repeat(distinct[pending], self.repetition, axis=0)
+            posted = (
+                asked if repetition == 1 else np.repeat(asked, repetition, axis=0)
+            )
             attempt_start = total_latency
             attempt_id = (
                 f"{scope.span_id}/a{attempt}" if scope is not None else None
@@ -284,11 +325,17 @@ class ReliableWorkerLayer:
                     breaker.record_success()
                 questions_posted += len(posted)
                 total_latency += batch.completion_time
-                batch_rows = pending[batch.rows // self.repetition]
+                batch_rows = batch.rows
+                if repetition > 1:
+                    batch_rows = batch_rows // repetition
+                if asked is not distinct:
+                    batch_rows = pending[batch_rows]
                 rows.append(batch_rows)
                 winners.append(batch.winners)
                 answered[batch_rows] = True
                 pending = np.flatnonzero(~answered)
+                if len(pending):
+                    asked = distinct[pending]
                 reason = "unanswered"
                 if attempt_id is not None:
                     emit_span(
@@ -378,9 +425,9 @@ class ReliableWorkerLayer:
                     sim_time=total_latency,
                 )
         return (
-            np.concatenate(rows),
-            np.concatenate(winners),
-            answered,
+            _joined(rows),
+            _joined(winners),
+            pending,
             total_latency,
             questions_posted,
             attempt,
@@ -390,15 +437,18 @@ class ReliableWorkerLayer:
     # Voting
     # ------------------------------------------------------------------
     def _majority(
-        self, questions: np.ndarray, lo_votes: np.ndarray, votes: np.ndarray
+        self,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        lo_votes: np.ndarray,
+        hi_votes: np.ndarray,
     ) -> np.ndarray:
         """Each question's majority winner; ties break by a fair coin."""
-        hi_votes = votes - lo_votes
         lo_wins = lo_votes > hi_votes
         ties = np.flatnonzero(lo_votes == hi_votes)
         if len(ties):
             lo_wins[ties] = self._rng.random(len(ties)) < 0.5
-        return np.where(lo_wins, questions[:, 0], questions[:, 1])
+        return np.where(lo_wins, lo, hi)
 
     # ------------------------------------------------------------------
     # Cycle resolution
@@ -423,20 +473,41 @@ class ReliableWorkerLayer:
         return np.where(lo_first, questions[:, 0], questions[:, 1])
 
 
-def _acyclic(winners: np.ndarray, losers: np.ndarray, stride: int) -> bool:
+def _joined(parts: List[np.ndarray]) -> np.ndarray:
+    """The attempts' int64 columns end to end (one attempt's as it is)."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate([*parts, np.empty(0, dtype=np.int64)])
+
+
+def _acyclic(winners: np.ndarray, losers: np.ndarray, size: int) -> bool:
     """Whether the answer edges ``winners[i] -> losers[i]`` form no cycle.
 
-    Elements are below *stride*.  Peels, pass by pass, every edge whose
-    winner never lost among the edges still live.  A graph without a
-    cycle always has such a source, so it peels to nothing; an edge on a
-    cycle never peels, because its winner lost the cycle's previous edge.
+    Elements are in ``range(size)``.  First a one-pass certificate: when
+    every edge's winner won strictly more of the edges than its loser,
+    wins fall along every path, so no path returns to where it began.
+    That holds for every error-free round of disjoint cliques.  Otherwise
+    the exact check peels, pass by pass, every edge whose winner never
+    lost among the edges still live.  A graph without a cycle always has
+    such a source, so it peels to nothing; an edge on a cycle never
+    peels, because its winner lost the cycle's previous edge.  Each pass
+    clears only the entries it set.
     """
-    lost = np.zeros(stride, dtype=bool)
+    wins = np.bincount(winners, minlength=size)
+    if (wins[winners] > wins[losers]).all():
+        return True
+    lost = np.zeros(size, dtype=bool)
+    passes = 0
+    acyclic = True
     while len(winners):
-        lost[:] = False
+        passes += 1
         lost[losers] = True
         beaten = lost[winners]
+        lost[losers] = False
         if beaten.all():
-            return False
+            acyclic = False
+            break
         winners, losers = winners[beaten], losers[beaten]
-    return True
+    if PROFILER.enabled:
+        PROFILER.add("rwl.cycle_peels", passes)
+    return acyclic

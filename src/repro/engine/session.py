@@ -110,9 +110,14 @@ class MaxSession:
     # ------------------------------------------------------------------
     @property
     def done(self) -> bool:
-        """True once a single candidate remains or the rounds are spent."""
+        """True once a single candidate remains or the rounds are spent.
+
+        A round whose answers close a preference cycle can eliminate every
+        candidate; with none left there is nothing to select, so the
+        session is done too.
+        """
         return self._pending is None and (
-            len(self._candidates) == 1
+            len(self._candidates) <= 1
             or self._round_index >= self.allocation.rounds
         )
 

@@ -290,6 +290,10 @@ class MetricsRegistry:
         self._instruments: Dict[str, Any] = {}
 
     def _get(self, name: str, factory: type) -> Any:
+        # Instruments are never unregistered, so a hit needs no lock.
+        instrument = self._instruments.get(name)
+        if type(instrument) is factory:
+            return instrument
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:
@@ -316,6 +320,9 @@ class MetricsRegistry:
         *buckets* applies only on first registration (the instrument's
         boundaries are fixed for its lifetime, as in Prometheus).
         """
+        instrument = self._instruments.get(name)
+        if type(instrument) is Histogram:
+            return instrument
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:

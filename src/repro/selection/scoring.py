@@ -17,6 +17,7 @@ received everything it ever will.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict
 
 from repro.graphs.answer_graph import AnswerGraph
@@ -62,3 +63,14 @@ def best_scored(evidence: AnswerGraph) -> Element:
     """
     scores = score_candidates(evidence)
     return max(scores, key=lambda element: (scores[element], -element))
+
+
+def most_wins(evidence: AnswerGraph) -> Element:
+    """The element that won the most recorded comparisons, ties to the
+    lower id.
+
+    The fallback winner of evidence that :func:`best_scored` cannot rank
+    because it holds a preference cycle; it makes no random draw.
+    """
+    wins = Counter(answer.winner for answer in evidence.iter_answers())
+    return max(evidence.elements, key=lambda element: (wins[element], -element))

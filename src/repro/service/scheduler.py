@@ -68,7 +68,7 @@ from repro.crowd.multibackend import (
 )
 from repro.crowd.workers import WorkerPoolConfig
 from repro.engine.session import MaxSession, open_rounds, submit_rounds
-from repro.errors import InvalidParameterError
+from repro.errors import InconsistentAnswersError, InvalidParameterError
 from repro.obs.attribution import component_metric, summarize_attribution
 from repro.obs.events import (
     AlertFired,
@@ -87,7 +87,7 @@ from repro.obs.slo import AlertTransition, SLOConfig, SLOEngine
 from repro.obs.spans import close_span, emit_span, open_span, span_scope
 from repro.obs.tracer import Tracer, current_tracer
 from repro.selection.registry import selector_by_name
-from repro.selection.scoring import best_scored
+from repro.selection.scoring import best_scored, most_wins
 from repro.service.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -1509,12 +1509,19 @@ class MaxScheduler:
             exits, self._true_local_maxima(queries)
         ):
             spec, session = query.spec, query.session
-            if state is QueryState.COMPLETED:
-                winner = session.winner
-                singleton = session.singleton_termination
-            else:
-                winner = best_scored(session.evidence)
-                singleton = False
+            singleton = False
+            try:
+                if state is QueryState.COMPLETED:
+                    winner = session.winner
+                    singleton = session.singleton_termination
+                else:
+                    winner = best_scored(session.evidence)
+            except InconsistentAnswersError:
+                # Parts of one round answered in different ticks are
+                # repaired by separate RWL calls, which can close a
+                # preference cycle the scoring cannot rank.
+                winner = most_wins(session.evidence)
+                state = QueryState.DEGRADED
             latency = max(0.0, now - spec.arrival_time)
             deadline: Optional[float] = None
             if query.deadline_at is not None:
@@ -1578,7 +1585,8 @@ class MaxScheduler:
         self, tracer: Tracer, exit_: Exit, result: QueryResult
     ) -> None:
         """Close a finalized query's spans and emit its exit events."""
-        query, state, decided = exit_
+        query, _, decided = exit_
+        state = result.state
         query_id = query.spec.query_id
         if query.first_scheduled_time is None:
             # Never reached the platform (trivial c0=1, or degraded out of

@@ -674,6 +674,22 @@ class TestBatchPasses:
         emptied.submit(np.array([[1, 3]]))
         assert emptied.done
 
+    def test_a_session_emptied_with_rounds_left_is_done(self):
+        """A cyclic first round of a two-round plan eliminates every
+        element: nothing is left to select, so the session is done and
+        the next open pass passes it by instead of failing to select."""
+        emptied = MaxSession(
+            Allocation(round_budgets=(3, 1)), TournamentFormation(), 3,
+            np.random.default_rng(0),
+        )
+        emptied.pending_questions()
+        emptied.submit(np.array([[0, 1], [1, 2], [2, 0]]))
+        assert emptied.candidates == () and not emptied.awaiting_answers
+        assert emptied.round_index == 1 < emptied.allocation.rounds
+        assert emptied.done
+        open_rounds([emptied])
+        assert not emptied.awaiting_answers
+
     def test_open_rounds_skips_open_and_finished_sessions(self):
         open_session, finished, fresh = make_sessions(3, [6, 6, 6], False)
         truth = GroundTruth.random(6, np.random.default_rng(0))

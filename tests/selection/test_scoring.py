@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.permutations import p_max
 from repro.graphs.answer_graph import AnswerGraph
-from repro.selection.scoring import score_candidates
+from repro.errors import InconsistentAnswersError
+from repro.selection.scoring import best_scored, most_wins, score_candidates
 from repro.types import Answer
 
 
@@ -107,3 +108,36 @@ class TestAgainstExactProbabilities:
         exact = p_max(graph)
         assert scores[0] > scores[3]
         assert exact[0] > exact[3]
+
+
+class TestMostWins:
+    def cyclic_graph(self) -> AnswerGraph:
+        """1 > 2 > 3 > 1 plus 3 > 0: element 3 has two wins, 1 and 2 one."""
+        graph = AnswerGraph(range(4))
+        graph.record_all(
+            [
+                Answer(winner=1, loser=2),
+                Answer(winner=2, loser=3),
+                Answer(winner=3, loser=1),
+                Answer(winner=3, loser=0),
+            ]
+        )
+        return graph
+
+    def test_most_recorded_wins_on_a_cycle_the_scoring_rejects(self):
+        graph = self.cyclic_graph()
+        with pytest.raises(InconsistentAnswersError):
+            best_scored(graph)
+        assert most_wins(graph) == 3
+
+    def test_ties_go_to_the_lower_id(self):
+        graph = AnswerGraph(range(5))
+        graph.record_all(
+            [
+                Answer(winner=4, loser=2),
+                Answer(winner=2, loser=1),
+                Answer(winner=1, loser=4),
+            ]
+        )
+        assert most_wins(graph) == 1
+        assert most_wins(AnswerGraph(range(3))) == 0

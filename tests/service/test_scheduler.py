@@ -12,12 +12,14 @@ from repro.errors import InvalidParameterError
 from repro.obs.metrics import get_registry
 from repro.obs.profiling import profiled
 from repro.obs.tracer import RecordingTracer, use_tracer
+from repro.selection.scoring import most_wins
 from repro.service import (
     MaxScheduler,
     QuerySpec,
     QueryState,
     SchedulerJournal,
     ServiceConfig,
+    WorkloadConfig,
     generate_workload,
     recover_scheduler,
     workload_by_name,
@@ -221,6 +223,54 @@ class TestFaults:
         for result in report.degraded:
             assert result.winner is not None
             assert result.state is QueryState.DEGRADED
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_lossy_noisy_300_query_run_ends_every_query(self, seed, monkeypatch):
+        """300 steady queries, sizes 8/16/24, budget factors 4 and 8,
+        ``UniformError(0.3)``, repetition 1, ``lossy`` faults and retries.
+
+        The lost part of a round is answered, and repaired, in a later
+        tick than the rest, which can close a preference cycle in a
+        session's evidence.  Such a query ends ``DEGRADED`` on the element
+        with the most recorded wins instead of stopping the run."""
+        cyclic = []
+        monkeypatch.setattr(
+            scheduler_module,
+            "most_wins",
+            lambda evidence: cyclic.append(evidence) or most_wins(evidence),
+        )
+        specs = generate_workload(
+            WorkloadConfig(
+                n_queries=300,
+                mean_interarrival=60.0,
+                sizes=(8, 16, 24),
+                budget_factors=(4.0, 8.0),
+            ),
+            seed,
+        )
+        tracer = RecordingTracer()
+        with use_tracer(tracer):
+            report = run_workload(
+                specs,
+                seed=seed,
+                config=ServiceConfig(repetition=1),
+                error_model=UniformError(0.3),
+                fault_profile=fault_profile_by_name("lossy"),
+                retry_policy=RetryPolicy(),
+            )
+        assert cyclic  # the run reached the cyclic-evidence path
+        assert sorted(r.spec.query_id for r in report.results) == sorted(
+            s.query_id for s in specs
+        )
+        for result in report.results:
+            assert result.questions_posted <= result.spec.budget
+            assert result.state in (QueryState.COMPLETED, QueryState.DEGRADED)
+        assert len(report.degraded) >= len(cyclic)
+        # The exit events carry each result's own terminal state.
+        states = {r.spec.query_id: r.state.value for r in report.results}
+        exits = tracer.events("QueryCompleted")
+        assert sorted(e.query_id for e in exits) == sorted(states)
+        assert all(e.state == states[e.query_id] for e in exits)
 
 
 class TestColumnSplit:
