@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 from repro.core.questions import tournament_questions
+from repro.core.registry import allocator_by_name
 from repro.crowd.ground_truth import GroundTruth
 from repro.crowd.platform import SimulatedPlatform
 from repro.crowd.rwl import ReliableWorkerLayer
+from repro.engine.session import MaxSession
+from repro.experiments.config import estimated_latency
 from repro.graphs.answer_graph import AnswerGraph
 from repro.graphs.tournaments import tournament_graph
+from repro.selection.registry import selector_by_name
 from repro.selection.scoring import score_candidates
 
 
@@ -62,6 +66,29 @@ def bench_scoring_function(benchmark):
 
     scores = benchmark(lambda: score_candidates(graph))
     assert sum(scores.values()) == pytest.approx(1.0)
+
+
+def bench_scoring_deep(benchmark):
+    """Algorithm 2 over the evidence of a whole CT25 run (HE allocation,
+    500 elements, budget 4000): 2390 answers, 65 levels deep.
+
+    ``bench_scoring_function`` scores one tournament round, at most two
+    levels deep, so it cannot show what the depth batches cost.
+    """
+    rng = np.random.default_rng(4)
+    truth = GroundTruth.random(500, rng)
+    allocation = allocator_by_name("HE").allocate(500, 4000, estimated_latency())
+    session = MaxSession(allocation, selector_by_name("CT25"), 500, rng)
+    while not session.done:
+        questions = session.pending_questions()
+        winners = truth.winners(questions)
+        losers = questions.sum(axis=1) - winners
+        session.submit(np.column_stack((winners, losers)))
+    graph = session.evidence
+
+    scores = benchmark(lambda: score_candidates(graph))
+    assert graph.n_answers == 2390
+    assert scores == {truth.max_element: pytest.approx(1.0)}
 
 
 @pytest.mark.parametrize("rows", [21, 132, 400])

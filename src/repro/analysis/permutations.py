@@ -17,7 +17,7 @@ from typing import Dict, Tuple
 
 from repro.errors import InvalidParameterError
 from repro.graphs.answer_graph import AnswerGraph
-from repro.types import Answer, Element
+from repro.types import Element
 
 _MAX_EXACT_ELEMENTS = 20
 
@@ -37,14 +37,12 @@ def count_linear_extensions(graph: AnswerGraph) -> int:
     (smallest element first); an element can be placed next if everything it
     beat has already been placed.  Runtime ``O(2^n * n)``.
     """
-    elements = tuple(sorted(graph.elements))
+    elements = range(len(graph))
     _check_size(len(elements))
-    index = {element: i for i, element in enumerate(elements)}
     # beaten_mask[i] = bitmask of elements that element i beat directly.
     beaten_mask = [0] * len(elements)
-    for i, element in enumerate(elements):
-        for loser in graph.losers_to(element):
-            beaten_mask[i] |= 1 << index[loser]
+    for winner, loser in graph.sorted_answers().tolist():
+        beaten_mask[winner] |= 1 << loser
 
     full = (1 << len(elements)) - 1
 
@@ -82,14 +80,15 @@ def p_max(graph: AnswerGraph) -> Dict[Element, float]:
     the answer DAG.  Elements that lost a comparison have probability 0.
     Runtime ``O(2^n * n^2)``.
     """
-    elements = tuple(sorted(graph.elements))
+    elements = tuple(range(len(graph)))
     _check_size(len(elements))
     total = count_linear_extensions(graph)
     if total == 0:
         raise InvalidParameterError("the answer graph admits no linear extension")
+    candidates = graph.remaining_candidates()
     probabilities: Dict[Element, float] = {}
     for element in elements:
-        if graph.winners_over(element):
+        if element not in candidates:
             probabilities[element] = 0.0
             continue
         probabilities[element] = (
@@ -107,9 +106,8 @@ def _extensions_with_max(
     beats everyone": candidate must be placed last in the bottom-up DP.
     """
     augmented = AnswerGraph(elements)
-    for answer in graph.iter_answers():
-        augmented.record(answer)
-    for other in elements:
-        if other != candidate:
-            augmented.record(Answer(winner=candidate, loser=other))
+    augmented.record_pairs(graph.sorted_answers())
+    augmented.record_pairs(
+        [(candidate, other) for other in elements if other != candidate]
+    )
     return count_linear_extensions(augmented)

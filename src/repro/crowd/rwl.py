@@ -45,6 +45,7 @@ from repro.crowd.breaker import BreakerState, CircuitBreaker
 from repro.crowd.faults import RetryPolicy
 from repro.crowd.platform import Platform, Questions, as_pairs, columns_equal
 from repro.errors import InvalidParameterError, PlatformOutageError
+from repro.graphs.answer_graph import peel_passes
 from repro.obs.events import BatchRetried, RWLRetry
 from repro.obs.metrics import get_registry
 from repro.obs.profiling import PROFILER
@@ -487,27 +488,15 @@ def _acyclic(winners: np.ndarray, losers: np.ndarray, size: int) -> bool:
     every edge's winner won strictly more of the edges than its loser,
     wins fall along every path, so no path returns to where it began.
     That holds for every error-free round of disjoint cliques.  Otherwise
-    the exact check peels, pass by pass, every edge whose winner never
-    lost among the edges still live.  A graph without a cycle always has
-    such a source, so it peels to nothing; an edge on a cycle never
-    peels, because its winner lost the cycle's previous edge.  Each pass
-    clears only the entries it set.
+    the exact check is :func:`~repro.graphs.answer_graph.peel_passes`;
+    the passes it runs are its deepest edge's, and one more that peels
+    nothing when it stops at a cycle.
     """
     wins = np.bincount(winners, minlength=size)
     if (wins[winners] > wins[losers]).all():
         return True
-    lost = np.zeros(size, dtype=bool)
-    passes = 0
-    acyclic = True
-    while len(winners):
-        passes += 1
-        lost[losers] = True
-        beaten = lost[winners]
-        lost[losers] = False
-        if beaten.all():
-            acyclic = False
-            break
-        winners, losers = winners[beaten], losers[beaten]
+    passes = peel_passes(winners, losers, size)
+    acyclic = bool(passes.all())
     if PROFILER.enabled:
-        PROFILER.add("rwl.cycle_peels", passes)
+        PROFILER.add("rwl.cycle_peels", int(passes.max()) + (not acyclic))
     return acyclic

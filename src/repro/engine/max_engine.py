@@ -226,7 +226,7 @@ def _run_rounds(
     if evidence is None:
         evidence = AnswerGraph(candidates)
     alive = np.array(candidates, dtype=np.int64)
-    lost = np.zeros(max(evidence.elements) + 1, bool)
+    lost = np.zeros(len(evidence), bool)
     records: List[RoundRecord] = []
     total_latency = 0.0
     total_questions = 0

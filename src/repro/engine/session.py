@@ -229,9 +229,9 @@ class MaxSession:
                 inconsistent with the allocation or collection size.
         """
         session = cls(allocation, selector, n_elements, rng)
-        if evidence.elements != session.evidence.elements:
+        if len(evidence) != n_elements:
             raise InvalidParameterError(
-                f"checkpointed evidence covers {len(evidence.elements)} "
+                f"checkpointed evidence covers {len(evidence)} "
                 f"elements, expected {n_elements}"
             )
         if not 0 <= round_index <= allocation.rounds:
@@ -271,19 +271,20 @@ class MaxSession:
                     f"{round_index}'s budget of "
                     f"{allocation.round_budgets[round_index]}"
                 )
-            answered = np.array(
-                [
-                    evidence.direct_result(a, b) is not None
-                    for a, b in pending_rows.tolist()
-                ],
-                dtype=bool,
+            _hand_out([session], [pending_rows])
+            # The question keys lo * n + hi against the evidence's.
+            answers = evidence.sorted_answers()
+            answered = np.isin(
+                session._keys,
+                answers.min(axis=1) * n_elements + answers.max(axis=1),
             )
             if answered.all():
                 raise InvalidParameterError(
                     "a mid-round checkpoint must leave at least one pending "
                     "question unanswered"
                 )
-            _hand_out([session], [pending_rows], [answered])
+            session._answered[session._key_order[answered]] = True
+            session._n_answered = int(np.count_nonzero(answered))
         return session
 
     # ------------------------------------------------------------------
@@ -392,12 +393,9 @@ def open_rounds(sessions: Sequence[MaxSession]) -> None:
 
 
 def _hand_out(
-    sessions: Sequence[MaxSession],
-    rounds: Sequence[np.ndarray],
-    answered: Optional[Sequence[np.ndarray]] = None,
+    sessions: Sequence[MaxSession], rounds: Sequence[np.ndarray]
 ) -> None:
-    """Open ``rounds[i]`` as ``sessions[i]``'s round, ``answered[i]`` of
-    it already answered (none of it without *answered*).
+    """Open ``rounds[i]`` as ``sessions[i]``'s round, none of it answered.
 
     One pass keys every question (see :func:`_key_space`), so one stable
     argsort sorts each session's keys in its own slice.
@@ -425,21 +423,14 @@ def _hand_out(
     # The bases keep each session's keys in its own slice of the sort.
     keys -= row_bases
     order -= np.repeat(starts, lengths)
-    if answered is None:
-        masks = np.zeros(len(keys), bool)
-        n_answered = [0] * len(sessions)
-    else:
-        masks = np.concatenate(answered)
-        n_answered = np.add.reduceat(masks, starts, dtype=np.int64).tolist()
-    for session, first, length, n in zip(
-        sessions, starts.tolist(), lengths, n_answered
-    ):
+    masks = np.zeros(len(keys), bool)
+    for session, first, length in zip(sessions, starts.tolist(), lengths):
         end = first + length
         session._pending = questions[first:end]
         session._keys = keys[first:end]
         session._key_order = order[first:end]
         session._answered = masks[first:end]
-        session._n_answered = n
+        session._n_answered = 0
     if PROFILER.enabled:
         PROFILER.add("session.open_passes")
         PROFILER.add("session.rounds_opened", len(sessions))
@@ -529,8 +520,7 @@ def submit_rounds(
         end = start + count
         if count:
             session.evidence.record_keyed(
-                rows[start:end], losers[start:end],
-                forward[start:end], reverse[start:end],
+                losers[start:end], forward[start:end], reverse[start:end]
             )
             session._candidates = next(survivors)
         session._resolve(answered[first:first + length], total)

@@ -143,12 +143,9 @@ def _phase_candidates(
     evidence: AnswerGraph, found: Set[Element]
 ) -> Tuple[Element, ...]:
     """Elements whose every recorded loss was against already-found ones."""
-    return tuple(
-        sorted(
-            element
-            for element in evidence.elements
-            if element not in found
-            and evidence.winners_over(element) <= found
-        )
-    )
-
+    rows = evidence.sorted_answers()
+    excluded = np.zeros(len(evidence), bool)
+    excluded[list(found)] = True
+    # The losers to a winner not found yet (read before it is updated).
+    excluded[rows[~excluded[rows[:, 0]], 1]] = True
+    return tuple(np.flatnonzero(~excluded).tolist())

@@ -157,12 +157,12 @@ class TestMisuse:
         else:
             session.submit(answers_to(truth, [first]))
             bad = answers_to(truth, [second, first])
-        before = sorted(session.evidence.answered_questions())
+        before = session.evidence.sorted_answers()
         candidates = session.candidates
         pending = session.pending_questions()
         with pytest.raises(SessionStateError, match="repeated or already"):
             session.submit(bad)
-        assert sorted(session.evidence.answered_questions()) == before
+        assert np.array_equal(session.evidence.sorted_answers(), before)
         assert session.candidates == candidates
         assert np.array_equal(session.pending_questions(), pending)
 
@@ -320,6 +320,45 @@ class TestCheckpointing:
             payload["evidence"]["answers"] = [row]
         with pytest.raises(InvalidParameterError, match="pairs"):
             session_from_dict(payload)
+
+    @pytest.mark.parametrize("row", [[0, 99], [-1, 3], [99, 0], [3, 3]])
+    def test_restore_rejects_pending_questions_outside_the_collection(self, row):
+        """Pending questions are checked before they are looked up in the
+        evidence: an unknown element is an invalid checkpoint, not a bare
+        lookup error."""
+        rng = np.random.default_rng(16)
+        allocation = Allocation.from_element_sequence((8, 2, 1))
+        session = MaxSession(allocation, TournamentFormation(), 8, rng)
+        session.pending_questions()
+        payload = session_to_dict(session)
+        payload["pending"] = [row]
+        with pytest.raises(InvalidParameterError, match="distinct pairs"):
+            session_from_dict(payload)
+
+    def test_restore_names_evidence_elements_outside_the_collection(self):
+        rng = np.random.default_rng(17)
+        allocation = Allocation.from_element_sequence((8, 2, 1))
+        payload = session_to_dict(
+            MaxSession(allocation, TournamentFormation(), 8, rng)
+        )
+        payload["evidence"]["elements"] = [0, 1, 2, 3, 4, 5, 6, 9]
+        with pytest.raises(InvalidParameterError, match="9 is not one of them"):
+            session_from_dict(payload)
+
+    def test_restore_marks_the_answered_pending_questions(self):
+        """A half-answered round resumes with exactly its unanswered
+        questions pending, in selection order."""
+        rng = np.random.default_rng(18)
+        truth = GroundTruth.random(12, rng)
+        allocation = Allocation.from_element_sequence((12, 3, 1))
+        session = MaxSession(allocation, TournamentFormation(), 12, rng)
+        batch = session.pending_questions()
+        session.submit(answers_to(truth, batch[::3]))
+        resumed = session_from_dict(session_to_dict(session))
+        assert np.array_equal(
+            resumed.pending_questions(), session.pending_questions()
+        )
+        assert resumed._n_answered == session._n_answered == len(batch[::3])
 
     def test_finished_session_round_trips(self):
         rng = np.random.default_rng(11)

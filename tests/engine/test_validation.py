@@ -24,7 +24,7 @@ def make_context(candidates, budget):
     return SelectionContext(
         budget=budget,
         candidates=tuple(candidates),
-        evidence=AnswerGraph(candidates),
+        evidence=AnswerGraph(range(max(candidates) + 1)),
         round_index=0,
         total_rounds=1,
         rng=np.random.default_rng(0),

@@ -169,7 +169,7 @@ class TestSelectorMatchesReference:
         context = SelectionContext(
             budget=budget,
             candidates=candidates,
-            evidence=AnswerGraph(candidates),
+            evidence=AnswerGraph(range(max(candidates) + 1)),
             round_index=0,
             total_rounds=1,
             rng=array_rng,

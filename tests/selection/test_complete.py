@@ -16,7 +16,7 @@ def make_context(candidates, budget, seed=0, evidence=None):
     return SelectionContext(
         budget=budget,
         candidates=tuple(candidates),
-        evidence=evidence if evidence is not None else AnswerGraph(candidates),
+        evidence=evidence if evidence is not None else AnswerGraph(range(max(candidates) + 1)),
         round_index=0,
         total_rounds=1,
         rng=np.random.default_rng(seed),

@@ -17,7 +17,7 @@ def make_context(candidates, budget, seed=0, evidence=None, round_index=0,
     return SelectionContext(
         budget=budget,
         candidates=tuple(candidates),
-        evidence=evidence if evidence is not None else AnswerGraph(candidates),
+        evidence=evidence if evidence is not None else AnswerGraph(range(max(candidates) + 1)),
         round_index=round_index,
         total_rounds=total_rounds,
         rng=np.random.default_rng(seed),

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 from repro.analysis.permutations import p_max
 from repro.graphs.answer_graph import AnswerGraph
 from repro.errors import InconsistentAnswersError
-from repro.selection.scoring import best_scored, most_wins, score_candidates
+from repro.selection.scoring import (
+    best_scored,
+    most_wins,
+    score_candidates,
+    transitive_wins,
+)
 from repro.types import Answer
 
 
@@ -33,6 +38,53 @@ class TestPaperExample:
         assert set(scores) == {2, 4}  # c and e are the remaining candidates
         assert scores[2] == pytest.approx(3 / 10)
         assert scores[4] == pytest.approx(7 / 10)
+
+
+class TestTransitiveWins:
+    def test_transitive_wins_fig17(self):
+        """Figure 17 commentary: element e 'has won over three elements;
+        implicitly or explicitly'."""
+        a, b, c, d, e = range(5)
+        wins = transitive_wins(fig17_graph())
+        assert wins[e] == 3  # d explicitly; a, b implicitly
+        assert wins[d] == 2
+        assert wins[c] == 1
+        assert wins[a] == wins[b] == 0
+
+    @given(st.integers(2, 12), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_transitive_wins_matches_reachability(self, n, data):
+        """wins(v) equals the number of elements reachable from v through
+        the 'beat' relation, for random orderly DAGs."""
+        edges = data.draw(
+            st.sets(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda t: t[0] < t[1]
+                ),
+                max_size=n * 2,
+            )
+        )
+        graph = AnswerGraph(range(n))
+        for low, high in edges:
+            # The lower id wins, so the graph is a DAG by construction.
+            graph.record(Answer(winner=low, loser=high))
+        wins = transitive_wins(graph)
+        beat = {}
+        for winner, loser in graph.sorted_answers().tolist():
+            beat.setdefault(winner, []).append(loser)
+
+        def reachable(start):
+            seen = set()
+            stack = [start]
+            while stack:
+                for loser in beat.get(stack.pop(), ()):
+                    if loser not in seen:
+                        seen.add(loser)
+                        stack.append(loser)
+            return seen
+
+        for element in range(n):
+            assert wins[element] == len(reachable(element))
 
 
 class TestBasicProperties:

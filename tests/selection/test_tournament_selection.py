@@ -14,7 +14,7 @@ def make_context(candidates, budget, seed=0, round_index=0, total_rounds=1):
     return SelectionContext(
         budget=budget,
         candidates=tuple(candidates),
-        evidence=AnswerGraph(candidates),
+        evidence=AnswerGraph(range(max(candidates) + 1)),
         round_index=round_index,
         total_rounds=total_rounds,
         rng=np.random.default_rng(seed),
