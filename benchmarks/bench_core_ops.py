@@ -4,6 +4,8 @@ Not tied to a paper figure; these keep an eye on the per-operation costs
 the experiment sweeps are built on.
 """
 
+from typing import List
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,13 @@ from repro.core.registry import allocator_by_name
 from repro.crowd.ground_truth import GroundTruth
 from repro.crowd.platform import SimulatedPlatform
 from repro.crowd.rwl import ReliableWorkerLayer
-from repro.engine.session import MaxSession
+from repro.engine.session import MaxSession, open_rounds
 from repro.experiments.config import estimated_latency
 from repro.graphs.answer_graph import AnswerGraph
 from repro.graphs.tournaments import tournament_graph
 from repro.selection.registry import selector_by_name
 from repro.selection.scoring import score_candidates
+from repro.types import Answer
 
 
 def bench_q_function_row(benchmark):
@@ -40,12 +43,23 @@ def bench_tournament_formation_500(benchmark):
     assert len(questions) == tournament_questions(500, 50)
 
 
+def round_answers(truth: GroundTruth, questions: np.ndarray) -> List[Answer]:
+    """The error-free answers to *questions*, from one
+    ``GroundTruth.winners`` call.
+
+    A ``truth.answer`` call per question would cost several times the
+    ingest these answers feed, and the gate times the whole bench body.
+    """
+    winners = truth.winners(questions)
+    losers = questions.sum(axis=1) - winners
+    return list(map(Answer, winners.tolist(), losers.tolist()))
+
+
 def bench_answer_graph_ingest(benchmark):
     """Recording one full round of answers (2250 questions, 500 elements)."""
     rng = np.random.default_rng(1)
     truth = GroundTruth.random(500, rng)
-    questions = tournament_graph(rng.permutation(500), 50).tolist()
-    answers = [truth.answer(a, b) for a, b in questions]
+    answers = round_answers(truth, tournament_graph(rng.permutation(500), 50))
 
     def ingest():
         graph = AnswerGraph(range(500))
@@ -61,8 +75,9 @@ def bench_scoring_function(benchmark):
     rng = np.random.default_rng(2)
     truth = GroundTruth.random(500, rng)
     graph = AnswerGraph(range(500))
-    questions = tournament_graph(rng.permutation(500), 50).tolist()
-    graph.record_all([truth.answer(a, b) for a, b in questions])
+    graph.record_all(
+        round_answers(truth, tournament_graph(rng.permutation(500), 50))
+    )
 
     scores = benchmark(lambda: score_candidates(graph))
     assert sum(scores.values()) == pytest.approx(1.0)
@@ -111,3 +126,40 @@ def bench_rwl_posting(benchmark, rows):
     result = benchmark(lambda: rwl.ask(questions))
     assert len(result.winners) == rows
     assert result.majority_flips == 0
+
+
+@pytest.mark.parametrize("sessions", [16, 64])
+def bench_open_pass(benchmark, sessions):
+    """One ``open_rounds`` pass over *sessions* fresh sessions on one
+    stream: a tick's selection work in the service.
+
+    The sessions have the service's burst shapes (12, 20 or 32 elements,
+    budgets of 4 or 6 questions per element, tDP plans) and all draw from
+    one selector stream, as a scheduler's do.  Divide the time by
+    *sessions* for the cost of opening one round.
+    """
+    rng = np.random.default_rng(5)
+    latency = estimated_latency()
+    tdp = allocator_by_name("tDP")
+    plans = [
+        (tdp.allocate(n, int(factor * n), latency), n)
+        for factor in (4.0, 6.0)
+        for n in (12, 20, 32)
+    ]
+    selector = selector_by_name("Tournament")
+    shapes = [plans[i % len(plans)] for i in range(sessions)]
+
+    def fresh():
+        return ([MaxSession(plan, selector, n, rng) for plan, n in shapes],), {}
+
+    opened = []
+
+    def open_pass(batch):
+        open_rounds(batch)
+        opened[:] = batch
+
+    benchmark.pedantic(open_pass, setup=fresh, rounds=200)
+    assert all(session.awaiting_answers for session in opened)
+    assert [len(session.pending) for session in opened] == [
+        plan.round_budgets[0] for plan, _ in shapes
+    ]

@@ -40,16 +40,7 @@ class AnswerGraph:
     """
 
     def __init__(self, elements: Iterable[Element]) -> None:
-        self._elements: FrozenSet[Element] = frozenset(elements)
-        n = self._n = len(self._elements)
-        if not n:
-            raise InvalidParameterError("an answer graph needs at least one element")
-        if self._elements != frozenset(range(n)):
-            outside = next(e for e in self._elements if e not in range(n))
-            raise InvalidParameterError(
-                f"an answer graph of {n} elements is over 0 .. {n - 1}; "
-                f"{outside!r} is not one of them"
-            )
+        n = self._n = _element_count(elements)
         #: Directed keys ``winner * n + loser`` of the recorded answers.
         self._keys: Set[int] = set()
         #: Whether each element has lost a comparison.
@@ -162,7 +153,7 @@ class AnswerGraph:
     @property
     def elements(self) -> FrozenSet[Element]:
         """The full element collection the graph was created over."""
-        return self._elements
+        return frozenset(range(self._n))
 
     @property
     def n_answers(self) -> int:
@@ -216,6 +207,55 @@ class AnswerGraph:
             f"answers={self.n_answers}, "
             f"|RC|={len(self.remaining_candidates())})"
         )
+
+
+def _element_count(elements: Iterable[Element]) -> int:
+    """The size ``n`` of *elements*, which must be ``0 .. n-1``.
+
+    A ``range(n)`` is taken as it is.  Anything else is checked value by
+    value, under the rules of :func:`repro.types.as_pairs`: every value
+    is an integer (a bool or a float is rejected, never converted), and
+    none repeats.
+
+    Raises:
+        InvalidParameterError: if *elements* is not an iterable of
+            distinct integers ``0 .. n-1`` with ``n >= 1``.
+    """
+    if type(elements) is range and elements.start == 0 and elements.step == 1:
+        n = len(elements)
+    else:
+        try:
+            values = list(elements)
+        except TypeError:
+            raise InvalidParameterError(
+                f"an answer graph's elements must be an iterable of "
+                f"integers, got {elements!r}"
+            ) from None
+        seen: Set[Element] = set()
+        for value in values:
+            if isinstance(value, (bool, np.bool_)) or not isinstance(
+                value, (int, np.integer)
+            ):
+                raise InvalidParameterError(
+                    f"an answer graph's elements must be integers, got "
+                    f"{value!r}"
+                )
+            if value in seen:
+                raise InvalidParameterError(
+                    f"element {value!r} appears more than once in an "
+                    f"answer graph's elements"
+                )
+            seen.add(value)
+        n = len(values)
+        outside = [v for v in values if not 0 <= v < n]
+        if outside:
+            raise InvalidParameterError(
+                f"an answer graph of {n} elements is over 0 .. {n - 1}; "
+                f"{outside[0]!r} is not one of them"
+            )
+    if not n:
+        raise InvalidParameterError("an answer graph needs at least one element")
+    return n
 
 
 def directed_keys(

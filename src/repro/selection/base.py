@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +68,15 @@ class QuestionSelector(ABC):
     * questions are distinct, in canonical ``(min, max)`` form, and only
       involve current candidates;
     * with fewer than two candidates, returns no questions.
+
+    A pass that opens many sessions' rounds at once (see
+    :func:`repro.engine.session.open_rounds`) splits selection in two:
+    :meth:`draw` makes each session's random draws, in session order, so
+    sessions may share one stream whatever their selectors; then
+    :meth:`deal` builds all of one selector's rounds together.  By default
+    :meth:`draw` selects the whole round through :func:`select_round` and
+    :meth:`deal` only concatenates, so a selector need only implement
+    :meth:`select`.
     """
 
     #: Short name used in registries, experiment tables and plots.
@@ -76,6 +85,35 @@ class QuestionSelector(ABC):
     @abstractmethod
     def select(self, ctx: SelectionContext) -> Questions:
         """Pick the questions to post for this round."""
+
+    def draw(
+        self,
+        budget: int,
+        candidates: Tuple[Element, ...],
+        evidence: AnswerGraph,
+        round_index: int,
+        total_rounds: int,
+        rng: np.random.Generator,
+    ) -> Optional[Any]:
+        """Make one round's random draws now, with the fields of its
+        :class:`SelectionContext`.
+
+        Returns what :meth:`deal` needs to build the round, or ``None``
+        when the round selects no questions.
+        """
+        questions = select_round(
+            self,
+            SelectionContext(
+                budget, candidates, evidence, round_index, total_rounds, rng
+            ),
+        )
+        return questions if len(questions) else None
+
+    def deal(self, draws: Sequence[Any]) -> Tuple[np.ndarray, List[int]]:
+        """The rounds of *draws* (each made by :meth:`draw`) as one
+        ``(k, 2)`` int64 array, round after round, and each round's row
+        count."""
+        return np.concatenate(draws), [len(questions) for questions in draws]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -94,11 +132,18 @@ def select_round(
     """
     questions = as_pairs(selector.select(ctx))
     if len(questions) > ctx.budget:
-        raise InvalidParameterError(
-            f"selector {selector.name} returned {len(questions)} "
-            f"questions for a budget of {ctx.budget}"
-        )
+        raise overspent(selector, len(questions), ctx.budget)
     return questions
+
+
+def overspent(
+    selector: QuestionSelector, n_questions: int, budget: int
+) -> InvalidParameterError:
+    """The error for a round of *n_questions* over its *budget*."""
+    return InvalidParameterError(
+        f"selector {selector.name} returned {n_questions} "
+        f"questions for a budget of {budget}"
+    )
 
 
 def all_pairs(candidates: Tuple[Element, ...]) -> List[Question]:

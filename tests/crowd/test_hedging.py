@@ -21,6 +21,7 @@ from repro.crowd.multibackend import (
 )
 from repro.errors import InvalidParameterError
 from repro.obs.tracer import RecordingTracer, use_tracer
+from tests.crowd.router_reference import as_tick
 
 FAST = LinearLatency(delta=100.0, alpha=0.1)
 SLOW = LinearLatency(delta=400.0, alpha=0.1)
@@ -79,7 +80,7 @@ class TestHedgeConfig:
         router = _pair(HedgeConfig(min_samples=2, window=8))
         assert router.hedge_after_threshold() is None
         router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *as_tick([(0, _questions(4)), (1, _questions(4, start=10))]),
             now=0.0,
             tick=0,
         )
@@ -91,7 +92,7 @@ class TestHedgedRounds:
     def test_slow_primary_is_mirrored_to_the_fast_backend(self):
         router = _pair(HedgeConfig(hedge_after=300.0))
         outcome = router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *as_tick([(0, _questions(4)), (1, _questions(4, start=10))]),
             now=0.0,
             tick=0,
         )
@@ -108,7 +109,7 @@ class TestHedgedRounds:
     def test_losing_copy_is_accounted_as_waste(self):
         router = _pair(HedgeConfig(hedge_after=300.0))
         router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *as_tick([(0, _questions(4)), (1, _questions(4, start=10))]),
             now=0.0,
             tick=0,
         )
@@ -123,7 +124,7 @@ class TestHedgedRounds:
             ),
         )
         outcome = router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *as_tick([(0, _questions(4)), (1, _questions(4, start=10))]),
             now=10.0,
             tick=0,
         )
@@ -144,7 +145,7 @@ class TestHedgedRounds:
             hedge=HedgeConfig(hedge_after=300.0),
         )
         outcome = router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *as_tick([(0, _questions(4)), (1, _questions(4, start=10))]),
             now=0.0,
             tick=0,
         )
@@ -160,7 +161,7 @@ class TestHedgedRounds:
             hedge=HedgeConfig(hedge_after=300.0),
         )
         outcome = router.post_round(
-            [(0, _questions(8)), (1, _questions(4, start=10))],
+            *as_tick([(0, _questions(8)), (1, _questions(4, start=10))]),
             now=0.0,
             tick=0,
         )
@@ -170,14 +171,14 @@ class TestHedgedRounds:
         router = _pair(HedgeConfig(hedge_after=300.0))
         router.hedging_suspended = True
         outcome = router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *as_tick([(0, _questions(4)), (1, _questions(4, start=10))]),
             now=0.0,
             tick=0,
         )
         assert len(outcome.hedged_questions) == 0
         router.hedging_suspended = False
         outcome = router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *as_tick([(0, _questions(4)), (1, _questions(4, start=10))]),
             now=5000.0,
             tick=1,
         )
@@ -188,7 +189,7 @@ class TestHedgedRounds:
         router = _pair(HedgeConfig(hedge_after=300.0))
         with use_tracer(tracer):
             router.post_round(
-                [(0, _questions(4)), (1, _questions(4, start=10))],
+                *as_tick([(0, _questions(4)), (1, _questions(4, start=10))]),
                 now=0.0,
                 tick=3,
             )
@@ -204,7 +205,7 @@ class TestHedgedRounds:
     def test_state_dict_round_trips_hedge_totals(self):
         router = _pair(HedgeConfig(hedge_after=300.0))
         router.post_round(
-            [(0, _questions(4)), (1, _questions(4, start=10))],
+            *as_tick([(0, _questions(4)), (1, _questions(4, start=10))]),
             now=0.0,
             tick=0,
         )

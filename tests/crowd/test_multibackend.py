@@ -27,6 +27,7 @@ from repro.crowd.multibackend import (
 )
 from repro.crowd.workers import WorkerPoolConfig
 from repro.errors import InvalidParameterError
+from tests.crowd.router_reference import as_tick
 
 FAST = LinearLatency(delta=100.0, alpha=0.1)
 SLOW = LinearLatency(delta=400.0, alpha=0.1)
@@ -170,6 +171,9 @@ class TestRouterAssignment:
     def _router(self, specs, policy="latency", **kwargs):
         return CapacityAwareRouter(_fleet(specs, **kwargs), policy)
 
+    def _assign(self, router, units, decisions):
+        return router._assign(*as_tick(units), decisions)
+
     def _post(self, router):
         return {
             b.index: RoundDecision.POST for b in router.backends
@@ -186,7 +190,7 @@ class TestRouterAssignment:
                 BackendSpec(name="fast", latency=FAST),
             ]
         )
-        assignment, unposted, _ = router._assign(
+        assignment, unposted, _ = self._assign(router, 
             [(0, _questions(5))], self._post(router)
         )
         assert len(unposted) == 0
@@ -200,7 +204,7 @@ class TestRouterAssignment:
                 BackendSpec(name="b", latency=SLOW, capacity=3),
             ]
         )
-        assignment, unposted, _ = router._assign(
+        assignment, unposted, _ = self._assign(router, 
             [(0, _questions(10))], self._post(router)
         )
         assert len(assignment[0]) == 4
@@ -216,7 +220,7 @@ class TestRouterAssignment:
                 BackendSpec(name="big", latency=SLOW, capacity=100),
             ]
         )
-        assignment, unposted, _ = router._assign(
+        assignment, unposted, _ = self._assign(router, 
             [(0, _questions(6))], self._post(router)
         )
         # Slower, but the only backend that takes the block whole.
@@ -238,7 +242,7 @@ class TestRouterAssignment:
             ],
             policy="weighted-price",
         )
-        assignment, _, _ = router._assign(
+        assignment, _, _ = self._assign(router, 
             [(0, _questions(5)), (1, _questions(4, start=50))],
             self._post(router),
         )
@@ -253,7 +257,7 @@ class TestRouterAssignment:
             ],
             policy="least-loaded",
         )
-        assignment, _, _ = router._assign(
+        assignment, _, _ = self._assign(router, 
             [(0, _questions(4)), (1, _questions(4, start=50))],
             self._post(router),
         )
@@ -268,7 +272,7 @@ class TestRouterAssignment:
             ]
         )
         decisions = {0: RoundDecision.DEFER, 1: RoundDecision.POST}
-        assignment, unposted, _ = router._assign(
+        assignment, unposted, _ = self._assign(router, 
             [(0, _questions(6))], decisions
         )
         assert len(assignment[0]) == 0
@@ -283,14 +287,14 @@ class TestRouterAssignment:
             ]
         )
         decisions = {0: RoundDecision.PROBE, 1: RoundDecision.POST}
-        assignment, unposted, _ = router._assign(
+        assignment, unposted, _ = self._assign(router, 
             [(0, _questions(PROBE_QUESTIONS + 20))], decisions
         )
         # Too big for the probe quota: the block lands whole on the
         # healthy backend.
         assert len(assignment[1]) == PROBE_QUESTIONS + 20
         assert len(unposted) == 0
-        assignment, _, _ = router._assign(
+        assignment, _, _ = self._assign(router, 
             [(0, _questions(PROBE_QUESTIONS + 20)),
              (1, _questions(4, start=50))],
             {0: RoundDecision.PROBE, 1: RoundDecision.POST},

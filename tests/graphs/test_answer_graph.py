@@ -41,6 +41,22 @@ class TestConstruction:
 
     def test_any_iterable_of_0_to_n_minus_1(self):
         assert AnswerGraph((2, 0, 1)).elements == frozenset(range(3))
+        assert AnswerGraph(np.arange(4)).elements == frozenset(range(4))
+        assert AnswerGraph(range(5)).elements == frozenset(range(5))
+
+    @pytest.mark.parametrize(
+        "elements",
+        [[0, 1, 1], [0.0, 1.0], [True, 1], [False, 1], [np.bool_(True), 0], "01", 3],
+    )
+    def test_repeats_non_integers_and_non_iterables_rejected(self, elements):
+        with pytest.raises(InvalidParameterError):
+            AnswerGraph(elements)
+
+    def test_ranges_not_from_zero_are_checked(self):
+        with pytest.raises(InvalidParameterError, match="; 3 is not"):
+            AnswerGraph(range(1, 4))
+        with pytest.raises(InvalidParameterError):
+            AnswerGraph(range(0))
 
     def test_record_unknown_element_rejected(self):
         graph = AnswerGraph([0, 1])

@@ -49,7 +49,7 @@ def _routed_registry(names, rounds=3):
     router = CapacityAwareRouter(build_backends(specs, truth, 0))
     questions = [(i, i + 10) for i in range(8)]
     for tick in range(rounds):
-        router.post_round([(0, questions)], now=float(tick), tick=tick)
+        router.post_round(questions, [(0, len(questions))], now=float(tick), tick=tick)
     return registry
 
 

@@ -110,12 +110,15 @@ def _record_placement(scheduler):
     placed = {}
     post_round = scheduler.router.post_round
 
-    def recording_post_round(units, *, tick, **kwargs):
-        outcome = post_round(units, tick=tick, **kwargs)
+    def recording_post_round(questions, units, *, tick, **kwargs):
+        outcome = post_round(questions, units, tick=tick, **kwargs)
         unposted = set(map(tuple, outcome.unposted.tolist()))
-        for query_id, questions in units:
+        start = 0
+        for query_id, rows in units:
+            block = questions[start:start + rows]
+            start += rows
             placed[(tick, query_id)] = any(
-                q not in unposted for q in map(tuple, questions.tolist())
+                q not in unposted for q in map(tuple, block.tolist())
             )
         return outcome
 

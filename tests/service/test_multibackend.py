@@ -271,7 +271,8 @@ class TestProbeOutage:
         unposted = set(map(tuple, outcome.unposted.tolist()))
         spared = 0
         for query in scheduler._active:
-            posted = set(map(tuple, query.unanswered.tolist())) - unposted
+            rows = query.unanswered + query.offset
+            posted = set(map(tuple, rows.tolist())) - unposted
             assert query.round_attempts == (1 if posted else 0)
             spared += not posted
         assert spared

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from repro.core.latency import LinearLatency
 from repro.crowd.faults import RetryPolicy, fault_profile_by_name
 from repro.obs.tracer import RecordingTracer, use_tracer
+from repro.selection.base import QuestionSelector
 from repro.selection.scoring import best_scored
-from repro.selection.tournament import TournamentFormation
 from repro.service import (
     AdmissionDecision,
     BrownoutConfig,
@@ -351,7 +351,7 @@ def test_the_finalization_sites_come_up(lossy):
     assert exits == expected
 
 
-class AsksNothing(TournamentFormation):
+class AsksNothing(QuestionSelector):
     """A selector with nothing left to ask."""
 
     def select(self, ctx):

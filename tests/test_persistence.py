@@ -99,6 +99,23 @@ class TestAnswerGraphRoundTrip:
         with pytest.raises(InvalidParameterError, match="9 is not"):
             answer_graph_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "elements, match",
+        [
+            ([0, 1, 2, 3, 3, 2], "element 3 appears more than once"),
+            ([0.0, 1.0, 2.0, 3.0], "must be integers, got 0.0"),
+            ([True, 0, 2, 3], "must be integers, got True"),
+            (["0", "1"], "must be integers, got '0'"),
+            (4, "must be an iterable of integers, got 4"),
+        ],
+    )
+    def test_malformed_elements_rejected(self, elements, match):
+        """A checkpoint's element list follows the rules of its answer
+        rows: distinct integers, nothing converted."""
+        payload = {"elements": elements, "answers": []}
+        with pytest.raises(InvalidParameterError, match=match):
+            answer_graph_from_dict(payload)
+
     def test_inconsistent_payload_rejected(self):
         payload = {
             "elements": [0, 1],
