@@ -1,10 +1,12 @@
 """Tests for the Tournament-formation question selector (Section 5.2)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.questions import fewest_tournaments_within, tournament_questions
+from repro.errors import InvalidParameterError
 from repro.graphs.answer_graph import AnswerGraph
 from repro.selection.base import SelectionContext
 from repro.selection.tournament import TournamentFormation
@@ -78,6 +80,35 @@ class TestLeftoverSpending:
             parent[find(a)] = find(b)
         for a, b in questions[30:]:
             assert find(a) != find(b)
+
+
+class TestDrawChecks:
+    """``draw`` runs the context's checks without building a context."""
+
+    @pytest.mark.parametrize(
+        "budget, candidates, round_index, total_rounds",
+        [(-1, (0, 1), 0, 1), (3, (), 0, 1), (3, (0, 1), 2, 2), (3, (0, 1), -1, 2)],
+    )
+    def test_invalid_round_fields_rejected(
+        self, budget, candidates, round_index, total_rounds
+    ):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(InvalidParameterError):
+            TournamentFormation().draw(
+                budget, candidates, AnswerGraph(range(2)), round_index,
+                total_rounds, rng,
+            )
+        assert rng.bit_generator.state == before
+
+    def test_a_dealt_round_over_its_budget_is_rejected(self):
+        selector = TournamentFormation()
+        drawn = selector.draw(
+            6, (0, 1, 2, 3), AnswerGraph(range(4)), 0, 1, np.random.default_rng(0)
+        )
+        candidates, permutation, template, extras, _ = drawn
+        with pytest.raises(InvalidParameterError, match="for a budget of 5"):
+            selector.deal([(candidates, permutation, template, extras, 5)])
 
 
 class TestContract:
