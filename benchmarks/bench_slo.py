@@ -95,7 +95,7 @@ def bench_slo_off_overhead(benchmark):
     assert {k: n for k, (n, _) in journal_armed.items()} == {
         k: n for k, (n, _) in journal_plain.items()
     }
-    for kind in ("route", "result", "complete"):
+    for kind in ("route", "results", "complete"):
         assert journal_armed[kind] == journal_plain[kind]
     assert ratio <= 1.02
 

@@ -129,7 +129,7 @@ class Backend:
 
     def load_state_dict(self, payload: Dict[str, Any]) -> None:
         """Restore the counterpart of :meth:`state_dict`."""
-        from repro.service.journal import _generator_from_state
+        from repro.persistence import generator_from_state
 
         if payload.get("name") != self.name:
             raise JournalCorruptError(
@@ -139,15 +139,15 @@ class Backend:
         faulty = self.faulty
         inner = self.inner
         rng_states = payload["rng"]
-        inner._rng = _generator_from_state(rng_states["platform"])
-        self.rwl._rng = _generator_from_state(rng_states["rwl"])
+        inner._rng = generator_from_state(rng_states["platform"])
+        self.rwl._rng = generator_from_state(rng_states["rwl"])
         if faulty is not None:
             if rng_states["fault"] is None:
                 raise JournalCorruptError(
                     f"snapshot lacks the fault RNG state of faulty backend "
                     f"{self.name!r}"
                 )
-            faulty._fault_rng = _generator_from_state(rng_states["fault"])
+            faulty._fault_rng = generator_from_state(rng_states["fault"])
             fault = payload["fault"]
             faulty.fault_stats = FaultStats(**fault["stats"])
             faulty.clock = float(fault["clock"])

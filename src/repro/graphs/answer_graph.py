@@ -168,6 +168,11 @@ class AnswerGraph:
         """
         return set(np.flatnonzero(~self._lost).tolist())
 
+    def sorted_keys(self) -> List[int]:
+        """The directed keys ``winner * n + loser`` of the distinct
+        recorded answers, ascending."""
+        return sorted(self._keys)
+
     def sorted_answers(self) -> np.ndarray:
         """The distinct recorded answers as a ``(k, 2)`` int64 array of
         ``(winner, loser)`` rows, ascending."""

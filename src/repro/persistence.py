@@ -204,27 +204,34 @@ def session_to_dict(session: MaxSession) -> Dict[str, Any]:
     }
 
 
-def session_from_dict(payload: Dict[str, Any]) -> MaxSession:
-    """Resume a :class:`MaxSession` from a checkpoint payload."""
-    rng_state = _require(payload, "rng_state", "max_session")
-    if not isinstance(rng_state, dict) or "bit_generator" not in rng_state:
+def generator_from_state(state: Any) -> np.random.Generator:
+    """A generator whose bit generator is at *state*, a
+    ``bit_generator.state`` dict.
+
+    Raises:
+        InvalidParameterError: if *state* is not such a dict.
+    """
+    if not isinstance(state, dict) or "bit_generator" not in state:
         raise InvalidParameterError(
-            "malformed max_session payload: rng_state must be a "
-            "bit-generator state dict"
+            "an RNG state must be a bit-generator state dict"
         )
-    bit_generator_cls = getattr(np.random, str(rng_state["bit_generator"]), None)
+    bit_generator_cls = getattr(np.random, str(state["bit_generator"]), None)
     if bit_generator_cls is None:
         raise InvalidParameterError(
-            f"unknown bit generator {rng_state['bit_generator']!r} "
-            f"in max_session payload"
+            f"unknown bit generator {state['bit_generator']!r} in an RNG state"
         )
     bit_generator = bit_generator_cls()
-    bit_generator.state = rng_state
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
+
+
+def session_from_dict(payload: Dict[str, Any]) -> MaxSession:
+    """Resume a :class:`MaxSession` from a checkpoint payload."""
     return MaxSession.restore(
         allocation_from_dict(_require(payload, "allocation", "max_session")),
         selector_by_name(_require(payload, "selector", "max_session")),
         _require(payload, "n_elements", "max_session"),
-        np.random.Generator(bit_generator),
+        generator_from_state(_require(payload, "rng_state", "max_session")),
         evidence=answer_graph_from_dict(
             _require(payload, "evidence", "max_session")
         ),

@@ -620,13 +620,13 @@ class MaxScheduler:
             self._journal.record(record_type, payload)
 
     def _record_results(self, results: List[QueryResult]) -> None:
-        """Record queries' exits, in order; the journal keeps each once."""
+        """Record queries' exits, in order; the journal keeps them as one
+        batch."""
         first = len(self._results)
         self._results.extend(results)
         self._tally.extend(results)
         if self._journal is not None:
-            for index, result in enumerate(results, first):
-                self._journal.record_result(index, result)
+            self._journal.record_results(first, results)
 
     # ------------------------------------------------------------------
     # Causal spans + latency attribution (active only while tracing)

@@ -66,13 +66,17 @@ class TestJournalWriting:
         assert records[-1]["record"] == "complete"
         assert [rec["seq"] for rec in records] == list(range(len(records)))
         kinds = {rec["record"] for rec in records}
-        assert {"snapshot", "result", "tick", "route"} <= kinds
-        assert kinds <= {"header", "snapshot", "result", "tick", "route",
+        assert {"snapshot", "results", "tick", "route"} <= kinds
+        assert kinds <= {"header", "snapshot", "results", "tick", "route",
                          "alert", "deferred", "replan", "brownout",
                          "complete"}
         indices = [
-            rec["payload"]["index"] for rec in records
-            if rec["record"] == "result"
+            index
+            for rec in records
+            if rec["record"] == "results"
+            for index, _ in enumerate(
+                rec["payload"]["query_id"], rec["payload"]["first"]
+            )
         ]
         assert indices == list(range(len(_specs())))
 
@@ -174,7 +178,9 @@ class TestRecovery:
         assert report == baseline
         assert journal_results(path) == report.results
         folded = read_journal(path).last_snapshot["results"]
-        assert [d["index"] for d in folded] == list(range(len(report.results)))
+        assert sorted(row[0] for row in folded) == [
+            result.spec.query_id for result in report.results
+        ]
 
     def test_resume_after_torn_tail_keeps_later_snapshots_readable(
         self, tmp_path
@@ -242,6 +248,90 @@ class TestRecovery:
         before = counter.value
         recover_scheduler(path, resume_journal=False)
         assert counter.value == before + 1
+
+
+class _JournalParts:
+    """The parts of a parsed journal a column corruption edits."""
+
+    def __init__(self, records):
+        self.specs = records[0]["payload"]["specs"]
+        self.snapshot = [
+            r["payload"] for r in records if r["record"] == "snapshot"
+        ][-1]
+        self.active = self.snapshot["active"]
+        self.results = next(
+            r["payload"] for r in records if r["record"] == "results"
+        )
+        # The collection size of the first active query.
+        index = self.specs["query_id"].index(self.active["query_id"][0])
+        self.n = self.specs["n_elements"][index]
+
+
+def _set(column, index, value):
+    column[index] = value
+
+
+def _answer_both_ways(j):
+    """Give the first active query's first answer the other way too."""
+    winner, loser = divmod(j.active["evidence"][0], j.n)
+    j.active["evidence"].insert(j.active["n_evidence"][0], loser * j.n + winner)
+    j.active["n_evidence"][0] += 1
+
+
+_COLUMN_CORRUPTIONS = {
+    "ragged active column": lambda j: j.active["seq"].pop(),
+    "ragged waiting column": lambda j: j.snapshot["waiting"]["seq"].append(0),
+    "missing active column": lambda j: j.active.pop("round_index"),
+    "active table not a table": lambda j: j.snapshot.update(active=[1, 2]),
+    "evidence not a list": lambda j: j.active.update(evidence={"a": 1}),
+    "evidence counts past the keys": lambda j: _set(
+        j.active["n_evidence"], 0, j.active["n_evidence"][0] + 1
+    ),
+    "evidence counts short of the keys": lambda j: _set(
+        j.active["n_evidence"], -1, j.active["n_evidence"][-1] - 1
+    ),
+    "negative evidence count": lambda j: j.active.update(
+        n_evidence=[-1] * (len(j.active["query_id"]) - 1)
+        + [len(j.active["evidence"]) + len(j.active["query_id"]) - 1]
+    ),
+    "evidence key at n squared": lambda j: _set(
+        j.active["evidence"], 0, j.n * j.n
+    ),
+    "negative evidence key": lambda j: _set(j.active["evidence"], 0, -1),
+    "self-pair evidence key": lambda j: _set(j.active["evidence"], 0, 0),
+    "float evidence key": lambda j: _set(j.active["evidence"], 0, 1.5),
+    "bool evidence key": lambda j: _set(j.active["evidence"], 0, True),
+    "huge evidence key": lambda j: _set(j.active["evidence"], 0, 2**70),
+    "opposite evidence keys": lambda j: _answer_both_ways(j),
+    "pending counts past the keys": lambda j: _set(
+        j.active["n_pending"], 0, j.active["n_pending"][0] + 1
+    ),
+    "pending key at n squared": lambda j: _set(
+        j.active["pending"], 0, j.n * j.n
+    ),
+    "self-pair pending key": lambda j: _set(
+        j.active["pending"], 0, j.n + 1
+    ),
+    "negative round budget": lambda j: _set(
+        j.active["round_budgets"][0], 0, -1
+    ),
+    "round budgets not a list": lambda j: _set(j.active["round_budgets"], 0, 5),
+    "unknown query id": lambda j: _set(j.active["query_id"], 0, 10**6),
+    "unknown query state": lambda j: _set(j.active["state"], 0, "lost"),
+    "short plan cache entry": lambda j: j.snapshot["plan_cache"]["entries"][
+        0
+    ].pop(),
+    "short plan cache stats": lambda j: j.snapshot["plan_cache"].update(
+        stats=[1]
+    ),
+    "ragged results column": lambda j: j.results["state"].pop(),
+    "missing results column": lambda j: j.results.pop("winner"),
+    "negative results index": lambda j: j.results.update(first=-1),
+    "text results index": lambda j: j.results.update(first="0"),
+    "unknown result state": lambda j: _set(j.results["state"], 0, "lost"),
+    "ragged header specs": lambda j: j.specs["budget"].pop(),
+    "missing header spec column": lambda j: j.specs.pop("deadline"),
+}
 
 
 class TestCorruption:
@@ -319,8 +409,8 @@ class TestCorruption:
         lines = path.read_text(encoding="utf-8").splitlines()
         kept = [
             line for line in lines
-            if json.loads(line)["record"] != "result"
-            or json.loads(line)["payload"]["index"] != 0
+            if json.loads(line)["record"] != "results"
+            or json.loads(line)["payload"]["first"] != 0
         ]
         assert len(kept) == len(lines) - 1
         path.write_text("\n".join(kept) + "\n", encoding="utf-8")
@@ -360,6 +450,28 @@ class TestCorruption:
             pass
         else:  # pragma: no cover - defensive
             pytest.fail("expected JournalCorruptError")
+        # Malformed columns of a mid-round snapshot, a results record and
+        # the header are typed corruption too.
+        source = tmp_path / "columns.jsonl"
+        journal = SchedulerJournal.create(source, snapshot_interval=1)
+        victim = _scheduler(journal=journal, **_faulty_kwargs())
+        while victim.ticks < 2 and victim.step():
+            pass
+        journal.close()
+        lines = source.read_text(encoding="utf-8").splitlines()
+        for name, corrupt in _COLUMN_CORRUPTIONS.items():
+            records = [json.loads(line) for line in lines]
+            corrupt(_JournalParts(records))
+            path.write_text(
+                "\n".join(map(json.dumps, records)) + "\n", encoding="utf-8"
+            )
+            try:
+                recover_scheduler(path, resume_journal=False)
+            except JournalCorruptError:
+                continue
+            except Exception as error:  # pragma: no cover - the failure
+                pytest.fail(f"{name}: {type(error).__name__}: {error}")
+            pytest.fail(f"{name}: recovered from a malformed journal")
 
     def test_resume_requires_existing_file(self, tmp_path):
         with pytest.raises(JournalCorruptError):
@@ -399,7 +511,7 @@ class TestHeaderRoundTrip:
         journal.close()
         contents = read_journal(path)
         header = contents.header
-        assert JOURNAL_VERSION == 5
+        assert JOURNAL_VERSION == 6
         assert "fault_profile" not in header
         assert "breaker_config" not in header
         (backend,) = header["backends"]
@@ -440,6 +552,11 @@ class TestHeaderRoundTrip:
         with pytest.raises(JournalCorruptError, match="version 4"):
             recover_scheduler(path)
 
+    def test_version_five_journal_is_rejected(self, tmp_path):
+        path = self._journal_claiming_version(tmp_path / "v5.jsonl", 5)
+        with pytest.raises(JournalCorruptError, match="version 5"):
+            recover_scheduler(path)
+
     def test_header_with_missing_keys_raises_typed_error(self, tmp_path):
         with pytest.raises(JournalCorruptError):
             scheduler_from_header({"version": JOURNAL_VERSION})
@@ -460,22 +577,18 @@ class TestMidRoundCheckpoint:
         contents = read_journal(path)
         active = contents.last_snapshot["active"]
         assert any(
-            entry["session"]["pending"] for entry in active
+            active["n_pending"]
         ), "expected a mid-round session after two faulty ticks"
         recovered = recover_scheduler(path, resume_journal=False)
-        for entry in active:
-            query = next(
-                q
-                for q in recovered._active
-                if q.spec.query_id == entry["spec"]["query_id"]
-            )
-            got = (
-                [list(pair) for pair in query.session.pending]
-                if query.session.pending is not None
-                else None
-            )
-            want = entry["session"]["pending"]
-            assert got == want
+        assert [q.spec.query_id for q in recovered._active] == (
+            active["query_id"]
+        )
+        keys = iter(active["pending"])
+        for query, count in zip(recovered._active, active["n_pending"]):
+            n = query.spec.n_elements
+            want = [divmod(next(keys), n) for _ in range(count)]
+            assert (query.session.pending or []) == want
+            assert query.session.awaiting_answers == (count > 0)
 
 
     def test_selector_stream_is_snapshotted_once(self, tmp_path):
@@ -495,14 +608,16 @@ class TestMidRoundCheckpoint:
             for record in read_journal(path).records
             if record["record"] == "snapshot"
         ]
-        sessions = [
-            entry["session"]
+        tables = [
+            snapshot[name]
             for snapshot in snapshots
-            for entry in snapshot["waiting"] + snapshot["active"]
+            for name in ("waiting", "active")
         ]
-        assert any(snapshot["waiting"] for snapshot in snapshots)
-        assert any(session["pending"] for session in sessions)
-        assert not any("rng_state" in session for session in sessions)
+        assert any(snapshot["waiting"]["query_id"] for snapshot in snapshots)
+        assert any(any(table["n_pending"]) for table in tables)
+        assert not any(
+            "rng" in column for table in tables for column in table
+        )
         assert snapshots[-1]["selector_rng"] == (
             victim.selector_rng.bit_generator.state
         )
@@ -537,7 +652,10 @@ class TestSnapshotSize:
             line for line in lines if json.loads(line)["record"] == "snapshot"
         ]
         results = [
-            line for line in lines if json.loads(line)["record"] == "result"
+            query_id
+            for line in lines
+            if json.loads(line)["record"] == "results"
+            for query_id in json.loads(line)["payload"]["query_id"]
         ]
         return snapshots, results
 
