@@ -9,6 +9,7 @@ compares a directory of them against ``benchmarks/baseline.json``.
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -34,9 +35,12 @@ def bench_artifact(request):
     setup), which is exactly what a CI wall-clock regression gate cares
     about.  Works under ``--benchmark-disable`` too — pytest-benchmark
     then runs the body once untimed, but this fixture still times it.
+    The garbage the earlier benches left is collected before the timer
+    starts, so no bench pays for another's collection.
     """
     from repro.obs.metrics import get_registry
 
+    gc.collect()
     start = time.perf_counter()
     yield
     seconds = time.perf_counter() - start
