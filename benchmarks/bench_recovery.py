@@ -69,7 +69,7 @@ def bench_journal_overhead_steady(benchmark, tmp_path):
     report_journal, _ = _timed_run(scenario, journal_path=equal_path)
     assert report_journal == report_bare
     # Snapshots hold the active set, not the run, and each result is
-    # journaled once: 1288 B/query here.  Deterministic, so unlike the
+    # journaled once: 668 B/query here.  Deterministic, so unlike the
     # ratio it does not depend on the host's speed.
     bytes_per_query = equal_path.stat().st_size / report_journal.n_queries
     print(f"journal: {bytes_per_query:.0f} B/query")
