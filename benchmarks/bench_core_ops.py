@@ -14,7 +14,7 @@ from repro.core.registry import allocator_by_name
 from repro.crowd.ground_truth import GroundTruth
 from repro.crowd.platform import SimulatedPlatform
 from repro.crowd.rwl import ReliableWorkerLayer
-from repro.engine.session import MaxSession, open_rounds
+from repro.engine.session import MaxSession, open_rounds, submit_rounds
 from repro.experiments.config import estimated_latency
 from repro.graphs.answer_graph import AnswerGraph
 from repro.graphs.tournaments import tournament_graph
@@ -163,3 +163,49 @@ def bench_open_pass(benchmark, sessions):
     assert [len(session.pending) for session in opened] == [
         plan.round_budgets[0] for plan, _ in shapes
     ]
+
+
+@pytest.mark.parametrize("sessions", [16, 64])
+def bench_submit_pass(benchmark, sessions):
+    """One ``submit_rounds`` call that answers a shared round of
+    *sessions* burst-shaped sessions: a tick's commit work in the
+    service.
+
+    The sessions are those of :func:`bench_open_pass`, opened in one
+    pass before each timed call; the timed call records the true answer
+    to every question of every open round, so each round resolves.
+    Divide the time by *sessions* for the cost of resolving one round.
+    """
+    rng = np.random.default_rng(5)
+    latency = estimated_latency()
+    tdp = allocator_by_name("tDP")
+    plans = [
+        (tdp.allocate(n, int(factor * n), latency), n)
+        for factor in (4.0, 6.0)
+        for n in (12, 20, 32)
+    ]
+    selector = selector_by_name("Tournament")
+    shapes = [plans[i % len(plans)] for i in range(sessions)]
+    truths = {n: GroundTruth.random(n, np.random.default_rng(n)) for _, n in shapes}
+
+    def opened():
+        batch = [MaxSession(plan, selector, n, rng) for plan, n in shapes]
+        open_rounds(batch)
+        rows = []
+        for session, (_, n) in zip(batch, shapes):
+            questions = session.pending_questions()
+            winners = truths[n].winners(questions)
+            rows.append(
+                np.column_stack((winners, questions.sum(axis=1) - winners))
+            )
+        return (batch, np.concatenate(rows), [len(r) for r in rows]), {}
+
+    resolved = []
+
+    def submit_pass(batch, rows, counts):
+        submit_rounds(batch, rows, counts)
+        resolved[:] = batch
+
+    benchmark.pedantic(submit_pass, setup=opened, rounds=200)
+    assert not any(session.awaiting_answers for session in resolved)
+    assert [session.rounds_executed for session in resolved] == [1] * sessions

@@ -31,11 +31,16 @@ together; :func:`submit_rounds` validates and records one shared round's
 answers for all of them.  The single-session methods are these functions
 over one session.  A batch is all-or-nothing: a bad row in any session
 raises before any session records anything.
+
+A session's state is columns too: its candidates are one int64 array,
+and its answers are slices of the passes' directed-key arrays, folded
+into an :class:`~repro.graphs.answer_graph.AnswerGraph` only when
+:attr:`MaxSession.evidence` is read.  A service whose sessions select by
+Tournament formation and end on one candidate never builds a graph.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -92,8 +97,18 @@ class MaxSession:
         self.selector = selector
         self._rng = rng
         self._n_elements = n_elements
-        self.evidence = AnswerGraph(range(n_elements))
-        self._candidates: Tuple[Element, ...] = tuple(range(n_elements))
+        #: The evidence graph, built on first access (:attr:`evidence`),
+        #: and the directed keys ``winner * n + loser`` of the answers
+        #: recorded since, one array per submit.
+        self._graph: Optional[AnswerGraph] = None
+        self._unfolded: List[np.ndarray] = []
+        #: Whether the open round may ask a pair the evidence already
+        #: holds: only then can an answer contradict an earlier one.
+        self._stale = False
+        #: The candidates, ascending, as an int64 array: the open pass
+        #: hands them to the selector and the submit pass filters them,
+        #: both without converting element by element.
+        self._candidates = np.arange(n_elements)
         self._round_index = 0
         #: The open round as columns: its ``(k, 2)`` selected questions, the
         #: sorted canonical keys ``lo * n_elements + hi`` of those, the
@@ -120,7 +135,7 @@ class MaxSession:
         """
         return self._pending is None and (
             len(self._candidates) <= 1
-            or self._round_index >= self.allocation.rounds
+            or self._round_index >= len(self.allocation.round_budgets)
         )
 
     @property
@@ -140,13 +155,33 @@ class MaxSession:
                 "the session is still running; submit the pending answers"
             )
         if len(self._candidates) == 1:
-            return self._candidates[0]
+            return int(self._candidates[0])
         return best_scored(self.evidence)
 
     @property
+    def evidence(self) -> AnswerGraph:
+        """The graph of every answer recorded so far.
+
+        Built on first access and brought up to date on each later one,
+        so a session nobody asks for its evidence never builds it: a
+        selector that does not read the evidence (Tournament formation)
+        and a singleton termination need only the candidates.
+        """
+        graph = self._graph
+        if graph is None:
+            graph = self._graph = AnswerGraph(range(self._n_elements))
+            if PROFILER.enabled:
+                PROFILER.add("session.graphs_built")
+        if self._unfolded:
+            graph.record_new_keys(np.concatenate(self._unfolded))
+            self._unfolded = []
+        return graph
+
+    @property
     def candidates(self) -> Tuple[Element, ...]:
-        """Elements that have not lost any recorded comparison yet."""
-        return self._candidates
+        """Elements that have not lost any recorded comparison yet,
+        ascending."""
+        return tuple(self._candidates.tolist())
 
     @property
     def round_index(self) -> int:
@@ -195,6 +230,12 @@ class MaxSession:
         if self._pending is None:
             return None
         return list(map(tuple, self._pending.tolist()))
+
+    @property
+    def open_round_size(self) -> int:
+        """Questions of the open round, answered ones included; 0 between
+        rounds.  :attr:`pending` as a count, without building it."""
+        return 0 if self._pending is None else len(self._pending)
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -245,8 +286,10 @@ class MaxSession:
             raise InvalidParameterError(
                 "questions_posted and rounds_executed must be >= 0"
             )
-        session.evidence = evidence
-        session._candidates = tuple(sorted(evidence.remaining_candidates()))
+        session._graph = evidence
+        session._candidates = np.array(
+            sorted(evidence.remaining_candidates()), np.int64
+        )
         session._round_index = round_index
         session._questions_posted = questions_posted
         session._rounds_executed = rounds_executed
@@ -330,15 +373,15 @@ class MaxSession:
         """Draw the next round with questions (see
         :meth:`QuestionSelector.draw`), skipping rounds that select none;
         ``None`` once the session is done."""
-        while not self.done:
+        budgets = self.allocation.round_budgets
+        while len(self._candidates) > 1 and self._round_index < len(budgets):
             index = self._round_index
-            allocation = self.allocation
             drawn = self.selector.draw(
-                allocation.round_budgets[index],
+                budgets[index],
                 self._candidates,
-                self.evidence,
+                self.evidence if self.selector.reads_evidence else None,
                 index,
-                allocation.rounds,
+                len(budgets),
                 self._rng,
             )
             if drawn is not None:
@@ -418,7 +461,10 @@ def _hand_out(
     ``sessions[i]``'s round, none of it answered.
 
     One pass keys every question (see :func:`_key_space`), so one stable
-    argsort sorts each session's keys in its own slice.
+    argsort sorts each session's keys in its own slice.  A round that
+    asks only candidates asks no pair the evidence holds (every answered
+    pair has a loser); any other round is marked stale, and its answers
+    are checked against the evidence when they arrive.
     """
     sizes, bases = _key_space(sessions)
     starts = np.cumsum(lengths) - lengths
@@ -441,9 +487,26 @@ def _hand_out(
     # The bases keep each session's keys in its own slice of the sort.
     keys -= row_bases
     order -= np.repeat(starts, lengths)
+    held = [session._candidates for session in sessions]
+    element_bases = np.cumsum(sizes) - sizes
+    candidate = np.zeros(int(sizes.sum()), bool)
+    candidate[
+        np.concatenate(held)
+        + np.repeat(element_bases, np.fromiter(map(len, held), np.int64, len(held)))
+    ] = True
+    row_elements = np.repeat(element_bases, lengths)
+    stale = np.zeros(len(sessions), bool)
+    stale[
+        np.repeat(np.arange(len(sessions)), lengths)[
+            ~(candidate[lo + row_elements] & candidate[hi + row_elements])
+        ]
+    ] = True
     masks = np.zeros(len(keys), bool)
-    for session, first, length in zip(sessions, starts.tolist(), lengths):
+    for session, first, length, asks_loser in zip(
+        sessions, starts.tolist(), lengths, stale.tolist()
+    ):
         end = first + length
+        session._stale = asks_loser
         session._pending = questions[first:end]
         session._keys = keys[first:end]
         session._key_order = order[first:end]
@@ -529,7 +592,7 @@ def submit_rounds(
             f"round; foreign, repeated or already answered "
             f"(unknown: {rows[~known][:5].tolist()})"
         )
-    forward, reverse = directed_keys(winners, losers, row_sizes)
+    forward = winners * row_sizes + losers
     survivors = iter(_survivors(sessions, sizes, losers, counts))
     start = 0
     for session, count, first, length, total in zip(
@@ -537,9 +600,18 @@ def submit_rounds(
     ):
         end = start + count
         if count:
-            session.evidence.record_keyed(
-                losers[start:end], forward[start:end], reverse[start:end]
-            )
+            if session._stale:
+                # The round may re-ask an answered pair: check the rows
+                # against the evidence, which stops at a contradiction.
+                session.evidence.record_keyed(
+                    losers[start:end],
+                    *directed_keys(
+                        winners[start:end], losers[start:end],
+                        session._n_elements,
+                    ),
+                )
+            else:
+                session._unfolded.append(forward[start:end])
             session._candidates = next(survivors)
         session._resolve(answered[first:first + length], total)
         start = end
@@ -552,9 +624,10 @@ def _survivors(
     sizes: np.ndarray,
     losers: np.ndarray,
     counts: Sequence[int],
-) -> List[Tuple[Element, ...]]:
+) -> List[np.ndarray]:
     """The candidates each session with rows keeps: its candidates less
-    the losers of its ``counts[i]`` rows, found in one pass over the rows.
+    the losers of its ``counts[i]`` rows, found in one pass over the rows
+    and returned as slices of one array.
 
     Element ``e`` of a session sits at ``base + e``, where ``base`` is
     the sum of the collection sizes before it.  A session may hold no
@@ -562,17 +635,19 @@ def _survivors(
     every element before its round is fully answered).
     """
     answering = np.flatnonzero(counts)
+    if not len(answering):
+        return []
     held = [sessions[index]._candidates for index in answering.tolist()]
     lengths = np.fromiter(map(len, held), np.int64, len(held))
-    flat = np.fromiter(chain.from_iterable(held), np.int64, int(lengths.sum()))
+    flat = np.concatenate(held)
     bases = np.cumsum(sizes) - sizes
     lost = np.zeros(int(sizes.sum()), bool)
     lost[losers + np.repeat(bases, counts)] = True
     keep = ~lost[flat + np.repeat(bases[answering], lengths)]
-    kept = flat[keep].tolist()
+    kept = flat[keep]
     # Kept candidates before each session's end, empty slices included.
     ends = np.concatenate(([0], np.cumsum(keep)))[np.cumsum(lengths)].tolist()
-    return [tuple(kept[a:b]) for a, b in zip([0] + ends, ends)]
+    return [kept[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _key_space(sessions: Sequence[MaxSession]) -> Tuple[np.ndarray, np.ndarray]:

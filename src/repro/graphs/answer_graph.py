@@ -147,6 +147,17 @@ class AnswerGraph:
         keys.update(forward)
         self._lost[losers] = True
 
+    def record_new_keys(self, keys: np.ndarray) -> None:
+        """Record the directed keys ``winner * n + loser`` of answers to
+        pairs this graph does not hold yet, each pair once.
+
+        The caller vouches for all of that (a
+        :class:`~repro.engine.session.MaxSession` round that asks only
+        candidates does), so nothing is checked.
+        """
+        self._keys.update(keys.tolist())
+        self._lost[keys % self._n] = True
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -81,6 +81,10 @@ class QuestionSelector(ABC):
 
     #: Short name used in registries, experiment tables and plots.
     name: str = "selector"
+    #: Whether :meth:`draw` reads its ``evidence``; a pass over many
+    #: sessions passes ``None`` to a selector that does not, so their
+    #: evidence graphs need not be built.
+    reads_evidence: bool = True
 
     @abstractmethod
     def select(self, ctx: SelectionContext) -> Questions:
@@ -98,9 +102,13 @@ class QuestionSelector(ABC):
         """Make one round's random draws now, with the fields of its
         :class:`SelectionContext`.
 
-        Returns what :meth:`deal` needs to build the round, or ``None``
-        when the round selects no questions.
+        *candidates* may also be an int array, as
+        :func:`~repro.engine.session.open_rounds` passes them; the context
+        gets them as a tuple.  Returns what :meth:`deal` needs to build the
+        round, or ``None`` when the round selects no questions.
         """
+        if isinstance(candidates, np.ndarray):
+            candidates = tuple(candidates.tolist())
         questions = select_round(
             self,
             SelectionContext(

@@ -25,8 +25,7 @@ together, so both draw the same questions from the same stream.
 from __future__ import annotations
 
 import functools
-from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,7 +43,8 @@ from repro.types import Element, Question, normalize_question
 #: the position template of its tournaments, its extras (or ``None``) and
 #: its budget.
 Drawn = Tuple[
-    Tuple[Element, ...], np.ndarray, np.ndarray, Optional[np.ndarray], int
+    Union[Tuple[Element, ...], np.ndarray], np.ndarray, np.ndarray,
+    Optional[np.ndarray], int,
 ]
 
 
@@ -60,6 +60,8 @@ class TournamentFormation(QuestionSelector):
     """
 
     name = "Tournament"
+    # Scores from earlier rounds play no part in forming tournaments.
+    reads_evidence = False
 
     def __init__(self, spend_leftover: bool = True) -> None:
         self.spend_leftover = spend_leftover
@@ -78,8 +80,8 @@ class TournamentFormation(QuestionSelector):
     def draw(
         self,
         budget: int,
-        candidates: Tuple[Element, ...],
-        evidence: AnswerGraph,
+        candidates: Union[Tuple[Element, ...], np.ndarray],
+        evidence: Optional[AnswerGraph],
         round_index: int,
         total_rounds: int,
         rng: np.random.Generator,
@@ -88,13 +90,15 @@ class TournamentFormation(QuestionSelector):
         leftover extras; ``None`` below two candidates or at zero budget.
 
         A permutation of positions draws what permuting the candidates
-        draws, without converting them for the shuffle.
+        draws, without converting them for the shuffle.  *candidates* may
+        be a tuple or an int array.
         """
         size = len(candidates)
         if budget < 0 or not size or not 0 <= round_index < max(total_rounds, 1):
             # Raises the context's own error for the field at fault.
             SelectionContext(
-                budget, candidates, evidence, round_index, total_rounds, rng
+                budget, tuple(candidates), evidence, round_index,
+                total_rounds, rng,
             )
         if size < 2 or budget == 0:
             return None
@@ -124,9 +128,7 @@ class TournamentFormation(QuestionSelector):
         n = len(draws)
         sizes = np.fromiter(map(len, candidates), np.int64, n)
         bases = np.cumsum(sizes) - sizes
-        flat = np.fromiter(
-            chain.from_iterable(candidates), np.int64, int(bases[-1] + sizes[-1])
-        )
+        flat = np.concatenate(candidates).astype(np.int64, copy=False)
         positions = np.concatenate(permutations)
         positions += np.repeat(bases, sizes)
         rows = np.fromiter(map(len, templates), np.int64, n)

@@ -6,7 +6,9 @@ other query's latency.  :class:`MaxScheduler` is that missing layer: it
 admits :class:`~repro.service.query.QuerySpec` s (admission control with
 shed/defer overload behaviour), plans each one with tDP through a shared
 :class:`~repro.service.plan_cache.PlanCache`, drives one
-:class:`~repro.engine.session.MaxSession` per query, and each *tick*
+:class:`~repro.engine.session.MaxSession` per query (its candidates and
+answers kept as arrays, its evidence graph built only for a scored exit
+or a snapshot), and each *tick*
 coalesces the pending rounds of all runnable queries — in the order a
 :class:`~repro.service.policies.BatchingPolicy` dictates, under a shared
 in-flight question cap — into one shared round.  A
@@ -245,6 +247,11 @@ class ResultTally:
                 self.deadline_breached += 1
 
 
+#: The unanswered rows of a query before its first tick (read-only, shared).
+_NO_ROWS = np.empty((0, 2), np.int64)
+_NO_ROWS.flags.writeable = False
+
+
 @dataclass(eq=False)
 class ActiveQuery:
     """Scheduler-internal state of one admitted query.
@@ -264,9 +271,7 @@ class ActiveQuery:
     #: The session's ``(k, 2)`` questions of the open round unanswered
     #: when the tick began, in its local element IDs; rebuilt from the
     #: session every tick, so never journaled.
-    unanswered: np.ndarray = field(
-        default_factory=lambda: np.empty((0, 2), np.int64)
-    )
+    unanswered: np.ndarray = field(default_factory=lambda: _NO_ROWS)
     times_scheduled: int = 0
     round_attempts: int = 0
     #: Absolute sim time the query's latency budget expires (None = none).
@@ -1316,12 +1321,15 @@ class MaxScheduler:
         no round attempt — the crowd never saw them.
         """
         scheduled: List[ActiveQuery] = []
+        sizes: List[int] = []
         n_batch = 0
+        cap = self.config.max_inflight_questions
         for query in self._policy.order(runnable):
             size = len(query.unanswered)
-            if n_batch and n_batch + size > self.config.max_inflight_questions:
+            if n_batch and n_batch + size > cap:
                 continue  # backpressure: whole rounds only; retry next tick
             scheduled.append(query)
+            sizes.append(size)
             n_batch += size
         registry = get_registry()
         tracer = current_tracer()
@@ -1360,7 +1368,6 @@ class MaxScheduler:
             )
         # Each query owns the element slice [offset, offset + c0): one
         # add moves every query's rows to global IDs.
-        sizes = [len(query.unanswered) for query in scheduled]
         offsets = np.array([query.offset for query in scheduled])
         questions = np.concatenate([query.unanswered for query in scheduled])
         questions += np.repeat(offsets, sizes)[:, None]
@@ -1422,17 +1429,15 @@ class MaxScheduler:
             posted = {
                 query.spec.query_id: hedged[i] > 0
                 for i, query in enumerate(scheduled)
-                if unposted[i] < len(query.unanswered)
+                if unposted[i] < sizes[i]
             }
             self._record_tick_chunks(
                 tracer, runnable, posted, tick_start, self._now, outage=outage
             )
         if outage:
             exits: List[Exit] = []
-            for query, n_unposted in zip(scheduled, unposted):
-                if n_unposted < len(query.unanswered) and self._out_of_attempts(
-                    query, len(query.unanswered)
-                ):
+            for query, size, n_unposted in zip(scheduled, sizes, unposted):
+                if n_unposted < size and self._out_of_attempts(query, size):
                     exits.append((query, QueryState.DEGRADED, None))
             self._finalize(exits)
             return
@@ -1448,12 +1453,18 @@ class MaxScheduler:
         counts = np.bincount(owner, minlength=len(scheduled))
         # Before submit advances round_index, so each closed span's id
         # matches the open emitted by _refresh_round.
-        rounds = [query.session.round_index for query in scheduled]
+        rounds = (
+            [query.session.round_index for query in scheduled]
+            if tracer.enabled
+            else None
+        )
         counts = counts.tolist()
         submit_rounds([query.session for query in scheduled], local, counts)
         exits = []
-        for query, count, n_unposted in zip(scheduled, counts, unposted):
-            lost = len(query.unanswered) - count  # re-posted next tick
+        for query, size, count, n_unposted in zip(
+            scheduled, sizes, counts, unposted
+        ):
+            lost = size - count  # re-posted next tick
             if lost:
                 # An unposted question is never answered, so the lost ones
                 # were all unposted exactly when `lost` of the round were.
@@ -1467,8 +1478,10 @@ class MaxScheduler:
         if tracer.enabled:
             # Each resolved round closes before its query's exit, if any.
             finished = {exit_[0]: (exit_, r) for exit_, r in zip(exits, results)}
-            for query, count, round_index in zip(scheduled, counts, rounds):
-                if count == len(query.unanswered):
+            for query, size, count, round_index in zip(
+                scheduled, sizes, counts, rounds
+            ):
+                if count == size:
                     close_span(
                         tracer,
                         f"q{query.spec.query_id}/r{round_index}",
@@ -1557,7 +1570,7 @@ class MaxScheduler:
                     ),
                     rounds=session.rounds_executed,
                     questions_posted=(
-                        session.questions_posted + len(session.pending or ())
+                        session.questions_posted + session.open_round_size
                     ),
                     plan_cache_hit=query.plan_cache_hit,
                     slo_met=(
